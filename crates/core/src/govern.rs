@@ -21,8 +21,11 @@
 //! pairwise operators' transient carry buffers via [`charge_transient`]
 //! (routed through [`ops::transient`](crate::ops::transient), which keeps
 //! the process-global high-water mark for the bench harness alongside the
-//! governor-scoped one). One tenant's spike can therefore never trip
-//! another query's memory verdict.
+//! governor-scoped one). The join operators charge their key tables
+//! ([`morph_vector::keys`]) the same way — directly, since a table is
+//! O(build side), not a chunk-bounded carry the process-global mark is meant
+//! to bound. One tenant's spike can therefore never trip another query's
+//! memory verdict.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -373,8 +376,8 @@ pub(crate) fn charge_materialized(bytes: usize) {
     with_current(|governor| governor.add_materialized(bytes));
 }
 
-/// Raise the current query's transient carry high-water mark (no-op
-/// without a governor).
+/// Raise the current query's transient high-water mark — a pairwise carry
+/// buffer or a join key table (no-op without a governor).
 #[inline]
 pub(crate) fn charge_transient(bytes: usize) {
     with_current(|governor| governor.note_transient(bytes));

@@ -1,4 +1,4 @@
-//! Join operators: hash equi-join and semi-join.
+//! Join operators: equi-join and semi-join.
 //!
 //! The SSB queries are star joins: the (filtered) dimension tables are joined
 //! to the fact table via foreign keys.  In the operator-at-a-time model these
@@ -11,60 +11,67 @@
 //!   match — which is all the SSB plans need when a dimension is used purely
 //!   as a filter.
 //!
-//! The hash table is always built on the *build* (second) input, which in a
-//! star join is the filtered dimension-key column and therefore small; the
-//! probe side is streamed chunk-wise, so the fact-table key column is never
-//! materialised uncompressed (DP3).  Keys are compared by value, which is
-//! correct for dictionary-encoded data because MorphStore assumes "an
-//! individual dictionary per domain" (Section 3.1): both join sides of an SSB
-//! join refer to the same key domain.
-
-use std::collections::HashMap;
+//! The key table is always built on the *build* (second) input, which in a
+//! star join is the filtered dimension-key column and therefore small and
+//! dense: [`morph_vector::keys`] provides a [`KeySet`](morph_vector::keys::KeySet)
+//! for the semi-join and a [`KeyIndex`] (CSR: key → its build positions, in
+//! build order, so N:M output order is the build order) for the join.  Each
+//! picks direct addressing over `[min, max]` or open addressing from the
+//! build side's observed range and the probe length — see DESIGN.md, "Join
+//! kernels: direct-addressed key tables".  Both sides are streamed
+//! chunk-wise — the build column once per table-construction pass, the probe
+//! column once — so neither key column is ever materialised uncompressed
+//! (DP3); the table itself is charged to the query's memory budget.  An
+//! empty build side short-circuits: nothing can match, so the probe side is
+//! not decoded at all.
+//!
+//! Keys are compared by value, which is correct for dictionary-encoded data
+//! because MorphStore assumes "an individual dictionary per domain"
+//! (Section 3.1): both join sides of an SSB join refer to the same key
+//! domain.
 
 use morph_compression::Format;
 use morph_storage::{Column, ColumnBuilder};
+use morph_vector::keys::KeyIndex;
 
-use crate::exec::{ExecSettings, IntegrationDegree};
+use crate::exec::ExecSettings;
+use crate::ops::partitioned::{
+    build_semi_join_set, effective_output_format, scan_build_side, semi_join_part,
+};
 
-/// Hash equi-join of two key columns.
+/// Equi-join of two key columns.
 ///
 /// Returns `(probe_positions, build_positions)`: for every pair `(i, j)` with
 /// `probe[i] == build[j]`, position `i` is appended to the first output and
-/// `j` to the second, in probe order.  `out_formats` are the formats of the
-/// two output columns (ignored for the purely uncompressed degree).
+/// `j` to the second, in probe order (and build order within one probe
+/// position).  `out_formats` are the formats of the two output columns
+/// (ignored for the purely uncompressed degree).
 pub fn join(
     probe: &Column,
     build: &Column,
     out_formats: (&Format, &Format),
     settings: &ExecSettings,
 ) -> (Column, Column) {
-    // Build phase: value -> positions in the build column.
-    let mut table: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut build_pos = 0u64;
-    build.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        for &value in chunk {
-            table.entry(value).or_default().push(build_pos);
-            build_pos += 1;
-        }
-    });
-    // Probe phase.
-    let uncompressed = settings.degree == IntegrationDegree::PurelyUncompressed;
-    let mut probe_out = OutCol::new(*out_formats.0, uncompressed);
-    let mut build_out = OutCol::new(*out_formats.1, uncompressed);
-    let mut probe_pos = 0u64;
-    probe.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        for &value in chunk {
-            if let Some(matches) = table.get(&value) {
-                for &b in matches {
+    let mut probe_out = ColumnBuilder::new(effective_output_format(out_formats.0, settings));
+    let mut build_out = ColumnBuilder::new(effective_output_format(out_formats.1, settings));
+    // An empty build side matches nothing: skip decoding the probe side.
+    if !build.is_empty() {
+        // Build phase: key -> its positions in the build column.
+        let index = KeyIndex::build(|sink| scan_build_side(build, sink), probe.logical_len());
+        crate::govern::charge_transient(index.heap_bytes());
+        // Probe phase.
+        let mut probe_pos = 0u64;
+        probe.for_each_chunk(&mut |chunk| {
+            crate::govern::checkpoint_chunk();
+            for &value in chunk {
+                for &build_pos in index.matches(value) {
                     probe_out.push(probe_pos);
-                    build_out.push(b);
+                    build_out.push(build_pos);
                 }
+                probe_pos += 1;
             }
-            probe_pos += 1;
-        }
-    });
+        });
+    }
     (probe_out.finish(), build_out.finish())
 }
 
@@ -75,53 +82,15 @@ pub fn semi_join(
     out_format: &Format,
     settings: &ExecSettings,
 ) -> Column {
-    // Shared with the morsel path, which must build the identical set.
-    let set = crate::ops::partitioned::build_semi_join_set(build);
-    let uncompressed = settings.degree == IntegrationDegree::PurelyUncompressed;
-    let mut out = OutCol::new(*out_format, uncompressed);
-    let mut pos = 0u64;
-    probe.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        for &value in chunk {
-            if set.contains(&value) {
-                out.push(pos);
-            }
-            pos += 1;
-        }
-    });
-    out.finish()
-}
-
-/// Small helper unifying "collect uncompressed" and "recompress on the fly"
-/// output sides.
-enum OutCol {
-    Plain(Vec<u64>),
-    Compressed(ColumnBuilder),
-}
-
-impl OutCol {
-    fn new(format: Format, uncompressed: bool) -> OutCol {
-        if uncompressed {
-            OutCol::Plain(Vec::new())
-        } else {
-            OutCol::Compressed(ColumnBuilder::new(format))
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, value: u64) {
-        match self {
-            OutCol::Plain(v) => v.push(value),
-            OutCol::Compressed(b) => b.push(value),
-        }
-    }
-
-    fn finish(self) -> Column {
-        match self {
-            OutCol::Plain(v) => Column::from_vec(v),
-            OutCol::Compressed(b) => b.finish(),
-        }
-    }
+    // The serial operator is the partitioned kernel over the whole chunk
+    // range, so the morsel path reproduces it by construction.
+    let set = build_semi_join_set(build, probe.logical_len());
+    semi_join_part(
+        probe,
+        &set,
+        0..probe.chunk_count(),
+        &effective_output_format(out_format, settings),
+    )
 }
 
 #[cfg(test)]
@@ -229,30 +198,32 @@ mod tests {
 
     #[test]
     fn semi_join_with_no_matches_and_empty_inputs() {
-        let probe = Column::from_slice(&[1, 2, 3]);
-        let build = Column::from_slice(&[9, 10]);
-        assert!(semi_join(
-            &probe,
-            &build,
-            &Format::Uncompressed,
-            &ExecSettings::default()
-        )
-        .is_empty());
+        let settings = ExecSettings::default();
+        let probe_values: Vec<u64> = (0..6000u64).map(|i| i % 50).collect();
+        let build = Column::from_slice(&[90, 100]);
         let empty = Column::from_slice(&[]);
-        assert!(semi_join(
-            &empty,
-            &build,
-            &Format::Uncompressed,
-            &ExecSettings::default()
-        )
-        .is_empty());
-        let (p, b) = join(
-            &empty,
-            &build,
-            (&Format::Uncompressed, &Format::Uncompressed),
-            &ExecSettings::default(),
-        );
-        assert!(p.is_empty());
-        assert!(b.is_empty());
+        for probe_format in Format::all_formats(49) {
+            let probe = Column::compress(&probe_values, &probe_format);
+            for out_format in [Format::Uncompressed, Format::DeltaDynBp] {
+                // Whatever the reason nothing matches, the output is the
+                // column an untouched builder finishes.
+                let nothing = ColumnBuilder::new(out_format).finish();
+                assert_eq!(semi_join(&probe, &build, &out_format, &settings), nothing);
+                assert_eq!(semi_join(&probe, &empty, &out_format, &settings), nothing);
+                assert_eq!(semi_join(&empty, &build, &out_format, &settings), nothing);
+                // The morsel path: every part of an empty build side is empty.
+                let set = build_semi_join_set(&empty, probe.logical_len());
+                assert!(set.is_empty());
+                for range in probe.partition_chunks(3) {
+                    assert_eq!(semi_join_part(&probe, &set, range, &out_format), nothing);
+                }
+                let formats = (&out_format, &out_format);
+                for (p, b) in [(&probe, &empty), (&empty, &build), (&probe, &build)] {
+                    let (probe_pos, build_pos) = join(p, b, formats, &settings);
+                    assert_eq!(probe_pos, nothing, "{probe_format} -> {out_format}");
+                    assert_eq!(build_pos, nothing, "{probe_format} -> {out_format}");
+                }
+            }
+        }
     }
 }

@@ -14,6 +14,10 @@
 //!   emit for that logical range (select positions are computed from the
 //!   chunk's global logical start, so no rebasing pass is needed at merge
 //!   time),
+//! * the semi-join goes one step further: the serial [`crate::semi_join`]
+//!   *is* [`semi_join_part`] over the whole chunk range, probing the same
+//!   shared [`KeySet`] ([`build_semi_join_set`]) chunk by chunk through its
+//!   bulk kernel, so serial and partitioned execution cannot drift apart,
 //! * [`morph_storage::ColumnBuilder::append_column`] re-creates the serial
 //!   builder's byte stream (splicing without re-encoding where the format's
 //!   blocks are position-independent), and
@@ -24,13 +28,13 @@
 //! worker pool; the functions are public so tests (and other schedulers)
 //! can exercise the partition → process → merge pipeline directly.
 
-use std::collections::HashSet;
 use std::ops::Range;
 
 use morph_compression::{ChunkCursor, Format};
 use morph_storage::{Column, ColumnBuilder};
 use morph_vector::emu::V512;
 use morph_vector::kernels::{self, BinaryOp};
+use morph_vector::keys::KeySet;
 use morph_vector::scalar::Scalar;
 use morph_vector::ProcessingStyle;
 
@@ -139,35 +143,49 @@ pub fn project_part(
     builder.finish()
 }
 
-/// The hash set of build-side values of a semi-join, built once by the
-/// coordinator and shared by all probe-side parts.
-pub fn build_semi_join_set(build: &Column) -> HashSet<u64> {
-    let mut set = HashSet::new();
+/// The key set of the build side of a semi-join, built once — by the serial
+/// operator or the fanning-out coordinator — and shared by all probe-side
+/// parts.  `probe_len` (the probe column's logical length) is one of the
+/// inputs of the set's dense/sparse choice ([`morph_vector::keys`]).
+///
+/// The table is charged to the current query's memory budget as a transient.
+pub fn build_semi_join_set(build: &Column, probe_len: usize) -> KeySet {
+    let set = KeySet::build(|sink| scan_build_side(build, sink), probe_len);
+    crate::govern::charge_transient(set.heap_bytes());
+    set
+}
+
+/// One pass over a join's build column, chunk by chunk — the re-scannable
+/// source the key tables of [`morph_vector::keys`] are built from.
+pub(crate) fn scan_build_side(build: &Column, sink: &mut dyn FnMut(&[u64])) {
     build.for_each_chunk(&mut |chunk| {
         crate::govern::checkpoint_chunk();
-        set.extend(chunk.iter().copied());
+        sink(chunk);
     });
-    set
 }
 
 /// Partial semi-join: the global positions of the chunk range `chunks` of
 /// `probe` whose value occurs in the shared build `set` (the partitioned
-/// probe side of [`crate::semi_join`]).
+/// probe side of [`crate::semi_join`], which itself is this kernel over the
+/// whole chunk range).
+///
+/// An empty set matches nothing, so the probe range is not even decoded.
 pub fn semi_join_part(
     probe: &Column,
-    set: &HashSet<u64>,
+    set: &KeySet,
     chunks: Range<usize>,
     format: &Format,
 ) -> Column {
     let mut builder = ColumnBuilder::new(*format);
-    probe.for_each_chunk_in(chunks, &mut |start, chunk| {
-        crate::govern::checkpoint_chunk();
-        for (i, value) in chunk.iter().enumerate() {
-            if set.contains(value) {
-                builder.push(start + i as u64);
-            }
-        }
-    });
+    if !set.is_empty() {
+        let mut scratch: Vec<u64> = Vec::new();
+        probe.for_each_chunk_in(chunks, &mut |start, chunk| {
+            crate::govern::checkpoint_chunk();
+            scratch.clear();
+            set.probe_positions(chunk, start, &mut scratch);
+            builder.push_slice(&scratch);
+        });
+    }
     builder.finish()
 }
 
@@ -410,19 +428,34 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_semi_join_matches_serial() {
+    fn partitioned_semi_join_is_byte_identical_to_serial_for_all_formats() {
         let probe_values: Vec<u64> = (0..15_000u64).map(|i| i % 997).collect();
-        let build_values: Vec<u64> = (0..200u64).map(|i| i * 5).collect();
-        let probe = Column::compress(&probe_values, &Format::DynBp);
-        let build = Column::compress(&build_values, &Format::StaticBp(10));
+        let dense_build: Vec<u64> = (0..200u64).map(|i| i * 5).collect();
+        // One far outlier stretches the key range past any dense table.
+        let mut sparse_build = dense_build.clone();
+        sparse_build.push(1 << 50);
         let settings = ExecSettings::vectorized_compressed();
-        let serial = semi_join(&probe, &build, &Format::DeltaDynBp, &settings);
-        let set = build_semi_join_set(&build);
-        let partials: Vec<Column> = partition(&probe, 5)
-            .iter()
-            .map(|r| semi_join_part(&probe, &set, r.clone(), &Format::DeltaDynBp))
-            .collect();
-        assert_eq!(concat_partials(&Format::DeltaDynBp, &partials), serial);
+        for (build_values, dense) in [(&dense_build, true), (&sparse_build, false)] {
+            let build = Column::compress(build_values, &Format::DynBp);
+            for probe_format in Format::all_formats(996) {
+                let probe = Column::compress(&probe_values, &probe_format);
+                let serial = semi_join(&probe, &build, &Format::DeltaDynBp, &settings);
+                assert_eq!(serial.logical_len(), 15_000 / 997 * 200 + 9);
+                let set = build_semi_join_set(&build, probe.logical_len());
+                assert_eq!(set.is_dense(), dense);
+                for parts in [1, 2, 5] {
+                    let partials: Vec<Column> = partition(&probe, parts)
+                        .iter()
+                        .map(|r| semi_join_part(&probe, &set, r.clone(), &Format::DeltaDynBp))
+                        .collect();
+                    assert_eq!(
+                        concat_partials(&Format::DeltaDynBp, &partials),
+                        serial,
+                        "{probe_format}, {parts} parts, dense {dense}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@
 //! documented fast path degenerates to today's executor; the only extra
 //! work is the worker-count clamp.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -67,6 +67,7 @@ use std::time::Instant;
 
 use morph_compression::Format;
 use morph_storage::Column;
+use morph_vector::keys::KeySet;
 
 use crate::exec::{ExecSettings, ExecutionContext, FormatConfig, NodeRecords};
 use crate::fusion::{FusedPartial, FusedRegion, FusionPlan, RegionOutcome, StageKind};
@@ -91,7 +92,7 @@ enum MorselAux {
     /// data).
     None,
     /// The semi-join build set.
-    Set(HashSet<u64>),
+    Set(KeySet),
     /// The project data column, morphed to a random-access format.
     Morphed(Column),
 }
@@ -869,7 +870,7 @@ where
     let aux = match op {
         MorselOp::SemiJoin { build, .. } => {
             let build = slots(build.node).column(build.port);
-            MorselAux::Set(partitioned::build_semi_join_set(build))
+            MorselAux::Set(partitioned::build_semi_join_set(build, input.logical_len()))
         }
         MorselOp::Project { data, .. } => {
             let data = slots(data.node).column(data.port);

@@ -154,6 +154,81 @@ fn memory_budget_trips_with_structured_accounting() {
     }
 }
 
+/// A star-join shaped plan whose build sides are random 64-bit keys, so both
+/// key tables take their sparse representation and dwarf the intermediates.
+fn key_table_plan() -> QueryPlan {
+    let mut b = PlanBuilder::new("keys");
+    let fk = b.scan("fk");
+    let dim = b.scan("dim_key");
+    let wanted = b.scan("wanted");
+    let hits = b.semi_join("hits", fk, wanted);
+    let matched = b.project("matched", fk, hits);
+    let dim_pos = b.join("dim_pos", matched, dim);
+    let total = b.agg_sum("total", dim_pos);
+    b.finish_scalar(total)
+}
+
+fn key_table_source() -> HashMap<String, Column> {
+    let dim: Vec<u64> = (0..4000u64)
+        .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let wanted: Vec<u64> = dim.iter().copied().step_by(4).collect();
+    let fk: Vec<u64> = (0..40_000usize).map(|i| dim[(i * 7) % dim.len()]).collect();
+    let mut columns = HashMap::new();
+    columns.insert("fk".to_string(), Column::from_vec(fk));
+    columns.insert("dim_key".to_string(), Column::from_vec(dim));
+    columns.insert("wanted".to_string(), Column::from_vec(wanted));
+    columns
+}
+
+#[test]
+fn join_key_tables_are_charged_to_the_memory_budget() {
+    let plan = key_table_plan();
+    let source = key_table_source();
+    let run = |governor: &Arc<QueryGovernor>, executor: Option<&ParallelExecutor>| {
+        let mut settings = governed(governor);
+        if executor.is_some() {
+            settings = settings.with_morsel_threshold(1024);
+        }
+        let mut ctx = ExecutionContext::new(settings, formats());
+        match executor {
+            Some(executor) => executor.try_execute(&plan, &source, &mut ctx),
+            None => plan.try_execute(&source, &mut ctx),
+        }
+    };
+
+    // Unlimited: the tables show up as the query's transient peak — the
+    // join index (8192 slots, as many offsets, 4000 positions) is the
+    // larger of the two.
+    let unlimited = Arc::new(QueryGovernor::new());
+    let reference = run(&unlimited, None).expect("unlimited run succeeds");
+    let table_bytes = unlimited.transient_peak_bytes();
+    assert!(table_bytes >= (8192 + 8192 + 4000) * 8, "{table_bytes}");
+    let materialized = unlimited.used_bytes() - table_bytes;
+    assert!(materialized < table_bytes, "tables dominate this plan");
+
+    let executor = ParallelExecutor::new(4);
+    for executor in [None, Some(&executor)] {
+        // A budget that covers every intermediate but not the tables.
+        let tight = Arc::new(QueryGovernor::new().with_memory_budget(materialized + 1024));
+        match run(&tight, executor) {
+            Err(ExecError::MemoryExceeded {
+                used_bytes,
+                budget_bytes,
+            }) => {
+                assert_eq!(budget_bytes, materialized + 1024);
+                assert!(used_bytes > budget_bytes);
+            }
+            other => panic!("expected memory violation, got {other:?}"),
+        }
+        // The same executor (and its pool) then serves a query whose budget
+        // does cover the tables, byte-identical to the reference.
+        let roomy = Arc::new(QueryGovernor::new().with_memory_budget(materialized + table_bytes));
+        assert_eq!(run(&roomy, executor), Ok(reference.clone()));
+        assert_eq!(roomy.transient_peak_bytes(), table_bytes);
+    }
+}
+
 #[test]
 fn decode_fault_surfaces_structured_error() {
     let governor = governor_with_fault(FaultSite::Node, 3, FaultKind::Decode);

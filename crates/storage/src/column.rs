@@ -404,10 +404,11 @@ impl Column {
     /// Repeated cost-strategy and cache-digest calls on the same column
     /// (the format-selection search touches every edge several times) hit
     /// the memo instead of rescanning the data; the memo travels with
-    /// clones of the column.
+    /// clones of the column.  The first call streams the column chunk by
+    /// chunk — it is never decompressed as a whole (DP3).
     pub fn stats(&self) -> &ColumnStats {
         self.stats
-            .get_or_init(|| Arc::new(ColumnStats::from_values(&self.decompress())))
+            .get_or_init(|| Arc::new(ColumnStats::from_chunks(|sink| self.for_each_chunk(sink))))
     }
 
     /// A 64-bit content fingerprint of the stored representation (format,

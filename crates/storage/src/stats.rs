@@ -3,9 +3,8 @@
 //! "the number of (distinct) data elements, the bit width histogram, and the
 //! sort order".
 
-use std::collections::HashSet;
-
 use morph_compression::bitpack;
+use morph_vector::keys::KeySet;
 
 use crate::Column;
 
@@ -37,58 +36,63 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Compute statistics from a slice of values.
     pub fn from_values(values: &[u64]) -> ColumnStats {
-        let len = values.len();
-        if len == 0 {
-            return ColumnStats {
-                len: 0,
-                min: 0,
-                max: 0,
-                distinct: 0,
-                sorted: true,
-                runs: 0,
-                bit_width_histogram: [0; 64],
-                avg_delta_bit_width: 0.0,
-                range_bit_width: 1,
-            };
-        }
+        ColumnStats::from_chunks(|sink| sink(values))
+    }
+
+    /// Compute statistics from a re-scannable chunk source: `scan` feeds
+    /// every chunk of the data to its sink, in order, and is called once
+    /// for sorted data and three times otherwise (distinct values of
+    /// unsorted data are counted through a [`KeySet`], which scans twice).
+    /// The data is never needed in one piece.
+    pub fn from_chunks(mut scan: impl FnMut(&mut dyn FnMut(&[u64]))) -> ColumnStats {
+        let mut len = 0usize;
         let mut min = u64::MAX;
         let mut max = 0u64;
         let mut sorted = true;
-        let mut runs = 1usize;
+        let mut runs = 0usize;
         let mut histogram = [0usize; 64];
         let mut delta_bits_sum = 0f64;
-        let mut distinct_set: HashSet<u64> = HashSet::with_capacity(len.min(1 << 16));
-        for (i, &value) in values.iter().enumerate() {
-            min = min.min(value);
-            max = max.max(value);
-            histogram[(bitpack::bit_width_of(value) - 1) as usize] += 1;
-            distinct_set.insert(value);
-            if i > 0 {
-                let prev = values[i - 1];
-                if value < prev {
-                    sorted = false;
+        let mut prev: Option<u64> = None;
+        scan(&mut |chunk| {
+            len += chunk.len();
+            for &value in chunk {
+                min = min.min(value);
+                max = max.max(value);
+                histogram[(bitpack::bit_width_of(value) - 1) as usize] += 1;
+                match prev {
+                    Some(prev) => {
+                        sorted &= value >= prev;
+                        runs += (value != prev) as usize;
+                        delta_bits_sum += bitpack::bit_width_of(value.abs_diff(prev)) as f64;
+                    }
+                    None => runs = 1,
                 }
-                if value != prev {
-                    runs += 1;
-                }
-                let delta = value.abs_diff(prev);
-                delta_bits_sum += bitpack::bit_width_of(delta) as f64;
+                prev = Some(value);
             }
+        });
+        if len == 0 {
+            min = 0;
         }
-        let avg_delta_bit_width = if len > 1 {
-            delta_bits_sum / (len - 1) as f64
+        // Equal values of sorted data are adjacent: every run is one
+        // distinct value.
+        let distinct = if sorted {
+            runs
         } else {
-            1.0
+            KeySet::build(&mut scan, 0).len()
         };
         ColumnStats {
             len,
             min,
             max,
-            distinct: distinct_set.len(),
+            distinct,
             sorted,
             runs,
             bit_width_histogram: histogram,
-            avg_delta_bit_width,
+            avg_delta_bit_width: match len {
+                0 => 0.0,
+                1 => 1.0,
+                _ => delta_bits_sum / (len - 1) as f64,
+            },
             range_bit_width: bitpack::bit_width_of(max - min),
         }
     }
@@ -164,6 +168,97 @@ impl ColumnStats {
 mod tests {
     use super::*;
     use morph_compression::Format;
+    use std::collections::HashSet;
+
+    /// The pre-streaming implementation (whole slice, SipHash distinct
+    /// count), kept as the oracle the streaming one must equal bit for bit.
+    fn oracle(values: &[u64]) -> ColumnStats {
+        let len = values.len();
+        if len == 0 {
+            return ColumnStats {
+                len: 0,
+                min: 0,
+                max: 0,
+                distinct: 0,
+                sorted: true,
+                runs: 0,
+                bit_width_histogram: [0; 64],
+                avg_delta_bit_width: 0.0,
+                range_bit_width: 1,
+            };
+        }
+        let mut min = u64::MAX;
+        let mut max = 0u64;
+        let mut sorted = true;
+        let mut runs = 1usize;
+        let mut histogram = [0usize; 64];
+        let mut delta_bits_sum = 0f64;
+        let mut distinct_set: HashSet<u64> = HashSet::new();
+        for (i, &value) in values.iter().enumerate() {
+            min = min.min(value);
+            max = max.max(value);
+            histogram[(bitpack::bit_width_of(value) - 1) as usize] += 1;
+            distinct_set.insert(value);
+            if i > 0 {
+                let prev = values[i - 1];
+                if value < prev {
+                    sorted = false;
+                }
+                if value != prev {
+                    runs += 1;
+                }
+                let delta = value.abs_diff(prev);
+                delta_bits_sum += bitpack::bit_width_of(delta) as f64;
+            }
+        }
+        let avg_delta_bit_width = if len > 1 {
+            delta_bits_sum / (len - 1) as f64
+        } else {
+            1.0
+        };
+        ColumnStats {
+            len,
+            min,
+            max,
+            distinct: distinct_set.len(),
+            sorted,
+            runs,
+            bit_width_histogram: histogram,
+            avg_delta_bit_width,
+            range_bit_width: bitpack::bit_width_of(max - min),
+        }
+    }
+
+    #[test]
+    fn streamed_stats_equal_the_whole_slice_oracle_bit_for_bit() {
+        let shapes: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![42],
+            vec![0, u64::MAX, 0, u64::MAX - 1],
+            (0..5000u64).collect(),
+            (0..5000u64).map(|i| i / 7).collect(),
+            (0..5000u64).rev().collect(),
+            (0..9000u64).map(|i| (i * 2654435761) % 1000).collect(),
+            (0..9000u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect(),
+            vec![7; 3000],
+        ];
+        for values in &shapes {
+            let expected = oracle(values);
+            assert_eq!(ColumnStats::from_values(values), expected);
+            for format in Format::all_formats(values.iter().copied().max().unwrap_or(0)) {
+                let column = Column::compress(values, &format);
+                let streamed = column.stats();
+                assert_eq!(streamed, &expected, "{format}, {} values", values.len());
+                assert_eq!(
+                    streamed.avg_delta_bit_width.to_bits(),
+                    expected.avg_delta_bit_width.to_bits()
+                );
+                assert_eq!(streamed.digest(), expected.digest(), "{format}");
+            }
+        }
+    }
 
     #[test]
     fn basic_statistics() {

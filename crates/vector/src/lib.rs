@@ -23,7 +23,9 @@
 //!
 //! Generic kernels that operators and compression routines share (filtering a
 //! slice into a position list, horizontal sums, delta encoding, …) live in
-//! [`kernels`] and are generic over the backend.
+//! [`kernels`] and are generic over the backend.  The integer key tables the
+//! join operators build and probe ([`keys::KeySet`], [`keys::KeyIndex`]) live
+//! in [`keys`].
 //!
 //! ## Example
 //!
@@ -43,6 +45,7 @@
 
 pub mod emu;
 pub mod kernels;
+pub mod keys;
 pub mod scalar;
 pub mod x86;
 
