@@ -76,19 +76,9 @@ pub fn encode_into(values: &[u64], out: &mut Vec<u8>) {
 
 /// Decode the embedded dictionary of a non-empty encoding: the sorted
 /// distinct values, the byte offset of the packed key stream and the key
-/// width in bits.  Shared by the sequential and the seekable block decoders
-/// and by the pull cursor, all of which operate on engine-produced buffers.
-///
-/// # Panics
-/// Panics if the header is truncated or corrupt; use
-/// [`try_decode_dictionary`] for untrusted bytes.
-fn decode_dictionary(bytes: &[u8]) -> (Vec<u64>, usize, u8) {
-    try_decode_dictionary(bytes).unwrap_or_else(|err| std::panic::panic_any(err))
-}
-
-/// Fallible variant of [`decode_dictionary`]: every length is validated
-/// before it is trusted, so a truncated or corrupt header yields a
-/// structured [`DecodeError`] instead of a slicing panic.
+/// width in bits.  Every length is validated before it is trusted, so a
+/// truncated or corrupt header yields a structured [`DecodeError`] instead
+/// of a slicing panic.
 fn try_decode_dictionary(bytes: &[u8]) -> Result<(Vec<u64>, usize, u8), DecodeError> {
     let (keys_offset, width) = try_header_layout(bytes)?;
     let distinct = crate::read_u64_le(bytes, 0) as usize;
@@ -97,74 +87,6 @@ fn try_decode_dictionary(bytes: &[u8]) -> Result<(Vec<u64>, usize, u8), DecodeEr
         dictionary.push(crate::read_u64_le(bytes, 8 + i * 8));
     }
     Ok((dictionary, keys_offset, width))
-}
-
-/// Decode `count` values, handing cache-resident chunks to `consumer`.
-///
-/// # Panics
-/// Panics if the buffer is truncated or corrupt; use [`try_for_each_block`]
-/// for untrusted bytes.
-pub fn for_each_block(bytes: &[u8], count: usize, consumer: &mut dyn FnMut(&[u64])) {
-    try_for_each_block(bytes, count, consumer).unwrap_or_else(|err| std::panic::panic_any(err));
-}
-
-/// Fallible variant of [`for_each_block`]: a truncated header, a truncated
-/// key stream or a key pointing past the dictionary yields a
-/// [`DecodeError`] instead of a panic.
-pub fn try_for_each_block(
-    bytes: &[u8],
-    count: usize,
-    consumer: &mut dyn FnMut(&[u64]),
-) -> Result<(), DecodeError> {
-    if count == 0 {
-        return Ok(());
-    }
-    let (dictionary, keys_offset, width) = try_decode_dictionary(bytes)?;
-    crate::ensure_bytes(
-        "DICT",
-        bytes,
-        keys_offset,
-        bitpack::packed_size_bytes(count, width),
-    )?;
-    let packed = &bytes[keys_offset..];
-    let mut keys: Vec<u64> = Vec::with_capacity(CACHE_BUFFER_ELEMENTS);
-    let mut values: Vec<u64> = Vec::with_capacity(CACHE_BUFFER_ELEMENTS);
-    let mut done = 0usize;
-    while done < count {
-        let chunk = (count - done).min(CACHE_BUFFER_ELEMENTS);
-        keys.clear();
-        // Keys are not byte-aligned per chunk in general, so decode from the
-        // stream with an explicit element offset via random access when the
-        // chunk does not start on a whole byte; for simplicity decode the
-        // chunk with get_packed when misaligned and with unpack_into when the
-        // chunk starts at a byte boundary.
-        let start_bit = done * width as usize;
-        if start_bit.is_multiple_of(8) {
-            bitpack::unpack_into(&packed[start_bit / 8..], width, chunk, &mut keys);
-        } else {
-            for i in 0..chunk {
-                keys.push(bitpack::get_packed(packed, width, done + i));
-            }
-        }
-        values.clear();
-        for &k in &keys {
-            match dictionary.get(k as usize) {
-                Some(&value) => values.push(value),
-                None => {
-                    return Err(DecodeError::CorruptHeader {
-                        format: "DICT",
-                        detail: format!(
-                            "key {k} exceeds the dictionary of {} entries",
-                            dictionary.len()
-                        ),
-                    })
-                }
-            }
-        }
-        consumer(&values);
-        done += chunk;
-    }
-    Ok(())
 }
 
 /// Parse the header of a non-empty dictionary encoding: returns the byte
@@ -208,57 +130,20 @@ pub fn try_header_layout(bytes: &[u8]) -> Result<(usize, u8), DecodeError> {
     Ok((width_offset + 1, width))
 }
 
-/// Decode the `count` values starting at logical position `start`, handing
-/// cache-resident chunks to `consumer` — the seekable variant of
-/// [`for_each_block`].
-///
-/// `start` must be a multiple of 8 elements so the seek into the packed key
-/// stream falls on a whole byte (the chunk directory only records such
-/// positions).
-pub fn for_each_block_in(
-    bytes: &[u8],
-    start: usize,
-    count: usize,
-    consumer: &mut dyn FnMut(&[u64]),
-) {
-    if count == 0 {
-        return;
-    }
-    let (dictionary, keys_offset, width) = decode_dictionary(bytes);
-    let start_bit = start * width as usize;
-    assert!(
-        start_bit.is_multiple_of(8),
-        "dictionary seek position {start} is not byte-aligned"
-    );
-    let packed = &bytes[keys_offset + start_bit / 8..];
-    let mut keys: Vec<u64> = Vec::with_capacity(CACHE_BUFFER_ELEMENTS);
-    let mut values: Vec<u64> = Vec::with_capacity(CACHE_BUFFER_ELEMENTS);
-    let mut done = 0usize;
-    while done < count {
-        let chunk = (count - done).min(CACHE_BUFFER_ELEMENTS);
-        keys.clear();
-        // Chunks are CACHE_BUFFER_ELEMENTS apart, so every chunk after a
-        // byte-aligned start is byte-aligned as well.
-        let bit = done * width as usize;
-        debug_assert!(bit.is_multiple_of(8));
-        bitpack::unpack_into(&packed[bit / 8..], width, chunk, &mut keys);
-        values.clear();
-        values.extend(keys.iter().map(|&k| dictionary[k as usize]));
-        consumer(&values);
-        done += chunk;
-    }
-}
-
-/// Pull-based [`ChunkCursor`] over a dictionary-encoded main part.  The
-/// embedded dictionary is decoded once at construction (it is format
-/// metadata, not transient uncompressed data); chunks decode
-/// [`CACHE_BUFFER_ELEMENTS`]-element strides of the packed key stream, which
-/// are byte-aligned for every key width, so seeks are pure arithmetic.
+/// [`ChunkCursor`] over a dictionary-encoded main part — the format's only
+/// decoder.  The embedded dictionary is decoded (and validated) once at
+/// construction — it is format metadata, not transient uncompressed data;
+/// chunks decode [`CACHE_BUFFER_ELEMENTS`]-element strides of the packed key
+/// stream, which are byte-aligned for every key width, so seeks are pure
+/// arithmetic.  Each chunk's key window and key range are validated before
+/// the keys are looked up.
 #[derive(Debug)]
 pub struct DictCursor<'a> {
-    dictionary: Vec<u64>,
-    packed: &'a [u8],
-    width: u8,
+    /// The sorted distinct values, the byte offset of the key stream and the
+    /// key width — or why the header is unreadable (reported by the first
+    /// decode; never read for an empty column, whose encoding is empty).
+    header: Result<(Vec<u64>, usize, u8), DecodeError>,
+    bytes: &'a [u8],
     count: usize,
     pos: usize,
     keys: Vec<u64>,
@@ -269,15 +154,9 @@ impl<'a> DictCursor<'a> {
     /// Create a cursor over `count` values of a dictionary encoding,
     /// positioned at the first element.
     pub fn new(bytes: &'a [u8], count: usize) -> DictCursor<'a> {
-        let (dictionary, keys_offset, width) = if count == 0 {
-            (Vec::new(), 0, 1)
-        } else {
-            decode_dictionary(bytes)
-        };
         DictCursor {
-            dictionary,
-            packed: &bytes[keys_offset..],
-            width,
+            header: try_decode_dictionary(bytes),
+            bytes,
             count,
             pos: 0,
             keys: Vec::with_capacity(CACHE_BUFFER_ELEMENTS.min(count)),
@@ -287,22 +166,40 @@ impl<'a> DictCursor<'a> {
 }
 
 impl ChunkCursor for DictCursor<'_> {
-    fn next_chunk(&mut self) -> Option<&[u64]> {
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError> {
         if self.pos >= self.count {
-            return None;
+            return Ok(None);
         }
+        let (dictionary, keys_offset, width) = self.header.as_ref().map_err(DecodeError::clone)?;
         let chunk = (self.count - self.pos).min(CACHE_BUFFER_ELEMENTS);
         // `pos` only ever rests on multiples of CACHE_BUFFER_ELEMENTS (seek
         // strides and chunk advances), so the key window is byte-aligned.
-        let bit = self.pos * self.width as usize;
-        debug_assert!(bit.is_multiple_of(8));
+        let start = keys_offset + self.pos * *width as usize / 8;
+        let packed = bitpack::packed_size_bytes(chunk, *width);
+        crate::ensure_bytes("DICT", self.bytes, start, packed)?;
         self.keys.clear();
-        bitpack::unpack_into(&self.packed[bit / 8..], self.width, chunk, &mut self.keys);
+        bitpack::unpack_into(
+            &self.bytes[start..start + packed],
+            *width,
+            chunk,
+            &mut self.keys,
+        );
+        // One range check per chunk keeps the lookup loop branch-free.
+        let max_key = self.keys.iter().copied().fold(0, u64::max);
+        if max_key >= dictionary.len() as u64 {
+            return Err(DecodeError::CorruptHeader {
+                format: "DICT",
+                detail: format!(
+                    "key {max_key} exceeds the dictionary of {} entries",
+                    dictionary.len()
+                ),
+            });
+        }
         self.buffer.clear();
         self.buffer
-            .extend(self.keys.iter().map(|&k| self.dictionary[k as usize]));
+            .extend(self.keys.iter().map(|&k| dictionary[k as usize]));
         self.pos += chunk;
-        Some(&self.buffer)
+        Ok(Some(&self.buffer))
     }
 
     fn last_chunk(&self) -> &[u64] {

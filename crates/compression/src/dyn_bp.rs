@@ -48,74 +48,26 @@ pub fn block_encoded_size(width: u8) -> usize {
     1 + bitpack::packed_size_bytes(DYN_BP_BLOCK, width)
 }
 
-/// Decode `count` values (a multiple of the block size), handing one block of
-/// 512 uncompressed values at a time to `consumer`.
-///
-/// # Panics
-/// Panics if the buffer is truncated or a header is corrupt; use
-/// [`try_for_each_block`] for untrusted bytes.
-pub fn for_each_block(bytes: &[u8], count: usize, consumer: &mut dyn FnMut(&[u64])) {
-    try_for_each_block(bytes, count, consumer).unwrap_or_else(|err| std::panic::panic_any(err));
-}
-
 /// Validate and read the width byte of the block starting at `offset`,
 /// returning the width and the byte length of the packed payload behind it.
-/// Shared by the fallible decoder and the pull cursor.
-fn checked_block_header(
-    format: &'static str,
-    bytes: &[u8],
-    offset: usize,
-) -> Result<(u8, usize), DecodeError> {
-    crate::ensure_bytes(format, bytes, offset, 1)?;
+fn checked_block_header(bytes: &[u8], offset: usize) -> Result<(u8, usize), DecodeError> {
+    crate::ensure_bytes("dynamic BP", bytes, offset, 1)?;
     let width = bytes[offset];
     if !(1..=64).contains(&width) {
         return Err(DecodeError::CorruptHeader {
-            format,
+            format: "dynamic BP",
             detail: format!("block width {width} at offset {offset} is not in 1..=64"),
         });
     }
     let packed = bitpack::packed_size_bytes(DYN_BP_BLOCK, width);
-    crate::ensure_bytes(format, bytes, offset + 1, packed)?;
+    crate::ensure_bytes("dynamic BP", bytes, offset + 1, packed)?;
     Ok((width, packed))
 }
 
-/// Fallible variant of [`for_each_block`]: truncated payloads and invalid
-/// width bytes yield a [`DecodeError`] instead of a panic.
-pub fn try_for_each_block(
-    bytes: &[u8],
-    count: usize,
-    consumer: &mut dyn FnMut(&[u64]),
-) -> Result<(), DecodeError> {
-    if !count.is_multiple_of(DYN_BP_BLOCK) {
-        return Err(DecodeError::CorruptHeader {
-            format: "dynamic BP",
-            detail: format!(
-                "main part of {count} elements is not whole {DYN_BP_BLOCK}-element blocks"
-            ),
-        });
-    }
-    let mut buffer: Vec<u64> = Vec::with_capacity(DYN_BP_BLOCK);
-    let mut offset_bytes = 0usize;
-    let blocks = count / DYN_BP_BLOCK;
-    for _ in 0..blocks {
-        let (width, packed) = checked_block_header("dynamic BP", bytes, offset_bytes)?;
-        offset_bytes += 1;
-        buffer.clear();
-        bitpack::unpack_into(
-            &bytes[offset_bytes..offset_bytes + packed],
-            width,
-            DYN_BP_BLOCK,
-            &mut buffer,
-        );
-        consumer(&buffer);
-        offset_bytes += packed;
-    }
-    Ok(())
-}
-
-/// Pull-based [`ChunkCursor`] over a dynamic-BP main part: one 512-element
-/// block per chunk.  Block offsets are data-dependent, so seeks go through
-/// the chunk directory (one entry per block).
+/// [`ChunkCursor`] over a dynamic-BP main part — the format's only decoder:
+/// one 512-element block per chunk, its header validated before the payload
+/// is unpacked.  Block offsets are data-dependent, so seeks go through the
+/// chunk directory (one entry per block).
 #[derive(Debug)]
 pub struct DynBpCursor<'a> {
     bytes: &'a [u8],
@@ -130,7 +82,6 @@ impl<'a> DynBpCursor<'a> {
     /// Create a cursor over `count` values (whole blocks) with the main
     /// part's chunk `directory`, positioned at the first element.
     pub fn new(bytes: &'a [u8], count: usize, directory: &'a [ChunkEntry]) -> DynBpCursor<'a> {
-        debug_assert_eq!(count % DYN_BP_BLOCK, 0);
         DynBpCursor {
             bytes,
             count,
@@ -143,12 +94,12 @@ impl<'a> DynBpCursor<'a> {
 }
 
 impl ChunkCursor for DynBpCursor<'_> {
-    fn next_chunk(&mut self) -> Option<&[u64]> {
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError> {
         if self.logical >= self.count {
-            return None;
+            return Ok(None);
         }
-        let width = self.bytes[self.byte_offset];
-        let packed = bitpack::packed_size_bytes(DYN_BP_BLOCK, width);
+        crate::ensure_whole_blocks("dynamic BP", self.count, DYN_BP_BLOCK)?;
+        let (width, packed) = checked_block_header(self.bytes, self.byte_offset)?;
         self.buffer.clear();
         bitpack::unpack_into(
             &self.bytes[self.byte_offset + 1..self.byte_offset + 1 + packed],
@@ -158,7 +109,7 @@ impl ChunkCursor for DynBpCursor<'_> {
         );
         self.logical += DYN_BP_BLOCK;
         self.byte_offset += 1 + packed;
-        Some(&self.buffer)
+        Ok(Some(&self.buffer))
     }
 
     fn last_chunk(&self) -> &[u64] {

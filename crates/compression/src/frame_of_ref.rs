@@ -42,76 +42,9 @@ impl Compressor for ForDynBpCompressor {
     fn finish(&mut self, _out: &mut Vec<u8>) {}
 }
 
-/// Decode `count` values (a multiple of the block size), handing one block of
-/// 512 uncompressed values at a time to `consumer`.
-///
-/// # Panics
-/// Panics if the buffer is truncated or a header is corrupt; use
-/// [`try_for_each_block`] for untrusted bytes.
-pub fn for_each_block(bytes: &[u8], count: usize, consumer: &mut dyn FnMut(&[u64])) {
-    try_for_each_block(bytes, count, consumer).unwrap_or_else(|err| std::panic::panic_any(err));
-}
-
-/// Decode the block starting at `offset` into `values` via the scratch
-/// `offsets` buffer, returning the offset of the next block.
-fn decode_block(
-    bytes: &[u8],
-    offset: usize,
-    reference: u64,
-    width: u8,
-    packed: usize,
-    offsets: &mut Vec<u64>,
-    values: &mut Vec<u64>,
-) -> usize {
-    offsets.clear();
-    bitpack::unpack_into(
-        &bytes[offset + 9..offset + 9 + packed],
-        width,
-        DYN_BP_BLOCK,
-        offsets,
-    );
-    values.clear();
-    values.extend(offsets.iter().map(|&o| reference.wrapping_add(o)));
-    offset + 9 + packed
-}
-
-/// Fallible variant of [`for_each_block`]: truncated payloads and invalid
-/// header fields yield a [`DecodeError`] instead of a panic.
-pub fn try_for_each_block(
-    bytes: &[u8],
-    count: usize,
-    consumer: &mut dyn FnMut(&[u64]),
-) -> Result<(), DecodeError> {
-    if !count.is_multiple_of(DYN_BP_BLOCK) {
-        return Err(DecodeError::CorruptHeader {
-            format: "FOR+BP",
-            detail: format!(
-                "main part of {count} elements is not whole {DYN_BP_BLOCK}-element blocks"
-            ),
-        });
-    }
-    let blocks = count / DYN_BP_BLOCK;
-    let mut offsets: Vec<u64> = Vec::with_capacity(DYN_BP_BLOCK);
-    let mut values: Vec<u64> = Vec::with_capacity(DYN_BP_BLOCK);
-    let mut offset = 0usize;
-    for _ in 0..blocks {
-        let (reference, width, packed) = checked_cascade_header("FOR+BP", bytes, offset)?;
-        offset = decode_block(
-            bytes,
-            offset,
-            reference,
-            width,
-            packed,
-            &mut offsets,
-            &mut values,
-        );
-        consumer(&values);
-    }
-    Ok(())
-}
-
-/// Pull-based [`ChunkCursor`] over a FOR+BP main part: one 512-element block
-/// per chunk.  Every block carries its own reference, so blocks are
+/// [`ChunkCursor`] over a FOR+BP main part — the format's only decoder: one
+/// 512-element block per chunk, its header validated before the payload is
+/// unpacked.  Every block carries its own reference, so blocks are
 /// self-contained and seeking needs no prefix replay.
 #[derive(Debug)]
 pub struct ForCursor<'a> {
@@ -128,7 +61,6 @@ impl<'a> ForCursor<'a> {
     /// Create a cursor over `count` values (whole blocks) with the main
     /// part's chunk `directory`, positioned at the first element.
     pub fn new(bytes: &'a [u8], count: usize, directory: &'a [ChunkEntry]) -> ForCursor<'a> {
-        debug_assert_eq!(count % DYN_BP_BLOCK, 0);
         ForCursor {
             bytes,
             count,
@@ -142,25 +74,26 @@ impl<'a> ForCursor<'a> {
 }
 
 impl ChunkCursor for ForCursor<'_> {
-    fn next_chunk(&mut self) -> Option<&[u64]> {
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError> {
         if self.logical >= self.count {
-            return None;
+            return Ok(None);
         }
+        crate::ensure_whole_blocks("FOR+BP", self.count, DYN_BP_BLOCK)?;
         let offset = self.byte_offset;
-        let reference = crate::read_u64_le(self.bytes, offset);
-        let width = self.bytes[offset + 8];
-        let packed = bitpack::packed_size_bytes(DYN_BP_BLOCK, width);
-        self.byte_offset = decode_block(
-            self.bytes,
-            offset,
-            reference,
+        let (reference, width, packed) = checked_cascade_header("FOR+BP", self.bytes, offset)?;
+        self.offsets.clear();
+        bitpack::unpack_into(
+            &self.bytes[offset + 9..offset + 9 + packed],
             width,
-            packed,
+            DYN_BP_BLOCK,
             &mut self.offsets,
-            &mut self.buffer,
         );
+        self.buffer.clear();
+        self.buffer
+            .extend(self.offsets.iter().map(|&o| reference.wrapping_add(o)));
+        self.byte_offset = offset + 9 + packed;
         self.logical += DYN_BP_BLOCK;
-        Some(&self.buffer)
+        Ok(Some(&self.buffer))
     }
 
     fn last_chunk(&self) -> &[u64] {

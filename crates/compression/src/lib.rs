@@ -16,9 +16,10 @@
 //! * whole-buffer and *streaming* compression ([`Compressor`]) used by the
 //!   output side of the on-the-fly de/re-compression wrapper (the
 //!   L1-cache-resident buffer layer of Figure 4),
-//! * block-wise decompression ([`for_each_decompressed_block`]) used by the
-//!   input side of that wrapper, so operators never materialise a whole
-//!   uncompressed column (design principle DP3),
+//! * block-wise decompression through one pull decoder per format
+//!   ([`ChunkCursor`], [`cursor_for`]) used by the input side of that
+//!   wrapper, so operators never materialise a whole uncompressed column
+//!   (design principle DP3),
 //! * random read access for the formats that support it (uncompressed and
 //!   static BP, as in Section 4.2),
 //! * direct morphing between any two formats ([`morph`]).
@@ -280,13 +281,14 @@ pub fn compress_main_part(format: &Format, values: &[u64]) -> (Vec<u8>, usize) {
     (out, main_len)
 }
 
-/// Error returned by the fallible decoders when an encoded main part is
-/// truncated or structurally corrupt.
+/// Error reported by the decoders when an encoded main part is truncated or
+/// structurally corrupt.
 ///
-/// Columns produced by this crate are always well-formed, so the engine's
-/// hot paths use the infallible decoders (which panic with the same
-/// diagnostics); the fallible `try_*` entry points exist for bytes that
-/// cross a trust boundary — network buffers, on-disk snapshots, fuzzers.
+/// Every format's [`ChunkCursor`] validates headers and lengths before it
+/// reads them and returns this error from
+/// [`try_next_chunk`](ChunkCursor::try_next_chunk); the infallible
+/// [`next_chunk`](ChunkCursor::next_chunk) the engine's hot paths use
+/// unwinds with the same value as its panic payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The encoded buffer ends before the data it promises.
@@ -333,7 +335,7 @@ impl std::error::Error for DecodeError {}
 
 /// Check that `bytes` holds `needed` bytes starting at `offset`, returning a
 /// [`DecodeError::Truncated`] naming `format` otherwise.  The one bounds
-/// check every fallible decoder shares.
+/// check every decoder shares.
 pub(crate) fn ensure_bytes(
     format: &'static str,
     bytes: &[u8],
@@ -347,6 +349,22 @@ pub(crate) fn ensure_bytes(
             offset,
             needed,
             available,
+        });
+    }
+    Ok(())
+}
+
+/// Check that a main part of `count` elements is whole `block`-element
+/// blocks — no encoder of a blocked format produces anything else.
+pub(crate) fn ensure_whole_blocks(
+    format: &'static str,
+    count: usize,
+    block: usize,
+) -> Result<(), DecodeError> {
+    if !count.is_multiple_of(block) {
+        return Err(DecodeError::CorruptHeader {
+            format,
+            detail: format!("main part of {count} elements is not whole {block}-element blocks"),
         });
     }
     Ok(())
@@ -377,11 +395,8 @@ pub fn decompress_into(format: &Format, bytes: &[u8], count: usize, out: &mut Ve
 }
 
 /// Decompress the compressed main part block-wise, invoking `consumer` with
-/// chunks of uncompressed values whose total length is `count`.
-///
-/// The chunks are bounded in size (at most a few KiB), so the uncompressed
-/// data stays cache-resident — this is the input-side buffer layer of the
-/// paper's Figure 4.
+/// chunks of uncompressed values whose total length is `count` — the
+/// format's [`ChunkCursor`] driven to completion.
 ///
 /// # Panics
 /// Panics if the buffer is truncated or corrupt, carrying the structured
@@ -398,9 +413,8 @@ pub fn for_each_decompressed_block(
         .unwrap_or_else(|err| std::panic::panic_any(err));
 }
 
-/// Fallible variant of [`for_each_decompressed_block`]: every length and
-/// header field is validated before use, so truncated or corrupt input
-/// yields a structured [`DecodeError`] instead of a panic.
+/// Fallible variant of [`for_each_decompressed_block`]: truncated or corrupt
+/// input yields a structured [`DecodeError`] instead of a panic.
 ///
 /// `consumer` may have been invoked with a prefix of the data before an
 /// error is detected (decoding is streaming); on `Err` the decoded prefix
@@ -411,15 +425,26 @@ pub fn try_for_each_decompressed_block(
     count: usize,
     consumer: &mut dyn FnMut(&[u64]),
 ) -> Result<(), DecodeError> {
-    match format {
-        Format::Uncompressed => uncompressed::try_for_each_block(bytes, count, consumer),
-        Format::StaticBp(width) => static_bp::try_for_each_block(bytes, *width, count, consumer),
-        Format::DynBp => dyn_bp::try_for_each_block(bytes, count, consumer),
-        Format::DeltaDynBp => delta::try_for_each_block(bytes, count, consumer),
-        Format::ForDynBp => frame_of_ref::try_for_each_block(bytes, count, consumer),
-        Format::Rle => rle::try_for_each_block(bytes, count, consumer),
-        Format::Dict => dict::try_for_each_block(bytes, count, consumer),
+    // A sequential walk never seeks, so it needs no directory.
+    drain(&mut *cursor_for(format, bytes, count, &[]), count, consumer)
+}
+
+/// Pull `cursor` until `count` values were handed to `consumer` (the last
+/// chunk is trimmed) — the one push driver, built from the pull decoders.
+fn drain(
+    cursor: &mut dyn ChunkCursor,
+    mut count: usize,
+    consumer: &mut dyn FnMut(&[u64]),
+) -> Result<(), DecodeError> {
+    while count > 0 {
+        let Some(chunk) = cursor.try_next_chunk()? else {
+            break;
+        };
+        let take = chunk.len().min(count);
+        consumer(&chunk[..take]);
+        count -= take;
     }
+    Ok(())
 }
 
 /// One entry of a [chunk directory](chunk_directory): a position in the
@@ -564,52 +589,56 @@ pub fn for_each_decompressed_block_in(
         "chunk range {entries:?} exceeds the directory ({} entries)",
         directory.len()
     );
-    let start = directory[entries.start];
-    let (end_byte, end_logical) = match directory.get(entries.end) {
-        Some(next) => (next.byte_offset, next.logical_start),
-        None => (bytes.len(), count),
-    };
-    let span = end_logical - start.logical_start;
-    let sub = &bytes[start.byte_offset..end_byte];
-    match format {
-        Format::Uncompressed => uncompressed::for_each_block(sub, span, consumer),
-        Format::StaticBp(width) => static_bp::for_each_block(sub, *width, span, consumer),
-        Format::DynBp => dyn_bp::for_each_block(sub, span, consumer),
-        Format::DeltaDynBp => delta::for_each_block(sub, span, consumer),
-        Format::ForDynBp => frame_of_ref::for_each_block(sub, span, consumer),
-        Format::Rle => rle::for_each_block(sub, span, consumer),
-        // DICT needs the embedded dictionary from the buffer head; the seek
-        // happens inside the packed key stream.
-        Format::Dict => dict::for_each_block_in(bytes, start.logical_start, span, consumer),
-    }
+    let end_logical = directory
+        .get(entries.end)
+        .map_or(count, |e| e.logical_start);
+    let span = end_logical - directory[entries.start].logical_start;
+    let mut cursor = cursor_for(format, bytes, count, directory);
+    cursor.seek(entries.start);
+    drain(&mut *cursor, span, consumer).unwrap_or_else(|err| std::panic::panic_any(err));
 }
 
-/// A pull-based block decoder over an encoded main part.
+/// A pull-based block decoder over an encoded main part — the **only**
+/// decoder of each format.
 ///
-/// The push-style [`for_each_decompressed_block`] drives one decoder to
-/// completion, which is exactly wrong for position-wise *binary* operators:
-/// two push decoders cannot be interleaved on one thread.  A `ChunkCursor`
-/// inverts control — the caller pulls one cache-resident chunk at a time —
-/// so any number of compressed inputs can be paired with a carry buffer
-/// bounded by one chunk each, never a whole column.
+/// The caller pulls one cache-resident chunk at a time, so any number of
+/// compressed inputs can be paired position-wise on one thread with a carry
+/// buffer bounded by one chunk each, never a whole column; the push-style
+/// [`for_each_decompressed_block`] family merely drives a cursor to
+/// completion (push can be built from pull, not the reverse).
 ///
 /// Contract:
 ///
-/// * [`next_chunk`](ChunkCursor::next_chunk) decodes and returns the next
-///   chunk of values, or `None` at the end of the stream.  Chunks come in
-///   stream order; their concatenation is exactly the sequential decode.
-///   Every chunk holds at most [`CACHE_BUFFER_ELEMENTS`] values (long RLE
-///   runs are split), so the uncompressed data stays cache-resident.  The
-///   returned slice borrows the cursor's internal decode buffer and is
-///   invalidated by the next call.
+/// * [`try_next_chunk`](ChunkCursor::try_next_chunk) decodes and returns
+///   the next chunk of values, or `None` at the end of the stream.  Chunks
+///   come in stream order; their concatenation is exactly the sequential
+///   decode.  Every chunk holds at most [`CACHE_BUFFER_ELEMENTS`] values
+///   (long RLE runs are split), so the uncompressed data stays
+///   cache-resident.  The returned slice borrows the cursor's internal
+///   decode buffer and is invalidated by the next call.  Every header field
+///   and length is validated before it is used, so truncated or corrupt
+///   bytes yield a [`DecodeError`], never a slice-index panic.
+/// * [`next_chunk`](ChunkCursor::next_chunk) is the same step for
+///   engine-produced bytes: a [`DecodeError`] unwinds as the panic payload.
 /// * [`seek`](ChunkCursor::seek) repositions the cursor at the start of
 ///   directory chunk `chunk_idx` — the entry index of [`chunk_directory`]
 ///   for this main part — without decoding any prefix.  An index at or past
 ///   the directory length positions the cursor at the end of the stream.
 pub trait ChunkCursor {
-    /// Decode and return the next chunk of values, or `None` when the
-    /// cursor is exhausted.
-    fn next_chunk(&mut self) -> Option<&[u64]>;
+    /// Decode and return the next chunk of values, `Ok(None)` when the
+    /// cursor is exhausted, or the [`DecodeError`] describing why the bytes
+    /// at the current position cannot be decoded.
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError>;
+
+    /// [`try_next_chunk`](ChunkCursor::try_next_chunk) for trusted bytes.
+    ///
+    /// # Panics
+    /// Panics with the structured [`DecodeError`] as the payload if the
+    /// bytes are truncated or corrupt.
+    fn next_chunk(&mut self) -> Option<&[u64]> {
+        self.try_next_chunk()
+            .unwrap_or_else(|err| std::panic::panic_any(err))
+    }
 
     /// The chunk most recently returned by
     /// [`next_chunk`](ChunkCursor::next_chunk), still resident in the

@@ -11,8 +11,8 @@
 //! format pairs have specialised shortcuts that skip even that.
 
 use crate::{
-    bitpack, compressor_for, dyn_bp, for_each_decompressed_block, rle, static_bp, Format,
-    CACHE_BUFFER_ELEMENTS, DYN_BP_BLOCK, STATIC_BP_BLOCK,
+    bitpack, compressor_for, dyn_bp, for_each_decompressed_block, rle, static_bp, ChunkCursor,
+    Format, CACHE_BUFFER_ELEMENTS, DYN_BP_BLOCK, STATIC_BP_BLOCK,
 };
 
 /// Morph a compressed main part of `count` elements from `src` format to
@@ -76,21 +76,15 @@ pub fn morph_main_part(src: &Format, dst: &Format, bytes: &[u8], count: usize) -
 /// logical-level decode step.
 fn repack_static(bytes: &[u8], src_width: u8, dst_width: u8, count: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(bitpack::packed_size_bytes(count, dst_width));
-    let mut buffer: Vec<u64> = Vec::with_capacity(CACHE_BUFFER_ELEMENTS);
-    let mut offset = 0usize;
-    while offset < count {
-        let chunk = (count - offset).min(CACHE_BUFFER_ELEMENTS);
-        buffer.clear();
-        let byte_start = bitpack::packed_size_bytes(offset, src_width);
-        bitpack::unpack_into(&bytes[byte_start..], src_width, chunk, &mut buffer);
+    let mut cursor = static_bp::StaticBpCursor::new(bytes, src_width, count);
+    while let Some(chunk) = cursor.next_chunk() {
         debug_assert!(
-            buffer
+            chunk
                 .iter()
                 .all(|&v| v <= bitpack::max_value_for_width(dst_width)),
             "value does not fit into the target static width"
         );
-        bitpack::pack_into(&buffer, dst_width, &mut out);
-        offset += chunk;
+        bitpack::pack_into(chunk, dst_width, &mut out);
     }
     out
 }

@@ -82,6 +82,7 @@ pub fn for_each_run(bytes: &[u8], count: usize, consumer: &mut dyn FnMut(u64, u6
 /// Validate and read the `(value, run_length)` pair starting at `offset`.
 /// A zero or over-long run length is rejected — beyond being unencodable,
 /// a zero-length run would make every count-driven walk loop forever.
+/// Shared by the run walk and the cursor.
 fn checked_run(bytes: &[u8], offset: usize, remaining: u64) -> Result<(u64, u64), DecodeError> {
     crate::ensure_bytes("RLE", bytes, offset, 16)?;
     let value = crate::read_u64_le(bytes, offset);
@@ -123,45 +124,9 @@ pub fn run_count(bytes: &[u8], count: usize) -> usize {
     runs
 }
 
-/// Decode `count` values, handing cache-resident chunks of uncompressed
-/// values to `consumer` (long runs are split across chunks).
-///
-/// # Panics
-/// Panics if the buffer is truncated or a run header is corrupt; use
-/// [`try_for_each_block`] for untrusted bytes.
-pub fn for_each_block(bytes: &[u8], count: usize, consumer: &mut dyn FnMut(&[u64])) {
-    try_for_each_block(bytes, count, consumer).unwrap_or_else(|err| std::panic::panic_any(err));
-}
-
-/// Fallible variant of [`for_each_block`]: truncated buffers and impossible
-/// run lengths yield a [`DecodeError`] instead of a panic.
-pub fn try_for_each_block(
-    bytes: &[u8],
-    count: usize,
-    consumer: &mut dyn FnMut(&[u64]),
-) -> Result<(), DecodeError> {
-    let mut buffer: Vec<u64> = Vec::with_capacity(RLE_CHUNK.min(count));
-    try_for_each_run(bytes, count, &mut |value, run_len| {
-        let mut remaining = run_len as usize;
-        while remaining > 0 {
-            let space = RLE_CHUNK - buffer.len();
-            let take = remaining.min(space);
-            buffer.extend(std::iter::repeat_n(value, take));
-            remaining -= take;
-            if buffer.len() == RLE_CHUNK {
-                consumer(&buffer);
-                buffer.clear();
-            }
-        }
-    })?;
-    if !buffer.is_empty() {
-        consumer(&buffer);
-    }
-    Ok(())
-}
-
-/// Pull-based [`ChunkCursor`] over an RLE main part.  Chunks hold at most
-/// [`RLE_CHUNK`] values (long runs are split); run offsets are
+/// [`ChunkCursor`] over an RLE main part — the format's only run-expanding
+/// decoder.  Chunks hold at most [`RLE_CHUNK`] values (long runs are split);
+/// every run header is validated before it is expanded.  Run offsets are
 /// data-dependent, so seeks go through the chunk directory, whose entries
 /// sit on run boundaries.
 #[derive(Debug)]
@@ -194,29 +159,30 @@ impl<'a> RleCursor<'a> {
 }
 
 impl ChunkCursor for RleCursor<'_> {
-    fn next_chunk(&mut self) -> Option<&[u64]> {
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError> {
         if self.logical >= self.count {
-            return None;
+            return Ok(None);
         }
+        let chunk = (self.count - self.logical).min(RLE_CHUNK);
+        // The walk state lives in locals for the duration of the chunk and
+        // is written back once, so the expansion loop runs out of registers.
+        let (mut value, mut run_remaining) = (self.run_value, self.run_remaining);
+        let mut offset = self.byte_offset;
         self.buffer.clear();
-        while self.buffer.len() < RLE_CHUNK && self.logical < self.count {
-            if self.run_remaining == 0 {
-                let offset = self.byte_offset;
-                self.run_value = crate::read_u64_le(self.bytes, offset);
-                self.run_remaining = crate::read_u64_le(self.bytes, offset + 8);
-                self.byte_offset += 16;
+        while self.buffer.len() < chunk {
+            if run_remaining == 0 {
+                let elements_left = self.count - self.logical - self.buffer.len();
+                (value, run_remaining) = checked_run(self.bytes, offset, elements_left as u64)?;
+                offset += 16;
             }
-            let space = (RLE_CHUNK - self.buffer.len()) as u64;
-            let take = self
-                .run_remaining
-                .min(space)
-                .min((self.count - self.logical) as u64) as usize;
-            self.buffer
-                .extend(std::iter::repeat_n(self.run_value, take));
-            self.run_remaining -= take as u64;
-            self.logical += take;
+            let take = run_remaining.min((chunk - self.buffer.len()) as u64) as usize;
+            self.buffer.extend(std::iter::repeat_n(value, take));
+            run_remaining -= take as u64;
         }
-        Some(&self.buffer)
+        (self.run_value, self.run_remaining) = (value, run_remaining);
+        self.byte_offset = offset;
+        self.logical += chunk;
+        Ok(Some(&self.buffer))
     }
 
     fn last_chunk(&self) -> &[u64] {
@@ -303,7 +269,10 @@ mod tests {
         let values = vec![3u64; 10_000];
         let (bytes, main_len) = compress_main_part(&Format::Rle, &values);
         let mut chunk_sizes = Vec::new();
-        for_each_block(&bytes, main_len, &mut |chunk| chunk_sizes.push(chunk.len()));
+        let mut cursor = RleCursor::new(&bytes, main_len, &[]);
+        while let Some(chunk) = cursor.next_chunk() {
+            chunk_sizes.push(chunk.len());
+        }
         assert!(chunk_sizes.iter().all(|&s| s <= RLE_CHUNK));
         assert_eq!(chunk_sizes.iter().sum::<usize>(), values.len());
     }

@@ -65,62 +65,11 @@ pub fn encoded_size(count: usize, width: u8) -> usize {
     bitpack::packed_size_bytes(count, width)
 }
 
-/// Decode `count` values packed with `width` bits, handing cache-resident
-/// chunks to `consumer`.
-///
-/// # Panics
-/// Panics if the buffer is too short or the width invalid; use
-/// [`try_for_each_block`] for untrusted bytes.
-pub fn for_each_block(bytes: &[u8], width: u8, count: usize, consumer: &mut dyn FnMut(&[u64])) {
-    try_for_each_block(bytes, width, count, consumer)
-        .unwrap_or_else(|err| std::panic::panic_any(err));
-}
-
-/// Fallible variant of [`for_each_block`]: an invalid width or a buffer too
-/// short for `count` values yields a [`DecodeError`] instead of a panic.
-pub fn try_for_each_block(
-    bytes: &[u8],
-    width: u8,
-    count: usize,
-    consumer: &mut dyn FnMut(&[u64]),
-) -> Result<(), DecodeError> {
-    if !(1..=64).contains(&width) {
-        return Err(DecodeError::CorruptHeader {
-            format: "static BP",
-            detail: format!("bit width {width} is not in 1..=64"),
-        });
-    }
-    if !count.is_multiple_of(STATIC_BP_BLOCK) {
-        return Err(DecodeError::CorruptHeader {
-            format: "static BP",
-            detail: format!(
-                "main part of {count} elements is not whole {STATIC_BP_BLOCK}-element blocks"
-            ),
-        });
-    }
-    crate::ensure_bytes(
-        "static BP",
-        bytes,
-        0,
-        bitpack::packed_size_bytes(count, width),
-    )?;
-    let mut buffer: Vec<u64> = Vec::with_capacity(CACHE_BUFFER_ELEMENTS);
-    let mut offset = 0usize;
-    while offset < count {
-        let chunk = (count - offset).min(CACHE_BUFFER_ELEMENTS);
-        buffer.clear();
-        let byte_start = bitpack::packed_size_bytes(offset, width);
-        let byte_end = bitpack::packed_size_bytes(offset + chunk, width);
-        bitpack::unpack_into(&bytes[byte_start..byte_end], width, chunk, &mut buffer);
-        consumer(&buffer);
-        offset += chunk;
-    }
-    Ok(())
-}
-
-/// Pull-based [`ChunkCursor`] over a static-BP main part.  The width is
-/// constant, so seeks are pure arithmetic; directory strides are multiples
-/// of 8 elements and therefore always byte-aligned.
+/// [`ChunkCursor`] over a static-BP main part — the format's only decoder.
+/// The width is constant, so seeks are pure arithmetic; directory strides
+/// are multiples of 8 elements and therefore always byte-aligned.  The
+/// width, the block grid and every chunk's byte window are validated before
+/// the chunk is unpacked.
 #[derive(Debug)]
 pub struct StaticBpCursor<'a> {
     bytes: &'a [u8],
@@ -145,15 +94,23 @@ impl<'a> StaticBpCursor<'a> {
 }
 
 impl ChunkCursor for StaticBpCursor<'_> {
-    fn next_chunk(&mut self) -> Option<&[u64]> {
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError> {
         if self.pos >= self.count {
-            return None;
+            return Ok(None);
         }
+        if !(1..=64).contains(&self.width) {
+            return Err(DecodeError::CorruptHeader {
+                format: "static BP",
+                detail: format!("bit width {} is not in 1..=64", self.width),
+            });
+        }
+        crate::ensure_whole_blocks("static BP", self.count, STATIC_BP_BLOCK)?;
         let chunk = (self.count - self.pos).min(CACHE_BUFFER_ELEMENTS);
         // `pos` only ever rests on multiples of CACHE_BUFFER_ELEMENTS (seek
         // strides and chunk advances), so the start is byte-aligned.
         let byte_start = bitpack::packed_size_bytes(self.pos, self.width);
         let byte_end = bitpack::packed_size_bytes(self.pos + chunk, self.width);
+        crate::ensure_bytes("static BP", self.bytes, byte_start, byte_end - byte_start)?;
         self.buffer.clear();
         bitpack::unpack_into(
             &self.bytes[byte_start..byte_end],
@@ -162,7 +119,7 @@ impl ChunkCursor for StaticBpCursor<'_> {
             &mut self.buffer,
         );
         self.pos += chunk;
-        Some(&self.buffer)
+        Ok(Some(&self.buffer))
     }
 
     fn last_chunk(&self) -> &[u64] {
@@ -248,10 +205,11 @@ mod tests {
         let values: Vec<u64> = (0..8192u64).map(|i| i % 100).collect();
         let (bytes, main_len) = compress_main_part(&Format::StaticBp(7), &values);
         let mut total = 0usize;
-        for_each_block(&bytes, 7, main_len, &mut |chunk| {
+        let mut cursor = StaticBpCursor::new(&bytes, 7, main_len);
+        while let Some(chunk) = cursor.next_chunk() {
             assert!(chunk.len() <= CACHE_BUFFER_ELEMENTS);
             total += chunk.len();
-        });
+        }
         assert_eq!(total, main_len);
     }
 }

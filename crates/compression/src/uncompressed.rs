@@ -30,41 +30,9 @@ pub fn encode_into(values: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode `count` values, handing chunks of at most
-/// [`CACHE_BUFFER_ELEMENTS`] values to `consumer`.
-///
-/// # Panics
-/// Panics if the buffer is too short; use [`try_for_each_block`] for
-/// untrusted bytes.
-pub fn for_each_block(bytes: &[u8], count: usize, consumer: &mut dyn FnMut(&[u64])) {
-    try_for_each_block(bytes, count, consumer).unwrap_or_else(|err| std::panic::panic_any(err));
-}
-
-/// Fallible variant of [`for_each_block`]: a buffer shorter than `count`
-/// values yields a [`DecodeError`] instead of a panic.
-pub fn try_for_each_block(
-    bytes: &[u8],
-    count: usize,
-    consumer: &mut dyn FnMut(&[u64]),
-) -> Result<(), DecodeError> {
-    crate::ensure_bytes("uncompressed", bytes, 0, count * 8)?;
-    let mut buffer = Vec::with_capacity(CACHE_BUFFER_ELEMENTS.min(count));
-    let mut offset = 0usize;
-    while offset < count {
-        let chunk = (count - offset).min(CACHE_BUFFER_ELEMENTS);
-        buffer.clear();
-        for i in 0..chunk {
-            let start = (offset + i) * 8;
-            buffer.push(crate::read_u64_le(bytes, start));
-        }
-        consumer(&buffer);
-        offset += chunk;
-    }
-    Ok(())
-}
-
-/// Pull-based [`ChunkCursor`] over an uncompressed main part.  The stride is
-/// fixed (8 bytes per element), so seeks are pure arithmetic.
+/// [`ChunkCursor`] over an uncompressed main part — the format's only
+/// decoder.  The stride is fixed (8 bytes per element), so seeks are pure
+/// arithmetic; every chunk's byte window is validated before it is read.
 #[derive(Debug)]
 pub struct UncompressedCursor<'a> {
     bytes: &'a [u8],
@@ -87,18 +55,19 @@ impl<'a> UncompressedCursor<'a> {
 }
 
 impl ChunkCursor for UncompressedCursor<'_> {
-    fn next_chunk(&mut self) -> Option<&[u64]> {
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError> {
         if self.pos >= self.count {
-            return None;
+            return Ok(None);
         }
         let chunk = (self.count - self.pos).min(CACHE_BUFFER_ELEMENTS);
+        crate::ensure_bytes("uncompressed", self.bytes, self.pos * 8, chunk * 8)?;
         self.buffer.clear();
         for i in 0..chunk {
             let start = (self.pos + i) * 8;
             self.buffer.push(crate::read_u64_le(self.bytes, start));
         }
         self.pos += chunk;
-        Some(&self.buffer)
+        Ok(Some(&self.buffer))
     }
 
     fn last_chunk(&self) -> &[u64] {
@@ -145,17 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn blockwise_decode_respects_cache_buffer_size() {
-        let values: Vec<u64> = (0..10_000).collect();
-        let mut bytes = Vec::new();
-        encode_into(&values, &mut bytes);
-        let mut chunks = Vec::new();
-        for_each_block(&bytes, values.len(), &mut |chunk| chunks.push(chunk.len()));
-        assert!(chunks.iter().all(|&len| len <= CACHE_BUFFER_ELEMENTS));
-        assert_eq!(chunks.iter().sum::<usize>(), values.len());
-    }
-
-    #[test]
     fn empty_input() {
         let (bytes, main_len) = compress_main_part(&Format::Uncompressed, &[]);
         assert!(bytes.is_empty());
@@ -167,10 +125,14 @@ mod tests {
 
     #[test]
     fn short_buffer_is_rejected_with_structured_payload() {
-        // The panicking wrapper carries the `DecodeError` itself as the
-        // panic payload, so governed executors can recover it structurally.
-        let payload = std::panic::catch_unwind(|| for_each_block(&[0u8; 10], 2, &mut |_| {}))
-            .expect_err("short buffer must panic");
+        // The infallible `next_chunk` carries the `DecodeError` itself as
+        // the panic payload, so governed executors recover it structurally.
+        let payload = std::panic::catch_unwind(|| {
+            UncompressedCursor::new(&[0u8; 10], 2)
+                .next_chunk()
+                .map(<[u64]>::len)
+        })
+        .expect_err("short buffer must panic");
         let decode = payload
             .downcast_ref::<crate::DecodeError>()
             .expect("payload is a DecodeError");
@@ -179,7 +141,9 @@ mod tests {
 
     #[test]
     fn short_buffer_yields_structured_error() {
-        let err = try_for_each_block(&[0u8; 10], 2, &mut |_| {}).unwrap_err();
+        let err = UncompressedCursor::new(&[0u8; 10], 2)
+            .try_next_chunk()
+            .unwrap_err();
         assert_eq!(
             err,
             crate::DecodeError::Truncated {

@@ -4,14 +4,16 @@
 //! The engine's own columns are well-formed by construction, but encoded
 //! main parts can cross a trust boundary (disk snapshots, network buffers),
 //! where a bare `unwrap`/slice panic aborts the whole process.  Every
-//! decoder therefore has a fallible `try_*` entry point returning a
-//! structured [`DecodeError`]; these tests feed every format's decoder
+//! format's one decoder — its `ChunkCursor` — therefore validates before
+//! it reads and reports a structured [`DecodeError`]; these tests feed it
 //! byte slices truncated at every plausible boundary plus targeted header
-//! corruptions and assert an `Err` comes back — never a panic.
+//! corruptions, pulled directly (also after a `seek`) and pushed through
+//! the generic driver, and assert an `Err` comes back both ways — never a
+//! panic.
 
 use morph_compression::{
-    compress_main_part, decompress_into, dict, rle, try_for_each_decompressed_block, DecodeError,
-    Format,
+    chunk_directory, compress_main_part, cursor_for, decompress_into, dict, rle,
+    try_for_each_decompressed_block, ChunkEntry, DecodeError, Format,
 };
 
 /// Sample data with enough spread to exercise multi-block encodings in
@@ -26,9 +28,33 @@ fn all_formats() -> Vec<Format> {
     Format::all_formats(4096)
 }
 
-/// Drive the fallible decoder to completion, discarding output.
+/// Pull the format's cursor over `bytes` to the end of the stream, starting
+/// at directory chunk `from` when given; returns the decoded values.
+fn try_pull(
+    format: &Format,
+    bytes: &[u8],
+    count: usize,
+    directory: &[ChunkEntry],
+    from: Option<usize>,
+) -> Result<Vec<u64>, DecodeError> {
+    let mut cursor = cursor_for(format, bytes, count, directory);
+    if let Some(chunk_idx) = from {
+        cursor.seek(chunk_idx);
+    }
+    let mut decoded = Vec::new();
+    while let Some(chunk) = cursor.try_next_chunk()? {
+        decoded.extend_from_slice(chunk);
+    }
+    Ok(decoded)
+}
+
+/// Decode to completion both ways — the generic push driver and the pulled
+/// cursor — discarding output; the two must agree on the outcome.
 fn try_decode(format: &Format, bytes: &[u8], count: usize) -> Result<(), DecodeError> {
-    try_for_each_decompressed_block(format, bytes, count, &mut |_| {})
+    let pushed = try_for_each_decompressed_block(format, bytes, count, &mut |_| {});
+    let pulled = try_pull(format, bytes, count, &[], None).map(|_| ());
+    assert_eq!(pushed, pulled, "format {format}: push and pull disagree");
+    pushed
 }
 
 #[test]
@@ -63,6 +89,9 @@ fn every_truncation_of_every_format_yields_an_error() {
             .chain([bytes.len() - 1])
             .filter(|&cut| cut < bytes.len())
             .collect();
+        // The directory is metadata recorded at compression time, so it
+        // survives a truncation of the bytes it indexes.
+        let directory = chunk_directory(&format, &bytes, main_len);
         for cut in cuts {
             let truncated = &bytes[..cut];
             let result = try_decode(&format, truncated, main_len);
@@ -71,6 +100,16 @@ fn every_truncation_of_every_format_yields_an_error() {
                 "format {format}: decoding {main_len} elements from {cut}/{} bytes succeeded",
                 bytes.len()
             );
+            // Every seek target — before, at or past the cut — still has to
+            // reach the missing tail.
+            for chunk_idx in 0..directory.len() {
+                let result = try_pull(&format, truncated, main_len, &directory, Some(chunk_idx));
+                assert!(
+                    result.is_err(),
+                    "format {format}: seek to chunk {chunk_idx} of {cut}/{} bytes succeeded",
+                    bytes.len()
+                );
+            }
         }
     }
 }
@@ -100,12 +139,23 @@ fn corrupt_width_bytes_are_rejected() {
         // The width byte of the first block: offset 0 for DynBp, 8 for the
         // cascades ([reference: u64][width: u8]).
         let width_offset = if format == Format::DynBp { 0 } else { 8 };
+        let directory = chunk_directory(&format, &bytes, main_len);
         for bad_width in [0u8, 65, 255] {
             bytes[width_offset] = bad_width;
             let err = try_decode(&format, &bytes, main_len).unwrap_err();
             assert!(
                 matches!(err, DecodeError::CorruptHeader { .. }),
                 "format {format}, width {bad_width}: {err}"
+            );
+            // Blocks are validated one by one: a seek onto the corrupt block
+            // fails the same way, a seek past it decodes the intact rest.
+            let err = try_pull(&format, &bytes, main_len, &directory, Some(0)).unwrap_err();
+            assert!(matches!(err, DecodeError::CorruptHeader { .. }), "{err}");
+            let rest = try_pull(&format, &bytes, main_len, &directory, Some(1));
+            assert_eq!(
+                rest.as_deref(),
+                Ok(&values[512..main_len]),
+                "format {format}"
             );
         }
     }

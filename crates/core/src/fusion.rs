@@ -36,9 +36,10 @@
 //!
 //! Fused execution is observably identical to node-by-node execution:
 //! results, footprint records and timing-label sequences are all
-//! byte-identical.  Interior columns **are** still encoded — incrementally,
-//! chunk by chunk, into the same [`ColumnBuilder`] the unfused operators
-//! use, which is granularity-invariant (see
+//! byte-identical.  Every stage runs the *same chunk step* as its unfused
+//! operator (see [`crate::ops`]), and interior columns **are** still encoded
+//! — incrementally, chunk by chunk, into the same [`ColumnBuilder`] the
+//! chunk-range kernels use, which is granularity-invariant (see
 //! [`partitioned`](crate::ops::partitioned)) — because the footprint
 //! records and plan-cache entries of interior nodes must not change.  What
 //! fusion *removes* is the decode half of every interior round-trip, the
@@ -69,16 +70,14 @@ use std::time::{Duration, Instant};
 use morph_cache::{CachedValue, QueryCache};
 use morph_compression::Format;
 use morph_storage::{Column, ColumnBuilder};
-use morph_vector::emu::V512;
-use morph_vector::kernels;
-use morph_vector::scalar::Scalar;
 use morph_vector::ProcessingStyle;
 
 use crate::exec::{ExecSettings, FormatConfig, IntegrationDegree, NodeRecords};
 use crate::ops::agg::sum_chunk;
+use crate::ops::calc::binary_chunk;
 use crate::ops::partitioned;
-use crate::ops::project::ensure_random_access;
-use crate::ops::select::filter_chunk;
+use crate::ops::project::{ensure_random_access, gather_chunk};
+use crate::ops::select::{between_chunk, filter_chunk};
 use crate::plan::{ColRef, NodeCacheInfo, PlanOp, PlanOutputs, QueryPlan, Slot};
 use crate::{BinaryOp, CmpOp};
 
@@ -508,11 +507,6 @@ fn grow_region(
                 StageKind::Select { src, op, constant }
             }
             PlanOp::SelectBetween { input, low, high } => {
-                if low > high {
-                    // The unfused operator rejects this; leave the panic
-                    // to it rather than fusing an invalid plan.
-                    return None;
-                }
                 let src = src_of(input);
                 if src != Src::Driver {
                     prefix_independent = false;
@@ -594,8 +588,8 @@ pub(crate) struct RegionOutcome {
 /// Per-stage working state of one pass over (a range of) the driver.
 struct StagePass<'d> {
     /// Per stage, the project data column (morphed to random access when
-    /// necessary); `None` for non-project stages.
-    data: Vec<Option<&'d Column>>,
+    /// necessary); non-project stages hold the driver and never read it.
+    data: Vec<&'d Column>,
     /// Per stage, the values produced from the current driver chunk.
     bufs: Vec<Vec<u64>>,
     /// Per stage, the total values emitted *before* the current chunk —
@@ -608,7 +602,7 @@ struct StagePass<'d> {
 }
 
 impl<'d> StagePass<'d> {
-    fn new(region: &FusedRegion, data: Vec<Option<&'d Column>>) -> StagePass<'d> {
+    fn new(region: &FusedRegion, data: Vec<&'d Column>) -> StagePass<'d> {
         let n = region.stages.len();
         StagePass {
             data,
@@ -667,36 +661,25 @@ fn run_chunk(
             StageKind::SelectBetween { src, low, high } => {
                 let out = &mut rest[0];
                 out.clear();
-                let base = src_base(emitted, driver_base, *src);
-                for (k, &value) in src_vals(prev, chunk, *src).iter().enumerate() {
-                    if value >= *low && value <= *high {
-                        out.push(base + k as u64);
-                    }
-                }
+                between_chunk(
+                    src_vals(prev, chunk, *src),
+                    *low,
+                    *high,
+                    src_base(emitted, driver_base, *src),
+                    out,
+                );
             }
             StageKind::Project { positions, .. } => {
                 let out = &mut rest[0];
                 out.clear();
-                let data = pass.data[i].expect("project stage carries a data column");
-                let positions = src_vals(prev, chunk, *positions);
-                out.reserve(positions.len());
-                for &position in positions {
-                    out.push(
-                        data.get(position as usize).unwrap_or_else(|| {
-                            panic!("project: position {position} out of bounds")
-                        }),
-                    );
-                }
+                gather_chunk(pass.data[i], src_vals(prev, chunk, *positions), out);
             }
             StageKind::Calc { op, lhs, rhs } => {
                 let out = &mut rest[0];
                 out.clear();
                 let (a, b) = (src_vals(prev, chunk, *lhs), src_vals(prev, chunk, *rhs));
                 debug_assert_eq!(a.len(), b.len(), "fused calc operands must be aligned");
-                match style {
-                    ProcessingStyle::Scalar => kernels::binary_op::<Scalar>(*op, a, b, out),
-                    ProcessingStyle::Vectorized => kernels::binary_op::<V512>(*op, a, b, out),
-                }
+                binary_chunk(style, *op, a, b, out);
             }
             StageKind::AggSum { src } => {
                 rest[0].clear();
@@ -729,13 +712,15 @@ where
         .collect()
 }
 
-/// Per stage, the data column a project gathers from: the prepared morph
-/// when one was needed, the external column otherwise.
+/// Per stage, the data column a project gathers from — the prepared morph
+/// when one was needed, the external column otherwise — and `driver` as the
+/// never-read filler of the non-project stages.
 fn resolve_project_data<'d, F>(
     region: &FusedRegion,
     prepared: &'d [Option<Column>],
+    driver: &'d Column,
     col: &F,
-) -> Vec<Option<&'d Column>>
+) -> Vec<&'d Column>
 where
     F: Fn(ColRef) -> &'d Column,
 {
@@ -744,25 +729,10 @@ where
         .iter()
         .enumerate()
         .map(|(i, stage)| match stage.kind {
-            StageKind::Project { data, .. } => {
-                Some(prepared[i].as_ref().unwrap_or_else(|| col(data)))
-            }
-            _ => None,
+            StageKind::Project { data, .. } => prepared[i].as_ref().unwrap_or_else(|| col(data)),
+            _ => driver,
         })
         .collect()
-}
-
-/// Whole-column sink of one stage during a full (non-morsel) fused pass.
-enum Sink {
-    /// Uncompressed accumulation, finished via [`Column::from_vec`] —
-    /// exactly what the operators do under `PurelyUncompressed`.
-    Plain(Vec<u64>),
-    /// Incremental encoding into the edge's assigned format — exactly what
-    /// the operators do under `OnTheFlyDeRecompression` (byte-identical at
-    /// any push granularity).
-    Builder(ColumnBuilder),
-    /// Wrapping sum (aggregation root); the value lives in the pass state.
-    Sum,
 }
 
 /// Finish one region member: push its timing, record (and cache) its
@@ -813,7 +783,8 @@ pub(crate) fn fused_node_outcome(
     }
 }
 
-/// Execute one fused region in a single pass over its driver column.
+/// Execute one fused region in a single pass over its driver column: the
+/// chunk-range pass [`run_region_part`] over the driver's whole chunk range.
 ///
 /// All externals (driver, project data) must already be in the slot table
 /// — the caller dispatches the region when its *root* becomes ready, and
@@ -836,54 +807,21 @@ where
         crate::govern::checkpoint_node();
     }
     let col = |r: ColRef| slots(r.node).column(r.port);
-    let driver = col(region.driver);
     let prepared = prepare_project_data(region, &col);
-    let data = resolve_project_data(region, &prepared, &col);
-    let mut pass = StagePass::new(region, data);
-    let mut sinks: Vec<Sink> = region
-        .stages
-        .iter()
-        .map(|stage| match stage.kind {
-            StageKind::AggSum { .. } => Sink::Sum,
-            _ if settings.degree == IntegrationDegree::PurelyUncompressed => {
-                Sink::Plain(Vec::new())
-            }
-            _ => {
-                let format =
-                    formats.format_for(&plan.node_full_name(stage.node), Format::Uncompressed);
-                Sink::Builder(ColumnBuilder::new(format))
-            }
-        })
-        .collect();
-    let mut driver_base = 0u64;
-    driver.for_each_chunk(&mut |chunk| {
-        run_chunk(region, settings.style, &mut pass, driver_base, chunk);
-        for (i, sink) in sinks.iter_mut().enumerate() {
-            match sink {
-                Sink::Plain(values) => values.extend_from_slice(&pass.bufs[i]),
-                Sink::Builder(builder) => builder.push_slice(&pass.bufs[i]),
-                Sink::Sum => {}
-            }
-        }
-        driver_base += chunk.len() as u64;
-    });
-
+    let chunks = 0..col(region.driver).chunk_count();
+    let (partials, elapsed) =
+        run_region_part(plan, region, &prepared, chunks, slots, settings, formats);
     let mut outcome = RegionOutcome {
         nodes: Vec::with_capacity(region.stages.len()),
         interior_bytes: 0,
     };
-    for (i, (stage, sink)) in region.stages.iter().zip(sinks).enumerate() {
-        let value = match sink {
-            Sink::Sum => FusedPartial::Sum(pass.sums[i]),
-            Sink::Plain(values) => FusedPartial::Col(Column::from_vec(values)),
-            Sink::Builder(builder) => FusedPartial::Col(builder.finish()),
-        };
+    for ((stage, value), elapsed) in region.stages.iter().zip(partials).zip(elapsed) {
         let node = fused_node_outcome(
             plan,
             region,
             stage.node,
             value,
-            pass.elapsed[i],
+            elapsed,
             settings,
             cache_info,
             capture,
@@ -894,9 +832,13 @@ where
     outcome
 }
 
-/// Run one morsel part of a fused region: a single pass over the driver
-/// chunk range `chunks`, producing one partial per stage.  Only valid for
-/// `prefix_independent` regions — every select reads the driver, whose
+/// Run one pass of a fused region over the driver chunk range `chunks`,
+/// producing one partial — built at the effective output format, like every
+/// chunk-range kernel, so a range-order splice reconstructs the whole-range
+/// byte stream — and the accumulated compute time per stage.
+///
+/// A range that does not start at the driver's first chunk is only valid
+/// for `prefix_independent` regions: every select reads the driver, whose
 /// global chunk starts give exact position bases.
 pub(crate) fn run_region_part<'a, 's, F>(
     plan: &QueryPlan,
@@ -906,34 +848,27 @@ pub(crate) fn run_region_part<'a, 's, F>(
     slots: &F,
     settings: &ExecSettings,
     formats: &FormatConfig,
-) -> Vec<FusedPartial>
+) -> (Vec<FusedPartial>, Vec<Duration>)
 where
     'a: 's,
     F: Fn(usize) -> &'s Slot<'a>,
 {
     debug_assert!(
-        region.prefix_independent,
+        region.prefix_independent || chunks.start == 0,
         "fused morsel over a derived select"
     );
     let col = |r: ColRef| slots(r.node).column(r.port);
     let driver = col(region.driver);
-    let data = resolve_project_data(region, prepared, &col);
+    let data = resolve_project_data(region, prepared, driver, &col);
     let mut pass = StagePass::new(region, data);
-    // Partials are always built through the builder (at the effective
-    // output format), like every other morsel kernel: the range-order
-    // splice reconstructs the serial byte stream.
     let mut sinks: Vec<Option<ColumnBuilder>> = region
         .stages
         .iter()
         .map(|stage| match stage.kind {
             StageKind::AggSum { .. } => None,
-            _ => {
-                let format = partitioned::effective_output_format(
-                    &formats.format_for(&plan.node_full_name(stage.node), Format::Uncompressed),
-                    settings,
-                );
-                Some(ColumnBuilder::new(format))
-            }
+            _ => Some(ColumnBuilder::new(fused_part_format(
+                plan, stage.node, settings, formats,
+            ))),
         })
         .collect();
     driver.for_each_chunk_in(chunks, &mut |start, chunk| {
@@ -944,14 +879,15 @@ where
             }
         }
     });
-    sinks
+    let partials = sinks
         .into_iter()
         .enumerate()
         .map(|(i, sink)| match sink {
             Some(builder) => FusedPartial::Col(builder.finish()),
             None => FusedPartial::Sum(pass.sums[i]),
         })
-        .collect()
+        .collect();
+    (partials, pass.elapsed)
 }
 
 /// The output format a fused morsel job materialises member `node` in —

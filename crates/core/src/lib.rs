@@ -65,7 +65,8 @@
 //! fan-out — which [`plan::QueryPlan::explain_analyze`] renders as a
 //! per-node profile; results, footprint records and timing-label sequences
 //! stay byte-identical with tracing on.  See DESIGN.md for how the plan
-//! layer sits on top of the three-layer operator architecture.
+//! layer sits on top of the single read path (format cursor → column
+//! cursor → chunk step → column builder).
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]

@@ -15,6 +15,7 @@ use morph_vector::scalar::Scalar;
 use morph_vector::ProcessingStyle;
 
 use crate::exec::{ExecSettings, IntegrationDegree};
+use crate::ops::partitioned::{agg_sum_part, effective_output_format};
 use crate::ops::zip_chunks;
 use crate::specialized;
 
@@ -32,8 +33,9 @@ pub(crate) fn sum_chunk(style: ProcessingStyle, chunk: &[u64]) -> u64 {
 /// With the specialized degree, an RLE input is summed directly on the runs
 /// and a static-BP input directly on the packed bit stream
 /// ([`specialized::agg_sum_on_static_bp`]); any other format falls back to
-/// on-the-fly decompression.  With the morphing degree the input is morphed
-/// to RLE first so the run-based kernel applies irrespective of the format.
+/// on-the-fly decompression — the chunk-range kernel [`agg_sum_part`] over
+/// the whole column.  With the morphing degree the input is morphed to RLE
+/// first so the run-based kernel applies irrespective of the format.
 pub fn agg_sum(input: &Column, settings: &ExecSettings) -> u64 {
     match settings.degree {
         IntegrationDegree::Specialized if input.format() == &Format::Rle => {
@@ -46,14 +48,7 @@ pub fn agg_sum(input: &Column, settings: &ExecSettings) -> u64 {
             let morphed = input.to_format(&Format::Rle);
             specialized::sum_on_rle(&morphed)
         }
-        _ => {
-            let mut total = 0u64;
-            input.for_each_chunk(&mut |chunk| {
-                crate::govern::checkpoint_chunk();
-                total = total.wrapping_add(sum_chunk(settings.style, chunk));
-            });
-            total
-        }
+        _ => agg_sum_part(input, 0..input.chunk_count(), settings.style),
     }
 }
 
@@ -86,19 +81,19 @@ pub fn agg_sum_grouped(
     settings: &ExecSettings,
 ) -> Column {
     let mut sums = vec![0u64; group_count];
-    zip_chunks(group_ids, values, &mut |ids, vals| {
-        for (&g, &v) in ids.iter().zip(vals.iter()) {
-            sums[g as usize] = sums[g as usize].wrapping_add(v);
-        }
-    });
-    match settings.degree {
-        IntegrationDegree::PurelyUncompressed => Column::from_vec(sums),
-        _ => {
-            let mut builder = ColumnBuilder::new(*out_format);
-            builder.push_slice(&sums);
-            builder.finish()
-        }
-    }
+    zip_chunks(
+        group_ids,
+        values,
+        0..group_ids.chunk_count(),
+        &mut |ids, vals| {
+            for (&g, &v) in ids.iter().zip(vals.iter()) {
+                sums[g as usize] = sums[g as usize].wrapping_add(v);
+            }
+        },
+    );
+    let mut builder = ColumnBuilder::new(effective_output_format(out_format, settings));
+    builder.push_slice(&sums);
+    builder.finish()
 }
 
 #[cfg(test)]

@@ -7,16 +7,33 @@
 //! before the final aggregation.
 
 use morph_compression::Format;
-use morph_storage::{Column, ColumnBuilder};
+use morph_storage::Column;
 use morph_vector::emu::V512;
 use morph_vector::kernels::{self, BinaryOp};
 use morph_vector::scalar::Scalar;
 use morph_vector::ProcessingStyle;
 
-use crate::exec::{ExecSettings, IntegrationDegree};
-use crate::ops::zip_chunks;
+use crate::exec::ExecSettings;
+use crate::ops::partitioned::{calc_binary_part, effective_output_format};
 
-/// Element-wise `lhs op rhs`, materialised in `out_format`.
+/// The chunk step of calc: append `a[i] op b[i]` for two equally long
+/// uncompressed chunks, per processing style.
+#[inline]
+pub(crate) fn binary_chunk(
+    style: ProcessingStyle,
+    op: BinaryOp,
+    a: &[u64],
+    b: &[u64],
+    out: &mut Vec<u64>,
+) {
+    match style {
+        ProcessingStyle::Scalar => kernels::binary_op::<Scalar>(op, a, b, out),
+        ProcessingStyle::Vectorized => kernels::binary_op::<V512>(op, a, b, out),
+    }
+}
+
+/// Element-wise `lhs op rhs`, materialised in `out_format`: the chunk-range
+/// kernel [`calc_binary_part`] over the whole column.
 ///
 /// # Panics
 /// Panics if the inputs do not have the same logical length.
@@ -27,29 +44,14 @@ pub fn calc_binary(
     out_format: &Format,
     settings: &ExecSettings,
 ) -> Column {
-    let apply = |style: ProcessingStyle, a: &[u64], b: &[u64], out: &mut Vec<u64>| match style {
-        ProcessingStyle::Scalar => kernels::binary_op::<Scalar>(op, a, b, out),
-        ProcessingStyle::Vectorized => kernels::binary_op::<V512>(op, a, b, out),
-    };
-    match settings.degree {
-        IntegrationDegree::PurelyUncompressed => {
-            let mut values = Vec::with_capacity(lhs.logical_len());
-            zip_chunks(lhs, rhs, &mut |a, b| {
-                apply(settings.style, a, b, &mut values)
-            });
-            Column::from_vec(values)
-        }
-        _ => {
-            let mut builder = ColumnBuilder::new(*out_format);
-            let mut scratch: Vec<u64> = Vec::new();
-            zip_chunks(lhs, rhs, &mut |a, b| {
-                scratch.clear();
-                apply(settings.style, a, b, &mut scratch);
-                builder.push_slice(&scratch);
-            });
-            builder.finish()
-        }
-    }
+    calc_binary_part(
+        op,
+        lhs,
+        rhs,
+        0..lhs.chunk_count(),
+        &effective_output_format(out_format, settings),
+        settings.style,
+    )
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@ use std::collections::HashMap;
 use morph_compression::Format;
 use morph_storage::{Column, ColumnBuilder};
 
-use crate::exec::{ExecSettings, IntegrationDegree};
+use crate::exec::ExecSettings;
+use crate::ops::partitioned::effective_output_format;
 use crate::ops::zip_chunks;
 
 /// The result of a grouping: per-row group identifiers and, per group, the
@@ -39,16 +40,9 @@ fn finish_outputs(
     settings: &ExecSettings,
 ) -> GroupResult {
     let group_count = reps.len();
-    if settings.degree == IntegrationDegree::PurelyUncompressed {
-        return GroupResult {
-            group_ids: std::sync::Arc::new(Column::from_vec(ids)),
-            representatives: std::sync::Arc::new(Column::from_vec(reps)),
-            group_count,
-        };
-    }
-    let mut id_builder = ColumnBuilder::new(*out_formats.0);
+    let mut id_builder = ColumnBuilder::new(effective_output_format(out_formats.0, settings));
     id_builder.push_slice(&ids);
-    let mut rep_builder = ColumnBuilder::new(*out_formats.1);
+    let mut rep_builder = ColumnBuilder::new(effective_output_format(out_formats.1, settings));
     rep_builder.push_slice(&reps);
     GroupResult {
         group_ids: std::sync::Arc::new(id_builder.finish()),
@@ -98,17 +92,23 @@ pub fn group_by_refine(
     let mut ids: Vec<u64> = Vec::with_capacity(keys.logical_len());
     let mut reps: Vec<u64> = Vec::new();
     let mut pos = 0u64;
-    zip_chunks(&previous.group_ids, keys, &mut |prev_ids, key_chunk| {
-        for (&prev, &key) in prev_ids.iter().zip(key_chunk.iter()) {
-            let next_id = mapping.len() as u64;
-            let id = *mapping.entry((prev, key)).or_insert_with(|| {
-                reps.push(pos);
-                next_id
-            });
-            ids.push(id);
-            pos += 1;
-        }
-    });
+    let chunks = 0..previous.group_ids.chunk_count();
+    zip_chunks(
+        &previous.group_ids,
+        keys,
+        chunks,
+        &mut |prev_ids, key_chunk| {
+            for (&prev, &key) in prev_ids.iter().zip(key_chunk.iter()) {
+                let next_id = mapping.len() as u64;
+                let id = *mapping.entry((prev, key)).or_insert_with(|| {
+                    reps.push(pos);
+                    next_id
+                });
+                ids.push(id);
+                pos += 1;
+            }
+        },
+    );
     finish_outputs(ids, reps, out_formats, settings)
 }
 

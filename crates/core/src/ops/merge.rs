@@ -11,10 +11,12 @@
 use morph_compression::Format;
 use morph_storage::{Column, ColumnBuilder};
 
-use crate::exec::{ExecSettings, IntegrationDegree};
-use crate::ops::{MergeStep, PullSide};
+use crate::exec::ExecSettings;
+use crate::ops::partitioned::{effective_output_format, intersect_sorted_part};
+use crate::ops::PullSide;
 
-/// Merge-intersect two sorted position columns.
+/// Merge-intersect two sorted position columns: the chunk-range kernel
+/// [`intersect_sorted_part`] over the whole of `a`.
 ///
 /// Both inputs must be strictly increasing (as produced by [`crate::select`]).
 pub fn intersect_sorted(
@@ -23,86 +25,48 @@ pub fn intersect_sorted(
     out_format: &Format,
     settings: &ExecSettings,
 ) -> Column {
-    set_op(a, b, out_format, settings, SetOp::Intersect)
+    intersect_sorted_part(
+        a,
+        b,
+        0..a.chunk_count(),
+        &effective_output_format(out_format, settings),
+    )
 }
 
 /// Merge-union two sorted position columns (duplicates collapse).
+///
+/// Both inputs stay compressed: `a` is streamed chunk by chunk, `b` is
+/// pulled through its chunk cursor into a carry bounded by one chunk — the
+/// merge never materialises a whole position list (cf. `zip_chunks`).
 pub fn merge_sorted(
     a: &Column,
     b: &Column,
     out_format: &Format,
     settings: &ExecSettings,
 ) -> Column {
-    set_op(a, b, out_format, settings, SetOp::Union)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum SetOp {
-    Intersect,
-    Union,
-}
-
-fn set_op(
-    a: &Column,
-    b: &Column,
-    out_format: &Format,
-    settings: &ExecSettings,
-    op: SetOp,
-) -> Column {
-    // Both inputs stay compressed: `a` is streamed push-style, `b` is pulled
-    // through its chunk cursor into a carry buffer bounded by one chunk —
-    // the merge never materialises a whole position list (cf. `zip_chunks`).
-    let uncompressed = settings.degree == IntegrationDegree::PurelyUncompressed;
-    let mut plain: Vec<u64> = Vec::new();
-    let mut builder = ColumnBuilder::new(*out_format);
-    let mut push = |value: u64| {
-        if uncompressed {
-            plain.push(value);
-        } else {
-            builder.push(value);
-        }
-    };
+    let mut builder = ColumnBuilder::new(effective_output_format(out_format, settings));
     let mut pulled = PullSide::new(b.cursor());
     a.for_each_chunk(&mut |chunk| {
         crate::govern::checkpoint_chunk();
         for &value in chunk {
-            match op {
-                // An intersection keeps a value iff `b` also holds it;
-                // smaller `b` values are silently skipped.
-                SetOp::Intersect => {
-                    if pulled.merge_step(value, |_| {}) == MergeStep::Matched {
-                        push(value);
-                    }
-                }
-                // A union emits the smaller `b` values in passing and the
-                // probed value exactly once (duplicates collapse).
-                SetOp::Union => {
-                    pulled.merge_step(value, &mut push);
-                    push(value);
-                }
-            }
+            // Emit the smaller `b` values in passing and the probed value
+            // exactly once (duplicates collapse).
+            pulled.merge_step(value, |other| builder.push(other));
+            builder.push(value);
         }
     });
-    // A union keeps whatever remains of `b` once `a` is exhausted.
-    if op == SetOp::Union {
-        loop {
-            let available = pulled.peek();
-            if available.is_empty() {
-                break;
-            }
-            for &other in available {
-                push(other);
-            }
-            let n = available.len();
-            pulled.advance(n);
+    // Whatever remains of `b` once `a` is exhausted.
+    loop {
+        let available = pulled.peek();
+        if available.is_empty() {
+            break;
         }
+        builder.push_slice(available);
+        let n = available.len();
+        pulled.advance(n);
     }
     pulled.finish();
-    if uncompressed {
-        Column::from_vec(plain)
-    } else {
-        builder.finish()
-    }
+    builder.finish()
 }
 
 #[cfg(test)]

@@ -3,19 +3,29 @@
 //! The operator set is the one needed to execute the Star Schema Benchmark
 //! (Section 4.2 of the paper); all operators are "strongly inspired by those
 //! of MonetDB" and work on headless columns (mere sequences of unsigned
-//! integers).  Every operator follows the three-layer architecture of
-//! Figure 4:
+//! integers).  Every operator sits on the single read path of Figure 4
+//! (DESIGN.md, "Read path") — bytes → format cursor → `ColumnCursor` →
+//! chunk step → `ColumnBuilder` — under one invariant: **one decoder per
+//! format, one chunk step per operator, serial = one part.**
 //!
-//! * the **column layer** is the public operator function, which handles the
-//!   split of each column into a compressed main part and an uncompressed
-//!   remainder (this is hidden inside [`morph_storage::Column::for_each_chunk`]
-//!   and [`morph_storage::ColumnBuilder`]),
-//! * the **buffer layer** is the pair of `for_each_chunk` (input side,
-//!   decompression into cache-resident chunks) and `ColumnBuilder` (output
-//!   side, recompression of a cache-resident buffer),
-//! * the **vector register layer** is the operator core, a kernel from
+//! * the **chunk step** is the operator core: one function per operator
+//!   (`select::filter_chunk`, `select::between_chunk`,
+//!   `project::gather_chunk`, `calc::binary_chunk`, `agg::sum_chunk`, the
+//!   `PullSide::merge_step` of the sorted merges) turning one uncompressed,
+//!   cache-resident chunk into output values through a kernel from
 //!   [`morph_vector::kernels`] monomorphised for scalar or vectorized
-//!   processing.
+//!   processing,
+//! * the **chunk-range kernel** ([`partitioned`]) is the on-the-fly
+//!   de/re-compression wrapper around it: it streams a range of the input's
+//!   seekable chunks ([`morph_storage::Column::for_each_chunk_in`], driven
+//!   by the column's cursor) through the step and recompresses the output in
+//!   a [`morph_storage::ColumnBuilder`],
+//! * the **public operator function** is, under the two general integration
+//!   degrees, that kernel over the whole chunk range writing in
+//!   [`partitioned::effective_output_format`]; a morsel is the same kernel
+//!   over a sub-range and a fused region ([`crate::fusion`]) chains the same
+//!   steps per driver chunk.  The specialized and morphing degrees branch
+//!   off to [`crate::specialized`] before the read path.
 
 pub mod agg;
 pub mod calc;
@@ -27,6 +37,8 @@ pub mod partitioned;
 pub mod project;
 pub mod select;
 
+use std::ops::Range;
+
 use morph_compression::ChunkCursor;
 use morph_storage::Column;
 
@@ -34,10 +46,9 @@ use morph_storage::Column;
 /// operators — the buffers that pair two compressed inputs position-wise
 /// and are never materialised as plan intermediates.
 ///
-/// Since the pull-based chunk cursors replaced the old
-/// decompress-one-side-fully pairing, every carry buffer is bounded by one
-/// decoded chunk ([`morph_compression::CACHE_BUFFER_ELEMENTS`] values);
-/// this module records the high-water mark so the bench harness
+/// Every carry buffer is bounded by one decoded chunk
+/// ([`morph_compression::CACHE_BUFFER_ELEMENTS`] values); this module
+/// records the high-water mark so the bench harness
 /// (`parallel_speedup` → `BENCH_ssb.json`) and a CI test can assert the
 /// O(chunk) bound instead of trusting it.
 pub mod transient {
@@ -148,9 +159,8 @@ impl<'a> PullSide<'a> {
     /// One step of a sorted merge-walk against an ascending probe stream:
     /// skip every pulled value smaller than `value` (handing each to
     /// `emit_smaller` — a no-op closure for intersections), consume `value`
-    /// itself if present, and report what happened.  The single copy of the
-    /// carry-walk shared by the serial merges and the partitioned
-    /// intersection, so they cannot drift apart.
+    /// itself if present, and report what happened.  The chunk step of the
+    /// sorted intersection and union.
     pub(crate) fn merge_step(
         &mut self,
         value: u64,
@@ -185,19 +195,25 @@ impl<'a> PullSide<'a> {
     }
 }
 
-/// Iterate two equally long columns position-wise, invoking `f` with pairs of
+/// Iterate the chunk range `chunks` of `a` and the aligned logical range of
+/// the equally long column `b` position-wise, invoking `f` with pairs of
 /// equally long uncompressed chunks.
 ///
-/// Both inputs stay compressed end to end: the first column is streamed
-/// push-style (cache-resident, DP3-conforming) and the second is *pulled*
-/// through its [`ChunkCursor`] into a carry buffer bounded by one chunk —
-/// the streaming pairwise reader, so no transient full-column buffer exists
-/// on either side.
+/// Both inputs stay compressed end to end: `a` is streamed by its own chunk
+/// directory and `b` is *pulled* through [`Column::cursor_at`] into a carry
+/// bounded by one chunk, so no transient full-column buffer exists on
+/// either side and a part's transient memory is O(chunk) irrespective of
+/// its span.
 ///
 /// # Panics
 /// Panics if the inputs differ in logical length; the message names both
 /// columns' lengths and formats so a plan-level failure is diagnosable.
-pub(crate) fn zip_chunks(a: &Column, b: &Column, f: &mut dyn FnMut(&[u64], &[u64])) {
+pub(crate) fn zip_chunks(
+    a: &Column,
+    b: &Column,
+    chunks: Range<usize>,
+    f: &mut dyn FnMut(&[u64], &[u64]),
+) {
     assert!(
         a.logical_len() == b.logical_len(),
         "position-wise operators require equally long inputs: \
@@ -207,22 +223,23 @@ pub(crate) fn zip_chunks(a: &Column, b: &Column, f: &mut dyn FnMut(&[u64], &[u64
         b.logical_len(),
         b.format(),
     );
-    let mut pulled = PullSide::new(b.cursor());
-    a.for_each_chunk(&mut |chunk| {
+    let start = a.chunk_logical_start(chunks.start);
+    let end = a.chunk_logical_start(chunks.end);
+    let mut pulled = PullSide::new(b.cursor_at(start..end));
+    a.for_each_chunk_in(chunks, &mut |_, chunk| {
         crate::govern::checkpoint_chunk();
         let mut done = 0usize;
         while done < chunk.len() {
             let available = pulled.peek();
             // A drained pull side here means the rhs decoded fewer values
-            // than its logical length (corrupt directory / truncated main
+            // than the aligned span (corrupt directory / truncated main
             // part) — fail loudly with a structured payload, never spin.
             if available.is_empty() {
                 std::panic::panic_any(morph_compression::DecodeError::CorruptHeader {
                     format: "pairwise",
                     detail: format!(
-                        "rhs ({}) ended early: decoded fewer than {} values",
+                        "rhs ({}) ended early inside logical range {start}..{end}",
                         b.format(),
-                        b.logical_len(),
                     ),
                 });
             }
@@ -247,7 +264,7 @@ mod tests {
         let a = Column::compress(&a_values, &Format::DynBp);
         let b = Column::compress(&b_values, &Format::DeltaDynBp);
         let mut pairs = Vec::new();
-        zip_chunks(&a, &b, &mut |ca, cb| {
+        zip_chunks(&a, &b, 0..a.chunk_count(), &mut |ca, cb| {
             assert_eq!(ca.len(), cb.len());
             pairs.extend(ca.iter().zip(cb.iter()).map(|(&x, &y)| (x, y)));
         });
@@ -260,6 +277,6 @@ mod tests {
     fn zip_chunks_rejects_length_mismatch() {
         let a = Column::from_slice(&[1, 2, 3]);
         let b = Column::from_slice(&[1, 2]);
-        zip_chunks(&a, &b, &mut |_, _| {});
+        zip_chunks(&a, &b, 0..1, &mut |_, _| {});
     }
 }

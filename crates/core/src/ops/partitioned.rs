@@ -1,28 +1,28 @@
-//! Chunk-partitioned variants of the hot operator kernels — the operator
-//! side of intra-operator (morsel) parallelism.
+//! The chunk-range kernels: every streaming operator as a function of a
+//! contiguous range of its input's seekable chunks.
 //!
 //! The paper's block-at-a-time processing (DP3) makes a compressed column a
 //! sequence of independently decodable chunks, recorded in the column's
 //! seekable chunk directory ([`Column::chunk_count`],
-//! [`Column::for_each_chunk_in`]).  A *morsel* is a contiguous range of
-//! those chunks; each per-part kernel in this module processes one range
-//! into a private partial result, and [`concat_partials`] splices the
-//! partials back — in range order — into a column that is **byte-identical**
-//! to the single-threaded operator:
+//! [`Column::for_each_chunk_in`]).  Each `*_part` kernel in this module
+//! streams one chunk range through its operator's chunk step (see
+//! [`crate::ops`]) into a private [`ColumnBuilder`].  There is no second
+//! copy of any operator loop:
 //!
-//! * every per-part kernel emits exactly the values the serial kernel would
-//!   emit for that logical range (select positions are computed from the
-//!   chunk's global logical start, so no rebasing pass is needed at merge
-//!   time),
-//! * the semi-join goes one step further: the serial [`crate::semi_join`]
-//!   *is* [`semi_join_part`] over the whole chunk range, probing the same
-//!   shared [`KeySet`] ([`build_semi_join_set`]) chunk by chunk through its
-//!   bulk kernel, so serial and partitioned execution cannot drift apart,
-//! * [`morph_storage::ColumnBuilder::append_column`] re-creates the serial
+//! * the whole-column operator ([`crate::select`], [`crate::project`],
+//!   [`crate::calc_binary`], [`crate::agg_sum`], [`crate::semi_join`],
+//!   [`crate::intersect_sorted`], …) *is* its kernel over
+//!   `0..chunk_count()`, writing in [`effective_output_format`],
+//! * a *morsel* is the same kernel over a sub-range: every kernel emits
+//!   exactly the values the whole-range run emits for that logical span
+//!   (select positions are computed from the chunk's global logical start,
+//!   so no rebasing pass is needed), and [`concat_partials`] splices the
+//!   partials back — in range order — into a column **byte-identical** to
+//!   the one-part run:
+//!   [`morph_storage::ColumnBuilder::append_column`] re-creates the single
 //!   builder's byte stream (splicing without re-encoding where the format's
-//!   blocks are position-independent), and
-//! * partial sums of the wrapping [`agg_sum`](crate::agg_sum) reduce
-//!   associatively.
+//!   blocks are position-independent), and partial sums of the wrapping
+//!   [`agg_sum`](crate::agg_sum) reduce associatively.
 //!
 //! The [`crate::parallel::ParallelExecutor`] drives these kernels from its
 //! worker pool; the functions are public so tests (and other schedulers)
@@ -32,16 +32,16 @@ use std::ops::Range;
 
 use morph_compression::{ChunkCursor, Format};
 use morph_storage::{Column, ColumnBuilder};
-use morph_vector::emu::V512;
-use morph_vector::kernels::{self, BinaryOp};
+use morph_vector::kernels::BinaryOp;
 use morph_vector::keys::KeySet;
-use morph_vector::scalar::Scalar;
 use morph_vector::ProcessingStyle;
 
 use crate::exec::{ExecSettings, IntegrationDegree};
 use crate::ops::agg::sum_chunk;
-use crate::ops::select::filter_chunk;
-use crate::ops::PullSide;
+use crate::ops::calc::binary_chunk;
+use crate::ops::project::gather_chunk;
+use crate::ops::select::{between_chunk, filter_chunk};
+use crate::ops::{zip_chunks, PullSide};
 use crate::CmpOp;
 
 /// Partition a column's seekable chunks into at most `parts` contiguous
@@ -51,10 +51,11 @@ pub fn partition(input: &Column, parts: usize) -> Vec<Range<usize>> {
     input.partition_chunks(parts)
 }
 
-/// The format a partial result (and the merged column) is materialised in:
-/// the requested output format, except under the purely uncompressed degree,
-/// where operators ignore the output format (the baseline involves no
-/// compressed data at all).
+/// The format an operator output (whole column, partial or merged) is
+/// materialised in: the requested output format, except under the purely
+/// uncompressed degree, where operators ignore the output format (the
+/// baseline involves no compressed data at all).  The single place that
+/// degree is consulted for outputs.
 pub fn effective_output_format(out_format: &Format, settings: &ExecSettings) -> Format {
     if settings.degree == IntegrationDegree::PurelyUncompressed {
         Format::Uncompressed
@@ -63,12 +64,34 @@ pub fn effective_output_format(out_format: &Format, settings: &ExecSettings) -> 
     }
 }
 
+/// Stream the chunk range `chunks` of `input` through `step` — one
+/// operator's chunk step, called with each piece's global logical start,
+/// its values and a cleared scratch buffer — and recompress what the step
+/// emits into `format`: the on-the-fly de/re-compression wrapper of
+/// Figure 4, written once for every unary operator.
+fn map_chunks(
+    input: &Column,
+    chunks: Range<usize>,
+    format: &Format,
+    mut step: impl FnMut(u64, &[u64], &mut Vec<u64>),
+) -> Column {
+    let mut builder = ColumnBuilder::new(*format);
+    let mut scratch: Vec<u64> = Vec::new();
+    input.for_each_chunk_in(chunks, &mut |start, chunk| {
+        crate::govern::checkpoint_chunk();
+        scratch.clear();
+        step(start, chunk, &mut scratch);
+        builder.push_slice(&scratch);
+    });
+    builder.finish()
+}
+
 /// Partial select: the positions of the chunk range `chunks` of `input`
 /// whose value satisfies `op` against `constant`, materialised in `format`.
 ///
 /// Positions are global (offset by each chunk's logical start), so
 /// concatenating the partials of a contiguous partition in range order
-/// yields exactly the serial [`crate::select`] output.
+/// yields exactly the [`crate::select`] output.
 pub fn select_part(
     op: CmpOp,
     input: &Column,
@@ -77,19 +100,13 @@ pub fn select_part(
     format: &Format,
     style: ProcessingStyle,
 ) -> Column {
-    let mut builder = ColumnBuilder::new(*format);
-    let mut scratch: Vec<u64> = Vec::new();
-    input.for_each_chunk_in(chunks, &mut |start, chunk| {
-        crate::govern::checkpoint_chunk();
-        scratch.clear();
-        filter_chunk(style, op, chunk, constant, start, &mut scratch);
-        builder.push_slice(&scratch);
-    });
-    builder.finish()
+    map_chunks(input, chunks, format, |start, chunk, out| {
+        filter_chunk(style, op, chunk, constant, start, out)
+    })
 }
 
 /// Partial range select: the positions of the chunk range `chunks` of
-/// `input` whose value lies in `[low, high]` (the partitioned
+/// `input` whose value lies in `[low, high]` (the chunk-range kernel of
 /// [`crate::select_between`]).
 pub fn select_between_part(
     input: &Column,
@@ -98,25 +115,14 @@ pub fn select_between_part(
     chunks: Range<usize>,
     format: &Format,
 ) -> Column {
-    let mut builder = ColumnBuilder::new(*format);
-    let mut scratch: Vec<u64> = Vec::new();
-    input.for_each_chunk_in(chunks, &mut |start, chunk| {
-        crate::govern::checkpoint_chunk();
-        scratch.clear();
-        for (i, &value) in chunk.iter().enumerate() {
-            if value >= low && value <= high {
-                scratch.push(start + i as u64);
-            }
-        }
-        builder.push_slice(&scratch);
-    });
-    builder.finish()
+    map_chunks(input, chunks, format, |start, chunk, out| {
+        between_chunk(chunk, low, high, start, out)
+    })
 }
 
 /// Partial project: gather `data[position]` for the chunk range `chunks` of
 /// the position list.  `data` must support random access — the caller morphs
-/// it **once** before fanning out (mirroring the serial
-/// [`crate::project`]), so workers never repeat the morph.
+/// it **once** before fanning out, so workers never repeat the morph.
 pub fn project_part(
     data: &Column,
     positions: &Column,
@@ -127,20 +133,9 @@ pub fn project_part(
         data.supports_random_access(),
         "project_part requires a random-access data column; morph before fanning out"
     );
-    let mut builder = ColumnBuilder::new(*format);
-    let mut scratch: Vec<u64> = Vec::new();
-    positions.for_each_chunk_in(chunks, &mut |_, chunk| {
-        crate::govern::checkpoint_chunk();
-        scratch.clear();
-        for &position in chunk {
-            let value = data
-                .get(position as usize)
-                .unwrap_or_else(|| panic!("project: position {position} out of bounds"));
-            scratch.push(value);
-        }
-        builder.push_slice(&scratch);
-    });
-    builder.finish()
+    map_chunks(positions, chunks, format, |_, chunk, out| {
+        gather_chunk(data, chunk, out)
+    })
 }
 
 /// The key set of the build side of a semi-join, built once — by the serial
@@ -165,9 +160,8 @@ pub(crate) fn scan_build_side(build: &Column, sink: &mut dyn FnMut(&[u64])) {
 }
 
 /// Partial semi-join: the global positions of the chunk range `chunks` of
-/// `probe` whose value occurs in the shared build `set` (the partitioned
-/// probe side of [`crate::semi_join`], which itself is this kernel over the
-/// whole chunk range).
+/// `probe` whose value occurs in the shared build `set` (the chunk-range
+/// kernel of [`crate::semi_join`]'s probe side).
 ///
 /// An empty set matches nothing, so the probe range is not even decoded.
 pub fn semi_join_part(
@@ -176,17 +170,12 @@ pub fn semi_join_part(
     chunks: Range<usize>,
     format: &Format,
 ) -> Column {
-    let mut builder = ColumnBuilder::new(*format);
-    if !set.is_empty() {
-        let mut scratch: Vec<u64> = Vec::new();
-        probe.for_each_chunk_in(chunks, &mut |start, chunk| {
-            crate::govern::checkpoint_chunk();
-            scratch.clear();
-            set.probe_positions(chunk, start, &mut scratch);
-            builder.push_slice(&scratch);
-        });
+    if set.is_empty() {
+        return ColumnBuilder::new(*format).finish();
     }
-    builder.finish()
+    map_chunks(probe, chunks, format, |start, chunk, out| {
+        set.probe_positions(chunk, start, out)
+    })
 }
 
 /// Partial whole-column sum over the chunk range `chunks` (wrapping 64-bit
@@ -202,14 +191,11 @@ pub fn agg_sum_part(input: &Column, chunks: Range<usize>, style: ProcessingStyle
 }
 
 /// Partial element-wise calculation: `lhs[i] op rhs[i]` for the logical
-/// span of the chunk range `chunks` of `lhs` (the partitioned
-/// [`crate::calc_binary`]).
+/// span of the chunk range `chunks` of `lhs` (the chunk-range kernel of
+/// [`crate::calc_binary`]), paired through `ops::zip_chunks`.
 ///
-/// `lhs` is streamed by its own chunk directory; the *aligned logical
-/// range* of `rhs` is pulled through [`Column::cursor_at`] into a carry
-/// buffer bounded by one chunk — the partitioned analogue of the serial
-/// operator's streaming pairwise reader (`zip_chunks`), so a part's
-/// transient memory is O(chunk) irrespective of its span.
+/// # Panics
+/// Panics if the inputs do not have the same logical length.
 pub fn calc_binary_part(
     op: BinaryOp,
     lhs: &Column,
@@ -218,64 +204,18 @@ pub fn calc_binary_part(
     format: &Format,
     style: ProcessingStyle,
 ) -> Column {
-    assert!(
-        lhs.logical_len() == rhs.logical_len(),
-        "position-wise operators require equally long inputs: \
-         lhs holds {} elements ({}), rhs holds {} elements ({})",
-        lhs.logical_len(),
-        lhs.format(),
-        rhs.logical_len(),
-        rhs.format(),
-    );
-    let start = lhs.chunk_logical_start(chunks.start);
-    let end = lhs.chunk_logical_start(chunks.end);
-    let mut pulled = PullSide::new(rhs.cursor_at(start..end));
     let mut builder = ColumnBuilder::new(*format);
     let mut scratch: Vec<u64> = Vec::new();
-    lhs.for_each_chunk_in(chunks, &mut |_, chunk| {
-        crate::govern::checkpoint_chunk();
-        let mut done = 0usize;
-        while done < chunk.len() {
-            let available = pulled.peek();
-            // A drained pull side here means the rhs decoded fewer values
-            // than the aligned span — fail loudly with a structured
-            // payload, never spin.
-            if available.is_empty() {
-                std::panic::panic_any(morph_compression::DecodeError::CorruptHeader {
-                    format: "pairwise",
-                    detail: format!(
-                        "rhs ({}) ended early inside logical range {start}..{end}",
-                        rhs.format(),
-                    ),
-                });
-            }
-            let n = (chunk.len() - done).min(available.len());
-            scratch.clear();
-            match style {
-                ProcessingStyle::Scalar => kernels::binary_op::<Scalar>(
-                    op,
-                    &chunk[done..done + n],
-                    &available[..n],
-                    &mut scratch,
-                ),
-                ProcessingStyle::Vectorized => kernels::binary_op::<V512>(
-                    op,
-                    &chunk[done..done + n],
-                    &available[..n],
-                    &mut scratch,
-                ),
-            }
-            builder.push_slice(&scratch);
-            pulled.advance(n);
-            done += n;
-        }
+    zip_chunks(lhs, rhs, chunks, &mut |a, b| {
+        scratch.clear();
+        binary_chunk(style, op, a, b, &mut scratch);
+        builder.push_slice(&scratch);
     });
-    pulled.finish();
     builder.finish()
 }
 
 /// Partial sorted intersection: the values of the chunk range `chunks` of
-/// `a` that also occur in the sorted column `b` (the partitioned
+/// `a` that also occur in the sorted column `b` (the chunk-range kernel of
 /// [`crate::intersect_sorted`]).
 ///
 /// Both sides stay compressed: each part opens its own [`ChunkCursor`] over
@@ -285,7 +225,7 @@ pub fn calc_binary_part(
 /// so a part costs its share of `a` plus the matching span of `b`, with
 /// O(chunk) transient memory.  Both position lists are strictly increasing,
 /// so concatenating the partials of a contiguous partition in range order
-/// yields exactly the serial intersection.
+/// yields exactly the whole-range intersection.
 pub fn intersect_sorted_part(
     a: &Column,
     b: &Column,
@@ -344,7 +284,7 @@ fn seek_cursor_to_value(b: &Column, cursor: &mut morph_storage::ColumnCursor<'_>
 /// order — into one column in `format`.
 ///
 /// The result is byte-identical to a single [`ColumnBuilder`] fed the
-/// concatenated value sequence, i.e. to the serial operator
+/// concatenated value sequence, i.e. to the one-part run
 /// ([`ColumnBuilder::append_column`] splices position-independent formats
 /// without re-encoding and re-pushes the rest through the streaming
 /// compressor).
@@ -362,144 +302,150 @@ pub fn concat_partials<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::select::{select, select_between};
-    use crate::{agg_sum, project, semi_join};
 
     fn sample(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| (i * 2654435761) % 1000).collect()
     }
 
+    /// Part counts every kernel table runs: `1` is the whole-column operator
+    /// (serial *is* the one-part case), the rest exercise the splice.
+    const PARTS: [usize; 4] = [1, 2, 3, 7];
+
+    /// Run `kernel` over every [`PARTS`]-way partition of `input` and assert
+    /// the range-order splice is byte-identical to `expected`, the reference
+    /// result compressed from scratch.
+    fn assert_splices_to(
+        input: &Column,
+        expected: &[u64],
+        out_format: &Format,
+        what: &str,
+        kernel: impl Fn(Range<usize>) -> Column,
+    ) {
+        let expected = Column::compress(expected, out_format);
+        for parts in PARTS {
+            let partials: Vec<Column> = partition(input, parts).into_iter().map(&kernel).collect();
+            assert_eq!(
+                concat_partials(out_format, &partials),
+                expected,
+                "{what}, {parts} parts"
+            );
+        }
+    }
+
+    fn positions_where(values: &[u64], keep: impl Fn(u64) -> bool) -> Vec<u64> {
+        (0..values.len() as u64)
+            .filter(|&i| keep(values[i as usize]))
+            .collect()
+    }
+
     #[test]
-    fn partitioned_select_is_byte_identical_to_serial_for_all_formats() {
+    fn select_parts_splice_byte_identically_for_all_formats() {
         let values = sample(20_000);
-        let settings = ExecSettings::vectorized_compressed();
+        let expected = positions_where(&values, |v| v < 300);
         for in_format in Format::all_formats(999) {
             let input = Column::compress(&values, &in_format);
             for out_format in [Format::DeltaDynBp, Format::DynBp, Format::Rle, Format::Dict] {
-                let serial = select(CmpOp::Lt, &input, 300, &out_format, &settings);
-                for parts in [1, 2, 3, 7] {
-                    let ranges = partition(&input, parts);
-                    let partials: Vec<Column> = ranges
-                        .iter()
-                        .map(|r| {
-                            select_part(
-                                CmpOp::Lt,
-                                &input,
-                                300,
-                                r.clone(),
-                                &out_format,
-                                settings.style,
-                            )
-                        })
-                        .collect();
-                    let merged = concat_partials(&out_format, &partials);
-                    assert_eq!(merged, serial, "{in_format} -> {out_format}, {parts} parts");
-                }
+                let what = format!("{in_format} -> {out_format}");
+                assert_splices_to(&input, &expected, &out_format, &what, |r| {
+                    let style = ProcessingStyle::Vectorized;
+                    select_part(CmpOp::Lt, &input, 300, r, &out_format, style)
+                });
             }
         }
     }
 
     #[test]
-    fn partitioned_select_between_matches_serial() {
+    fn select_between_parts_splice_byte_identically_for_all_formats() {
         let values = sample(12_000);
-        let input = Column::compress(&values, &Format::DynBp);
-        let settings = ExecSettings::vectorized_compressed();
-        let serial = select_between(&input, 100, 400, &Format::DeltaDynBp, &settings);
-        let partials: Vec<Column> = partition(&input, 4)
-            .iter()
-            .map(|r| select_between_part(&input, 100, 400, r.clone(), &Format::DeltaDynBp))
-            .collect();
-        assert_eq!(concat_partials(&Format::DeltaDynBp, &partials), serial);
+        let expected = positions_where(&values, |v| (100..=400).contains(&v));
+        let out = Format::DeltaDynBp;
+        for in_format in Format::all_formats(999) {
+            let input = Column::compress(&values, &in_format);
+            assert_splices_to(&input, &expected, &out, &in_format.to_string(), |r| {
+                select_between_part(&input, 100, 400, r, &out)
+            });
+            // An inverted range selects nothing, on every partition.
+            assert_splices_to(&input, &[], &out, "inverted range", |r| {
+                select_between_part(&input, 400, 100, r, &out)
+            });
+        }
     }
 
     #[test]
-    fn partitioned_project_matches_serial() {
+    fn project_parts_splice_byte_identically_for_all_formats() {
         let data_values = sample(8000);
         let positions: Vec<u64> = (0..8000u64).filter(|p| p % 3 == 0).collect();
+        let expected: Vec<u64> = positions.iter().map(|&p| data_values[p as usize]).collect();
         let data = Column::compress(&data_values, &Format::StaticBp(10));
-        let pos = Column::compress(&positions, &Format::DeltaDynBp);
-        let settings = ExecSettings::vectorized_compressed();
-        let serial = project(&data, &pos, &Format::DynBp, &settings);
-        let partials: Vec<Column> = partition(&pos, 3)
-            .iter()
-            .map(|r| project_part(&data, &pos, r.clone(), &Format::DynBp))
-            .collect();
-        assert_eq!(concat_partials(&Format::DynBp, &partials), serial);
+        for pos_format in Format::all_formats(7999) {
+            let pos = Column::compress(&positions, &pos_format);
+            assert_splices_to(
+                &pos,
+                &expected,
+                &Format::DynBp,
+                &pos_format.to_string(),
+                |r| project_part(&data, &pos, r, &Format::DynBp),
+            );
+        }
     }
 
     #[test]
-    fn partitioned_semi_join_is_byte_identical_to_serial_for_all_formats() {
+    fn semi_join_parts_splice_byte_identically_for_all_formats() {
         let probe_values: Vec<u64> = (0..15_000u64).map(|i| i % 997).collect();
         let dense_build: Vec<u64> = (0..200u64).map(|i| i * 5).collect();
         // One far outlier stretches the key range past any dense table.
         let mut sparse_build = dense_build.clone();
         sparse_build.push(1 << 50);
-        let settings = ExecSettings::vectorized_compressed();
+        let expected = positions_where(&probe_values, |v| v % 5 == 0);
+        assert_eq!(expected.len(), 15_000 / 997 * 200 + 9);
         for (build_values, dense) in [(&dense_build, true), (&sparse_build, false)] {
             let build = Column::compress(build_values, &Format::DynBp);
             for probe_format in Format::all_formats(996) {
                 let probe = Column::compress(&probe_values, &probe_format);
-                let serial = semi_join(&probe, &build, &Format::DeltaDynBp, &settings);
-                assert_eq!(serial.logical_len(), 15_000 / 997 * 200 + 9);
                 let set = build_semi_join_set(&build, probe.logical_len());
                 assert_eq!(set.is_dense(), dense);
-                for parts in [1, 2, 5] {
-                    let partials: Vec<Column> = partition(&probe, parts)
-                        .iter()
-                        .map(|r| semi_join_part(&probe, &set, r.clone(), &Format::DeltaDynBp))
-                        .collect();
-                    assert_eq!(
-                        concat_partials(&Format::DeltaDynBp, &partials),
-                        serial,
-                        "{probe_format}, {parts} parts, dense {dense}"
-                    );
-                }
+                let what = format!("{probe_format}, dense {dense}");
+                assert_splices_to(&probe, &expected, &Format::DeltaDynBp, &what, |r| {
+                    semi_join_part(&probe, &set, r, &Format::DeltaDynBp)
+                });
             }
         }
     }
 
     #[test]
-    fn partitioned_calc_is_byte_identical_to_serial_for_all_formats() {
+    fn calc_parts_splice_byte_identically_for_all_formats() {
         let lhs_values = sample(18_000);
         let rhs_values: Vec<u64> = (0..18_000u64).map(|i| (i * 31) % 4000 + 1).collect();
-        let settings = ExecSettings::vectorized_compressed();
+        // The right operand deliberately carries a different chunk grid.
+        let rhs = Column::compress(&rhs_values, &Format::DeltaDynBp);
         for lhs_format in Format::all_formats(999) {
             let lhs = Column::compress(&lhs_values, &lhs_format);
-            // The right operand deliberately carries a different chunk grid.
-            let rhs = Column::compress(&rhs_values, &Format::DeltaDynBp);
             for out_format in [Format::DynBp, Format::Rle, Format::DeltaDynBp] {
                 for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul] {
-                    let serial = crate::calc_binary(op, &lhs, &rhs, &out_format, &settings);
-                    for parts in [1, 2, 5] {
-                        let partials: Vec<Column> = partition(&lhs, parts)
-                            .iter()
-                            .map(|r| {
-                                calc_binary_part(
-                                    op,
-                                    &lhs,
-                                    &rhs,
-                                    r.clone(),
-                                    &out_format,
-                                    settings.style,
-                                )
-                            })
-                            .collect();
-                        let merged = concat_partials(&out_format, &partials);
-                        assert_eq!(
-                            merged, serial,
-                            "{lhs_format} {op:?} -> {out_format}, {parts} parts"
-                        );
-                    }
+                    let expected: Vec<u64> = lhs_values
+                        .iter()
+                        .zip(&rhs_values)
+                        .map(|(&x, &y)| match op {
+                            BinaryOp::Add => x.wrapping_add(y),
+                            BinaryOp::Sub => x.wrapping_sub(y),
+                            BinaryOp::Mul => x.wrapping_mul(y),
+                        })
+                        .collect();
+                    let what = format!("{lhs_format} {op:?} -> {out_format}");
+                    assert_splices_to(&lhs, &expected, &out_format, &what, |r| {
+                        let style = ProcessingStyle::Vectorized;
+                        calc_binary_part(op, &lhs, &rhs, r, &out_format, style)
+                    });
                 }
             }
         }
     }
 
     #[test]
-    fn partitioned_intersect_is_byte_identical_to_serial() {
+    fn intersect_parts_splice_byte_identically() {
         let a_values: Vec<u64> = (0..40_000u64).filter(|i| i % 3 == 0).collect();
         let b_values: Vec<u64> = (0..40_000u64).filter(|i| i % 5 == 0).collect();
-        let settings = ExecSettings::vectorized_compressed();
+        let expected: Vec<u64> = (0..40_000u64).filter(|i| i % 15 == 0).collect();
         for (a_format, b_format) in [
             (Format::DeltaDynBp, Format::DeltaDynBp),
             (Format::DynBp, Format::Uncompressed),
@@ -508,45 +454,39 @@ mod tests {
             let a = Column::compress(&a_values, &a_format);
             let b = Column::compress(&b_values, &b_format);
             for out_format in [Format::DeltaDynBp, Format::Uncompressed, Format::Rle] {
-                let serial = crate::intersect_sorted(&a, &b, &out_format, &settings);
-                for parts in [1, 2, 4, 9] {
-                    let partials: Vec<Column> = partition(&a, parts)
-                        .iter()
-                        .map(|r| intersect_sorted_part(&a, &b, r.clone(), &out_format))
-                        .collect();
-                    let merged = concat_partials(&out_format, &partials);
-                    assert_eq!(
-                        merged, serial,
-                        "{a_format}/{b_format} -> {out_format}, {parts} parts"
-                    );
-                }
+                let what = format!("{a_format}/{b_format} -> {out_format}");
+                assert_splices_to(&a, &expected, &out_format, &what, |r| {
+                    intersect_sorted_part(&a, &b, r, &out_format)
+                });
             }
         }
         // Asymmetric sizes: the partitioned side may be the shorter one.
         let small: Vec<u64> = (0..500u64).map(|i| i * 16).collect();
+        let expected: Vec<u64> = small.iter().copied().filter(|v| v % 3 == 0).collect();
         let a = Column::compress(&small, &Format::DeltaDynBp);
         let b = Column::compress(&a_values, &Format::DeltaDynBp);
-        let serial = crate::intersect_sorted(&a, &b, &Format::DeltaDynBp, &settings);
-        let partials: Vec<Column> = partition(&a, 3)
-            .iter()
-            .map(|r| intersect_sorted_part(&a, &b, r.clone(), &Format::DeltaDynBp))
-            .collect();
-        assert_eq!(concat_partials(&Format::DeltaDynBp, &partials), serial);
+        assert_splices_to(&a, &expected, &Format::DeltaDynBp, "short a", |r| {
+            intersect_sorted_part(&a, &b, r, &Format::DeltaDynBp)
+        });
     }
 
     #[test]
-    fn partitioned_sum_matches_serial_including_wrapping() {
+    fn sum_parts_reduce_to_the_wrapping_sum_for_all_formats() {
         let mut values = sample(9000);
         values[17] = u64::MAX;
         values[8000] = u64::MAX - 3;
-        for format in [Format::Uncompressed, Format::DynBp, Format::Rle] {
+        let expected = values.iter().fold(0u64, |acc, &v| acc.wrapping_add(v));
+        for format in Format::all_formats(u64::MAX) {
             let input = Column::compress(&values, &format);
-            let serial = agg_sum(&input, &ExecSettings::vectorized_compressed());
-            let total = partition(&input, 4)
-                .into_iter()
-                .map(|r| agg_sum_part(&input, r, ProcessingStyle::Vectorized))
-                .fold(0u64, u64::wrapping_add);
-            assert_eq!(total, serial, "format {format}");
+            for style in [ProcessingStyle::Scalar, ProcessingStyle::Vectorized] {
+                for parts in PARTS {
+                    let total = partition(&input, parts)
+                        .into_iter()
+                        .map(|r| agg_sum_part(&input, r, style))
+                        .fold(0u64, u64::wrapping_add);
+                    assert_eq!(total, expected, "{format}, {style:?}, {parts} parts");
+                }
+            }
         }
     }
 

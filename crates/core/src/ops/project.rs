@@ -10,27 +10,19 @@
 //! restriction.
 
 use morph_compression::Format;
-use morph_storage::{Column, ColumnBuilder};
+use morph_storage::Column;
 
 use crate::exec::{ExecSettings, IntegrationDegree};
 use crate::ops::agg::agg_max;
+use crate::ops::partitioned::{effective_output_format, project_part};
 use crate::specialized;
-
-/// Ensure `data` supports random access, morphing it to static BP when it
-/// does not.  Returns either a borrowed or a morphed column.
-fn with_random_access(data: &Column) -> std::borrow::Cow<'_, Column> {
-    match ensure_random_access(data) {
-        None => std::borrow::Cow::Borrowed(data),
-        Some(morphed) => std::borrow::Cow::Owned(morphed),
-    }
-}
 
 /// The morph a project must apply before random-accessing `data`:
 /// `Some(static BP copy)` when the format does not support random access,
 /// `None` when `data` can be gathered from directly.
 ///
-/// Exposed to the morsel scheduler so the (serial) morph happens once per
-/// operator, before the gather fans out across workers.
+/// Shared with the morsel scheduler and the fused executor so the (serial)
+/// morph happens once per operator, before the gather fans out.
 pub(crate) fn ensure_random_access(data: &Column) -> Option<Column> {
     if data.supports_random_access() {
         None
@@ -40,13 +32,30 @@ pub(crate) fn ensure_random_access(data: &Column) -> Option<Column> {
     }
 }
 
+/// The chunk step of project: append `data[position]` for every position of
+/// one chunk of the position list.  `data` must support random access.
+///
+/// # Panics
+/// Panics if a position is out of bounds for `data`.
+#[inline]
+pub(crate) fn gather_chunk(data: &Column, positions: &[u64], out: &mut Vec<u64>) {
+    out.reserve(positions.len());
+    for &position in positions {
+        let value = data
+            .get(position as usize)
+            .unwrap_or_else(|| panic!("project: position {position} out of bounds"));
+        out.push(value);
+    }
+}
+
 /// Gather `data[position]` for every position in `positions` (in order),
 /// materialising the output in `out_format`.
 ///
 /// With the specialized degree, a static-BP data column is gathered straight
 /// off the packed bit stream ([`specialized::project_on_static_bp`]); any
-/// other format keeps the general path (morph to a random-access format if
-/// needed, then per-element access).
+/// other format keeps the general path: morph to a random-access format if
+/// needed, then the chunk-range kernel [`project_part`] over the whole
+/// position list.
 ///
 /// # Panics
 /// Panics if a position is out of bounds for `data`.
@@ -61,36 +70,13 @@ pub fn project(
     {
         return specialized::project_on_static_bp(data, positions, out_format);
     }
-    let data = with_random_access(data);
-    let gather = |chunk: &[u64], out: &mut Vec<u64>| {
-        for &position in chunk {
-            let value = data
-                .get(position as usize)
-                .unwrap_or_else(|| panic!("project: position {position} out of bounds"));
-            out.push(value);
-        }
-    };
-    match settings.degree {
-        IntegrationDegree::PurelyUncompressed => {
-            let mut values = Vec::with_capacity(positions.logical_len());
-            positions.for_each_chunk(&mut |chunk| {
-                crate::govern::checkpoint_chunk();
-                gather(chunk, &mut values);
-            });
-            Column::from_vec(values)
-        }
-        _ => {
-            let mut builder = ColumnBuilder::new(*out_format);
-            let mut scratch: Vec<u64> = Vec::new();
-            positions.for_each_chunk(&mut |chunk| {
-                crate::govern::checkpoint_chunk();
-                scratch.clear();
-                gather(chunk, &mut scratch);
-                builder.push_slice(&scratch);
-            });
-            builder.finish()
-        }
-    }
+    let morphed = ensure_random_access(data);
+    project_part(
+        morphed.as_ref().unwrap_or(data),
+        positions,
+        0..positions.chunk_count(),
+        &effective_output_format(out_format, settings),
+    )
 }
 
 #[cfg(test)]

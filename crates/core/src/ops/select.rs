@@ -8,13 +8,14 @@
 //! input×output format combinations of Figure 5.
 
 use morph_compression::Format;
-use morph_storage::{Column, ColumnBuilder};
+use morph_storage::Column;
 use morph_vector::emu::V512;
 use morph_vector::kernels;
 use morph_vector::scalar::Scalar;
 use morph_vector::ProcessingStyle;
 
 use crate::exec::{ExecSettings, IntegrationDegree};
+use crate::ops::partitioned::{effective_output_format, select_between_part, select_part};
 use crate::specialized;
 use crate::CmpOp;
 
@@ -39,17 +40,33 @@ pub(crate) fn filter_chunk(
     }
 }
 
+/// The chunk step of the range select: append the positions (offset by
+/// `base`) of the values of `chunk` lying in `[low, high]`.  SQL semantics:
+/// an inverted range (`low > high`) contains no value, so it selects
+/// nothing.
+#[inline]
+pub(crate) fn between_chunk(chunk: &[u64], low: u64, high: u64, base: u64, out: &mut Vec<u64>) {
+    for (i, &value) in chunk.iter().enumerate() {
+        if value >= low && value <= high {
+            out.push(base + i as u64);
+        }
+    }
+}
+
 /// Select the positions of `input` whose value satisfies `op` against
 /// `constant`; the output column is materialised in `out_format`.
 ///
 /// The execution follows the chosen [`IntegrationDegree`]:
-/// * purely uncompressed — the output is uncompressed regardless of
-///   `out_format` (the baseline involves no compressed data at all),
-/// * on-the-fly de/re-compression — input chunks are decompressed into the
-///   cache, filtered, and the resulting positions recompressed,
+/// * purely uncompressed and on-the-fly de/re-compression — the chunk-range
+///   kernel [`select_part`] over the whole column: input chunks are
+///   decompressed into the cache, filtered, and the resulting positions
+///   recompressed (uncompressed regardless of `out_format` under the purely
+///   uncompressed degree, see [`effective_output_format`]),
 /// * specialized — if the input is RLE-compressed, the run-based kernel of
 ///   [`specialized::select_on_rle`] processes the compressed data directly;
-///   otherwise the operator falls back to on-the-fly de/re-compression,
+///   otherwise the operator falls back to on-the-fly de/re-compression
+///   (Section 3.3: the degree choice depends on the availability of the
+///   respective variant),
 /// * on-the-fly morphing — the input is morphed to RLE first so the
 ///   specialized kernel can be used irrespective of the input format.
 pub fn select(
@@ -60,59 +77,27 @@ pub fn select(
     settings: &ExecSettings,
 ) -> Column {
     match settings.degree {
-        IntegrationDegree::PurelyUncompressed => {
-            let mut positions = Vec::new();
-            let mut base = 0u64;
-            input.for_each_chunk(&mut |chunk| {
-                crate::govern::checkpoint_chunk();
-                filter_chunk(settings.style, op, chunk, constant, base, &mut positions);
-                base += chunk.len() as u64;
-            });
-            Column::from_vec(positions)
-        }
-        IntegrationDegree::OnTheFlyDeRecompression => {
-            select_de_recompress(op, input, constant, out_format, settings)
-        }
-        IntegrationDegree::Specialized => {
-            if input.format() == &Format::Rle {
-                specialized::select_on_rle(op, input, constant, out_format)
-            } else {
-                // No specialization available for this input format: fall
-                // back to the general degree (Section 3.3: the degree choice
-                // depends on the availability of the respective variant).
-                select_de_recompress(op, input, constant, out_format, settings)
-            }
+        IntegrationDegree::Specialized if input.format() == &Format::Rle => {
+            specialized::select_on_rle(op, input, constant, out_format)
         }
         IntegrationDegree::OnTheFlyMorphing => {
             let morphed = input.to_format(&Format::Rle);
             specialized::select_on_rle(op, &morphed, constant, out_format)
         }
+        _ => select_part(
+            op,
+            input,
+            constant,
+            0..input.chunk_count(),
+            &effective_output_format(out_format, settings),
+            settings.style,
+        ),
     }
-}
-
-fn select_de_recompress(
-    op: CmpOp,
-    input: &Column,
-    constant: u64,
-    out_format: &Format,
-    settings: &ExecSettings,
-) -> Column {
-    let mut builder = ColumnBuilder::new(*out_format);
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut base = 0u64;
-    input.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        scratch.clear();
-        filter_chunk(settings.style, op, chunk, constant, base, &mut scratch);
-        builder.push_slice(&scratch);
-        base += chunk.len() as u64;
-    });
-    builder.finish()
 }
 
 /// Select the positions of `input` whose value lies in `[low, high]`
 /// (inclusive range predicate, used by the SSB queries for date and discount
-/// ranges).
+/// ranges); an inverted range selects nothing.
 pub fn select_between(
     input: &Column,
     low: u64,
@@ -120,34 +105,13 @@ pub fn select_between(
     out_format: &Format,
     settings: &ExecSettings,
 ) -> Column {
-    assert!(low <= high, "select_between requires low <= high");
-    let produce = |builder_push: &mut dyn FnMut(&[u64])| {
-        let mut scratch: Vec<u64> = Vec::new();
-        let mut base = 0u64;
-        input.for_each_chunk(&mut |chunk| {
-            crate::govern::checkpoint_chunk();
-            scratch.clear();
-            for (i, &value) in chunk.iter().enumerate() {
-                if value >= low && value <= high {
-                    scratch.push(base + i as u64);
-                }
-            }
-            builder_push(&scratch);
-            base += chunk.len() as u64;
-        });
-    };
-    match settings.degree {
-        IntegrationDegree::PurelyUncompressed => {
-            let mut positions = Vec::new();
-            produce(&mut |chunk| positions.extend_from_slice(chunk));
-            Column::from_vec(positions)
-        }
-        _ => {
-            let mut builder = ColumnBuilder::new(*out_format);
-            produce(&mut |chunk| builder.push_slice(chunk));
-            builder.finish()
-        }
-    }
+    select_between_part(
+        input,
+        low,
+        high,
+        0..input.chunk_count(),
+        &effective_output_format(out_format, settings),
+    )
 }
 
 #[cfg(test)]
@@ -294,16 +258,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "low <= high")]
-    fn select_between_rejects_inverted_range() {
-        let input = Column::from_slice(&[1, 2, 3]);
-        select_between(
-            &input,
-            10,
-            5,
-            &Format::Uncompressed,
-            &ExecSettings::default(),
-        );
+    fn inverted_range_selects_nothing_on_every_path() {
+        use crate::exec::{ExecutionContext, FormatConfig};
+        use crate::plan::PlanBuilder;
+        use crate::ParallelExecutor;
+        use std::collections::HashMap;
+
+        let values = sample(20_000);
+        let source: HashMap<String, Column> =
+            [("x".to_string(), Column::compress(&values, &Format::DynBp))].into();
+        // SUM over the (empty) position list of `x BETWEEN 7 AND 3`.
+        let mut b = PlanBuilder::new("inv");
+        let x = b.scan("x");
+        let pos = b.select_between("pos", x, 7, 3);
+        let at = b.project("at", x, pos);
+        let total = b.agg_sum("total", at);
+        let plan = b.finish_scalar(total);
+        let formats = FormatConfig::with_default(Format::DeltaDynBp);
+        let serial = ExecSettings::vectorized_compressed();
+        let morsels = ExecSettings {
+            morsel_threshold: Some(1024),
+            ..serial.clone()
+        };
+        let mut outcomes = Vec::new();
+        for (settings, threads) in [
+            (serial.clone(), 1),
+            (morsels.clone(), 2),
+            (serial.with_fusion(), 1),
+            (morsels.with_fusion(), 2),
+        ] {
+            let mut ctx = ExecutionContext::new(settings, formats.clone());
+            ctx.enable_capture();
+            let output = ParallelExecutor::new(threads).execute(&plan, &source, &mut ctx);
+            assert_eq!(output.values, vec![0]);
+            outcomes.push((ctx.captured_columns().clone(), ctx.records().to_vec()));
+        }
+        let positions = &outcomes[0].0["inv/pos"];
+        assert!(positions.is_empty());
+        assert_eq!(positions.format(), &Format::DeltaDynBp);
+        for other in &outcomes[1..] {
+            assert_eq!(other, &outcomes[0], "byte-identical on every path");
+        }
     }
 
     #[test]

@@ -566,7 +566,7 @@ impl ParallelExecutor {
                                 }
                                 Task::FusedPart(job, part) => {
                                     let region = fusion.region(job.region_index);
-                                    let partial = crate::fusion::run_region_part(
+                                    let (partial, _) = crate::fusion::run_region_part(
                                         plan,
                                         region,
                                         &job.prepared,

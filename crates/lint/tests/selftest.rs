@@ -39,11 +39,17 @@ fn l1_accepts_safety_comment() {
 
 #[test]
 fn l2_fires_once_on_hot_path_unwrap() {
-    let fired = rules_fired(
+    // Every layer of the single read path is covered: format cursors, the
+    // column walker, the operator chunk steps and the fused chunk loop.
+    for label in [
         "crates/compression/src/fixture.rs",
-        "l2_unwrap_in_hot_path.rs",
-    );
-    assert_eq!(fired, vec!["L2"]);
+        "crates/storage/src/fixture.rs",
+        "crates/core/src/ops/fixture.rs",
+        "crates/core/src/fusion.rs",
+    ] {
+        let fired = rules_fired(label, "l2_unwrap_in_hot_path.rs");
+        assert_eq!(fired, vec!["L2"], "{label}");
+    }
 }
 
 #[test]

@@ -911,6 +911,19 @@ mod tests {
     }
 
     #[test]
+    fn inverted_between_selects_nothing() {
+        // SQL semantics: `x BETWEEN 7 AND 3` is an empty range, not an error.
+        let scalar = run("SELECT SUM(f_a) FROM fact WHERE f_a BETWEEN 7 AND 3");
+        assert_eq!(scalar.values, vec![0]);
+        let grouped = run(
+            "SELECT f_dim, SUM(f_a) FROM fact WHERE f_a BETWEEN 7 AND 3 \
+             GROUP BY f_dim ORDER BY f_dim",
+        );
+        assert_eq!(grouped.group_keys, vec![Vec::<u64>::new()]);
+        assert!(grouped.values.is_empty());
+    }
+
+    #[test]
     fn unknown_names_get_suggestions() {
         match compile("SELECT SUM(f_a) FROM factz WHERE f_a = 1", &catalog()) {
             Err(SqlError::UnknownTable { did_you_mean, .. }) => {

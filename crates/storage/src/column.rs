@@ -3,9 +3,8 @@
 use std::sync::{Arc, OnceLock};
 
 use morph_compression::{
-    chunk_directory, compress_main_part, cursor_for, for_each_decompressed_block,
-    for_each_decompressed_block_in, get_element, morph, uncompressed, ChunkCursor, ChunkEntry,
-    Format,
+    chunk_directory, compress_main_part, cursor_for, get_element, morph, uncompressed, ChunkCursor,
+    ChunkEntry, DecodeError, Format,
 };
 
 use crate::builder::ColumnBuilder;
@@ -148,12 +147,10 @@ impl Column {
 
     /// The uncompressed remainder, decoded.
     pub fn remainder_values(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.remainder_len());
-        let bytes = &self.data[self.main_bytes..];
-        for chunk in bytes.chunks_exact(8) {
-            out.push(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-        }
-        out
+        self.data[self.main_bytes..]
+            .chunks_exact(8)
+            .map(|word| uncompressed::get(word, 0))
+            .collect()
     }
 
     /// Total number of bytes used by the column's data (compressed main part
@@ -171,21 +168,16 @@ impl Column {
     }
 
     /// Visit the column's values as a sequence of cache-resident uncompressed
-    /// chunks: the main part is decompressed block by block, then the
-    /// remainder is passed as one final chunk.
+    /// chunks ([`Column::cursor`] driven to completion): the main part is
+    /// decompressed block by block, then the remainder is passed as one
+    /// final chunk.
     ///
     /// This is the input-side buffer layer of Figure 4 — no operator ever
     /// needs the whole column in uncompressed form (DP3).
     pub fn for_each_chunk(&self, consumer: &mut dyn FnMut(&[u64])) {
-        for_each_decompressed_block(
-            &self.format,
-            self.main_part_bytes(),
-            self.main_len,
-            consumer,
-        );
-        if self.remainder_len() > 0 {
-            let remainder = self.remainder_values();
-            consumer(&remainder);
+        let mut cursor = self.cursor();
+        while let Some(chunk) = cursor.next_chunk() {
+            consumer(chunk);
         }
     }
 
@@ -287,25 +279,15 @@ impl Column {
             "chunk range {chunks:?} exceeds {} chunks",
             self.chunk_count()
         );
-        let main_entries = self.chunks.len();
-        let main_end = chunks.end.min(main_entries);
-        if chunks.start < main_end {
-            let mut pos = self.chunks[chunks.start].logical_start as u64;
-            for_each_decompressed_block_in(
-                &self.format,
-                self.main_part_bytes(),
-                self.main_len,
-                &self.chunks,
-                chunks.start..main_end,
-                &mut |piece| {
-                    consumer(pos, piece);
-                    pos += piece.len() as u64;
-                },
-            );
+        if chunks.is_empty() {
+            return;
         }
-        if chunks.end > main_entries && chunks.start <= main_entries && self.remainder_len() > 0 {
-            let remainder = self.remainder_values();
-            consumer(self.main_len as u64, &remainder);
+        let start = self.chunk_logical_start(chunks.start);
+        let mut cursor = self.cursor_at(start..self.chunk_logical_start(chunks.end));
+        let mut pos = start as u64;
+        while let Some(piece) = cursor.next_chunk() {
+            consumer(pos, piece);
+            pos += piece.len() as u64;
         }
     }
 
@@ -323,9 +305,9 @@ impl Column {
             return Vec::new();
         }
         let mut bounds = vec![0usize];
+        let mut lo = 0usize;
         for i in 1..parts {
             let target = self.len * i / parts;
-            let mut lo = *bounds.last().expect("non-empty");
             let mut hi = n;
             // First chunk whose logical start reaches the target split point.
             while lo < hi {
@@ -356,10 +338,8 @@ impl Column {
             return None;
         }
         if idx >= self.main_len {
-            let offset = self.main_bytes + (idx - self.main_len) * 8;
-            return Some(u64::from_le_bytes(
-                self.data[offset..offset + 8].try_into().expect("8 bytes"),
-            ));
+            let remainder = &self.data[self.main_bytes..];
+            return Some(uncompressed::get(remainder, idx - self.main_len));
         }
         get_element(&self.format, self.main_part_bytes(), self.main_len, idx)
     }
@@ -434,7 +414,7 @@ impl Column {
             // physical representation (main part + remainder).
             let mut words = self.data.chunks_exact(8);
             for word in &mut words {
-                mix(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+                mix(uncompressed::get(word, 0));
             }
             for &byte in words.remainder() {
                 mix(byte as u64);
@@ -443,32 +423,12 @@ impl Column {
         })
     }
 
-    /// Visit the values of the logical index range `range` as cache-resident
-    /// uncompressed pieces, seeking through the chunk directory (no prefix
-    /// replay) and trimming the first and last covering chunk.
+    /// A pull-based cursor over the column's whole logical content — the one
+    /// main-part + remainder walker every other visitor drives.
     ///
-    /// This is the pairwise companion of [`Column::for_each_chunk_in`]; the
-    /// pull-based equivalent is [`Column::cursor_at`], which this method
-    /// merely drives to completion.
-    pub fn for_each_logical_range(
-        &self,
-        range: std::ops::Range<usize>,
-        consumer: &mut dyn FnMut(&[u64]),
-    ) {
-        let mut cursor = self.cursor_at(range);
-        while let Some(piece) = cursor.next_chunk() {
-            consumer(piece);
-        }
-    }
-
-    /// A pull-based cursor over the column's whole logical content — the
-    /// [`ChunkCursor`] counterpart of [`Column::for_each_chunk`].
-    ///
-    /// Where the push-style visitors drive one decoder to completion, a
-    /// cursor lets the *caller* control the pace, so two compressed columns
-    /// can be paired position-wise on one thread with at most one
-    /// chunk-sized carry buffer per input (the streaming pairwise reader of
-    /// DESIGN.md).
+    /// The *caller* controls the pace, so two compressed columns can be
+    /// paired position-wise on one thread with at most one chunk-sized
+    /// carry buffer per input (DESIGN.md, "Read path").
     pub fn cursor(&self) -> ColumnCursor<'_> {
         self.cursor_at(0..self.len)
     }
@@ -570,23 +530,21 @@ impl std::fmt::Debug for ColumnCursor<'_> {
 }
 
 impl ChunkCursor for ColumnCursor<'_> {
-    fn next_chunk(&mut self) -> Option<&[u64]> {
+    fn try_next_chunk(&mut self) -> Result<Option<&[u64]>, DecodeError> {
         while self.pos < self.end && self.pos < self.column.main_len {
             // Decode the next piece, releasing its borrow immediately (the
             // geometry is all the skip decision needs); the piece stays
             // resident in the format cursor's decode buffer and is
             // re-borrowed via `last_chunk` once it is known to overlap.
             // A drained format cursor here means the main part decoded
-            // fewer values than its logical length — corrupt data, raised
-            // as a structured payload rather than a stringly expect.
-            let len = match self.main.next_chunk() {
-                Some(piece) => piece.len(),
-                None => std::panic::panic_any(morph_compression::DecodeError::Truncated {
+            // fewer values than its logical length — corrupt data.
+            let Some(len) = self.main.try_next_chunk()?.map(<[u64]>::len) else {
+                return Err(DecodeError::Truncated {
                     format: "chunk-cursor",
                     offset: self.main_pos,
                     needed: self.end,
                     available: self.main_pos,
-                }),
+                });
             };
             let chunk_start = self.main_pos;
             self.main_pos += len;
@@ -597,17 +555,19 @@ impl ChunkCursor for ColumnCursor<'_> {
             if lo < hi {
                 self.pos = hi;
                 self.last = LastChunk::Main(lo - chunk_start, hi - chunk_start);
-                return Some(&self.main.last_chunk()[lo - chunk_start..hi - chunk_start]);
+                return Ok(Some(
+                    &self.main.last_chunk()[lo - chunk_start..hi - chunk_start],
+                ));
             }
         }
         if self.pos >= self.end {
-            return None;
+            return Ok(None);
         }
         let lo = self.pos - self.column.main_len;
         let hi = self.end - self.column.main_len;
         self.pos = self.end;
         self.last = LastChunk::Remainder(lo, hi);
-        Some(&self.remainder[lo..hi])
+        Ok(Some(&self.remainder[lo..hi]))
     }
 
     fn last_chunk(&self) -> &[u64] {
@@ -840,9 +800,10 @@ mod tests {
             let column = Column::compress(&values, &format);
             for range in [0..0, 0..1, 0..5003, 17..17, 13..1400, 511..513, 4000..5003] {
                 let mut collected = Vec::new();
-                column.for_each_logical_range(range.clone(), &mut |piece| {
-                    collected.extend_from_slice(piece)
-                });
+                let mut cursor = column.cursor_at(range.clone());
+                while let Some(piece) = cursor.next_chunk() {
+                    collected.extend_from_slice(piece);
+                }
                 assert_eq!(
                     collected,
                     values[range.clone()],
@@ -856,7 +817,31 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn logical_range_out_of_bounds_panics() {
         let column = Column::from_slice(&[1, 2, 3]);
-        column.for_each_logical_range(0..4, &mut |_| {});
+        column.cursor_at(0..4);
+    }
+
+    #[test]
+    fn truncated_main_part_unwinds_with_a_decode_error() {
+        // Cut into the last block's payload: every block header is still
+        // readable (the directory builds), the final decode must not be.
+        let values = sample(2048);
+        let intact = Column::compress(&values, &Format::DynBp);
+        let cut = intact.main_part_bytes().len() - 10;
+        let truncated = intact.main_part_bytes()[..cut].to_vec();
+        let column = Column::from_parts(Format::DynBp, 2048, 2048, cut, truncated);
+        let mut cursor = column.cursor_at(1536..2048);
+        assert!(matches!(
+            cursor.try_next_chunk(),
+            Err(DecodeError::Truncated { .. })
+        ));
+        // The infallible walk unwinds with the same structured payload —
+        // what `run_governed` maps to `ExecError::Decode`.
+        let payload = std::panic::catch_unwind(|| column.decompress())
+            .expect_err("truncated main part must not decode");
+        assert!(matches!(
+            payload.downcast_ref::<DecodeError>(),
+            Some(DecodeError::Truncated { .. })
+        ));
     }
 
     #[test]
