@@ -172,9 +172,26 @@ pub fn sum_packed(bytes: &[u8], width: u8, count: usize) -> u64 {
 ///
 /// Used by the project operator for static bit packing (Section 4.2: random
 /// read access is supported for uncompressed data and static BP only).
+///
+/// One 8-byte read when the value's bits fit into the word starting at its
+/// first byte and 8 bytes remain; the copied window of `get_packed_window`
+/// covers the rest (a width above 57 starting late in its first byte, a
+/// value in the stream's last 7 bytes).
 #[inline]
 pub fn get_packed(bytes: &[u8], width: u8, idx: usize) -> u64 {
     debug_assert!((1..=64).contains(&width));
+    let bit_pos = idx * width as usize;
+    let byte_pos = bit_pos / 8;
+    let bit_in_byte = bit_pos % 8;
+    if bit_in_byte + width as usize <= 64 && byte_pos + 8 <= bytes.len() {
+        return (crate::read_u64_le(bytes, byte_pos) >> bit_in_byte) & max_value_for_width(width);
+    }
+    get_packed_window(bytes, width, idx)
+}
+
+/// [`get_packed`] through a copied byte window, valid for every width,
+/// offset and position in the stream.
+fn get_packed_window(bytes: &[u8], width: u8, idx: usize) -> u64 {
     let width = width as usize;
     let bit_pos = idx * width;
     let byte_pos = bit_pos / 8;
@@ -303,6 +320,34 @@ mod tests {
     fn unpack_rejects_short_buffer() {
         let mut out = Vec::new();
         unpack_into(&[0u8; 4], 8, 64, &mut out);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        // The one-word read of `get_packed` agrees with the copied window
+        // — and with the packed values — where the two paths meet: the
+        // last 16 bytes of a packed main part, whose final 8 bytes the word
+        // read must never run past.
+        #[test]
+        fn word_read_matches_the_window_at_the_stream_tail(
+            width in 1u8..=64,
+            blocks in 1usize..6,
+            seed in proptest::any::<u64>(),
+        ) {
+            let mask = max_value_for_width(width);
+            let count = blocks * 64;
+            let values: Vec<u64> = (0..count as u64)
+                .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+                .collect();
+            let mut packed = Vec::new();
+            pack_into(&values, width, &mut packed);
+            let tail_start = packed.len().saturating_sub(16);
+            for idx in (0..count).filter(|&i| i * width as usize / 8 >= tail_start) {
+                proptest::prop_assert_eq!(get_packed_window(&packed, width, idx), values[idx]);
+                proptest::prop_assert_eq!(get_packed(&packed, width, idx), values[idx]);
+            }
+        }
     }
 
     #[test]

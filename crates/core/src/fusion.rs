@@ -27,10 +27,11 @@
 //! streamed inputs resolve to members or to exactly **one** external
 //! column (the *driver* — it may feed several stages), every `project`
 //! member gathers from a column *outside* the region (its data side is
-//! random-accessed, not streamed), and the per-chunk *shapes* line up:
-//! stages only zip streams that are row-aligned within every driver chunk
-//! (a select starts a fresh shape, a project carries its position stream's
-//! shape, a calc requires both operands to share one shape).
+//! read at the gathered positions, not streamed in step with the driver),
+//! and the per-chunk *shapes* line up: stages only zip streams that are
+//! row-aligned within every driver chunk (a select starts a fresh shape, a
+//! project carries its position stream's shape, a calc requires both
+//! operands to share one shape).
 //!
 //! ## Byte identity
 //!
@@ -76,7 +77,7 @@ use crate::exec::{ExecSettings, FormatConfig, IntegrationDegree, NodeRecords};
 use crate::ops::agg::sum_chunk;
 use crate::ops::calc::binary_chunk;
 use crate::ops::partitioned;
-use crate::ops::project::{ensure_random_access, gather_chunk};
+use crate::ops::project::Gather;
 use crate::ops::select::{between_chunk, filter_chunk};
 use crate::plan::{ColRef, NodeCacheInfo, PlanOp, PlanOutputs, QueryPlan, Slot};
 use crate::{BinaryOp, CmpOp};
@@ -112,10 +113,10 @@ pub(crate) enum StageKind {
         /// Upper bound (inclusive).
         high: u64,
     },
-    /// Gather from an external random-accessed data column.
+    /// Gather from an external data column.
     Project {
-        /// The gathered column — external to the region, morphed to a
-        /// random-access format once before the pass.
+        /// The gathered column — external to the region, read by the
+        /// stage's own project reader over the pass.
         data: ColRef,
         /// Streamed position list.
         positions: Src,
@@ -392,7 +393,7 @@ pub(crate) fn edge_name(plan: &QueryPlan, r: ColRef) -> String {
 
 /// The inputs an operator consumes *sequentially* — the edges fusion can
 /// turn into in-flight streams.  A project's data side is deliberately
-/// absent: it is random-accessed, not streamed.
+/// absent: it is read at the gathered positions, not in step with them.
 pub(crate) fn streamed_inputs(op: &PlanOp) -> Vec<ColRef> {
     match *op {
         PlanOp::Select { input, .. } | PlanOp::SelectBetween { input, .. } => vec![input],
@@ -587,9 +588,9 @@ pub(crate) struct RegionOutcome {
 
 /// Per-stage working state of one pass over (a range of) the driver.
 struct StagePass<'d> {
-    /// Per stage, the project data column (morphed to random access when
-    /// necessary); non-project stages hold the driver and never read it.
-    data: Vec<&'d Column>,
+    /// Per stage, the project reader over the stage's data column (`None`
+    /// for every non-project stage).
+    gathers: Vec<Option<Gather<'d>>>,
     /// Per stage, the values produced from the current driver chunk.
     bufs: Vec<Vec<u64>>,
     /// Per stage, the total values emitted *before* the current chunk —
@@ -602,10 +603,17 @@ struct StagePass<'d> {
 }
 
 impl<'d> StagePass<'d> {
-    fn new(region: &FusedRegion, data: Vec<&'d Column>) -> StagePass<'d> {
+    fn new(region: &FusedRegion, col: impl Fn(ColRef) -> &'d Column) -> StagePass<'d> {
         let n = region.stages.len();
         StagePass {
-            data,
+            gathers: region
+                .stages
+                .iter()
+                .map(|stage| match stage.kind {
+                    StageKind::Project { data, .. } => Some(Gather::new(col(data))),
+                    _ => None,
+                })
+                .collect(),
             bufs: vec![Vec::new(); n],
             emitted: vec![0; n],
             sums: vec![0; n],
@@ -672,7 +680,9 @@ fn run_chunk(
             StageKind::Project { positions, .. } => {
                 let out = &mut rest[0];
                 out.clear();
-                gather_chunk(pass.data[i], src_vals(prev, chunk, *positions), out);
+                if let Some(gather) = &mut pass.gathers[i] {
+                    gather.gather_chunk(src_vals(prev, chunk, *positions), out);
+                }
             }
             StageKind::Calc { op, lhs, rhs } => {
                 let out = &mut rest[0];
@@ -692,47 +702,6 @@ fn run_chunk(
     for i in 0..region.stages.len() {
         pass.emitted[i] += pass.bufs[i].len() as u64;
     }
-}
-
-/// Morph the project data columns of the region to random-access formats
-/// where necessary (`None` entries already support random access and are
-/// borrowed as-is).  One morph per project stage, before the pass — the
-/// same transformation the unfused project operator applies per call.
-pub(crate) fn prepare_project_data<'s, F>(region: &FusedRegion, col: &F) -> Vec<Option<Column>>
-where
-    F: Fn(ColRef) -> &'s Column,
-{
-    region
-        .stages
-        .iter()
-        .map(|stage| match stage.kind {
-            StageKind::Project { data, .. } => ensure_random_access(col(data)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Per stage, the data column a project gathers from — the prepared morph
-/// when one was needed, the external column otherwise — and `driver` as the
-/// never-read filler of the non-project stages.
-fn resolve_project_data<'d, F>(
-    region: &FusedRegion,
-    prepared: &'d [Option<Column>],
-    driver: &'d Column,
-    col: &F,
-) -> Vec<&'d Column>
-where
-    F: Fn(ColRef) -> &'d Column,
-{
-    region
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(i, stage)| match stage.kind {
-            StageKind::Project { data, .. } => prepared[i].as_ref().unwrap_or_else(|| col(data)),
-            _ => driver,
-        })
-        .collect()
 }
 
 /// Finish one region member: push its timing, record (and cache) its
@@ -806,11 +775,10 @@ where
     for _ in &region.members {
         crate::govern::checkpoint_node();
     }
-    let col = |r: ColRef| slots(r.node).column(r.port);
-    let prepared = prepare_project_data(region, &col);
-    let chunks = 0..col(region.driver).chunk_count();
-    let (partials, elapsed) =
-        run_region_part(plan, region, &prepared, chunks, slots, settings, formats);
+    let chunks = 0..slots(region.driver.node)
+        .column(region.driver.port)
+        .chunk_count();
+    let (partials, elapsed) = run_region_part(plan, region, chunks, slots, settings, formats);
     let mut outcome = RegionOutcome {
         nodes: Vec::with_capacity(region.stages.len()),
         interior_bytes: 0,
@@ -843,7 +811,6 @@ where
 pub(crate) fn run_region_part<'a, 's, F>(
     plan: &QueryPlan,
     region: &FusedRegion,
-    prepared: &[Option<Column>],
     chunks: Range<usize>,
     slots: &F,
     settings: &ExecSettings,
@@ -859,8 +826,7 @@ where
     );
     let col = |r: ColRef| slots(r.node).column(r.port);
     let driver = col(region.driver);
-    let data = resolve_project_data(region, prepared, driver, &col);
-    let mut pass = StagePass::new(region, data);
+    let mut pass = StagePass::new(region, col);
     let mut sinks: Vec<Option<ColumnBuilder>> = region
         .stages
         .iter()

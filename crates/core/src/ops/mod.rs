@@ -10,11 +10,12 @@
 //!
 //! * the **chunk step** is the operator core: one function per operator
 //!   (`select::filter_chunk`, `select::between_chunk`,
-//!   `project::gather_chunk`, `calc::binary_chunk`, `agg::sum_chunk`, the
-//!   `PullSide::merge_step` of the sorted merges) turning one uncompressed,
-//!   cache-resident chunk into output values through a kernel from
-//!   [`morph_vector::kernels`] monomorphised for scalar or vectorized
-//!   processing,
+//!   `calc::binary_chunk`, `agg::sum_chunk`, the `PullSide::merge_step` of
+//!   the sorted merges) turning one uncompressed, cache-resident chunk into
+//!   output values through a kernel from [`morph_vector::kernels`]
+//!   monomorphised for scalar or vectorized processing; project's step,
+//!   `project::Gather::gather_chunk`, is a stateful per-part reader of its
+//!   data column,
 //! * the **chunk-range kernel** ([`partitioned`]) is the on-the-fly
 //!   de/re-compression wrapper around it: it streams a range of the input's
 //!   seekable chunks ([`morph_storage::Column::for_each_chunk_in`], driven

@@ -39,7 +39,7 @@ use morph_vector::ProcessingStyle;
 use crate::exec::{ExecSettings, IntegrationDegree};
 use crate::ops::agg::sum_chunk;
 use crate::ops::calc::binary_chunk;
-use crate::ops::project::gather_chunk;
+use crate::ops::project::Gather;
 use crate::ops::select::{between_chunk, filter_chunk};
 use crate::ops::{zip_chunks, PullSide};
 use crate::CmpOp;
@@ -121,20 +121,19 @@ pub fn select_between_part(
 }
 
 /// Partial project: gather `data[position]` for the chunk range `chunks` of
-/// the position list.  `data` must support random access — the caller morphs
-/// it **once** before fanning out, so workers never repeat the morph.
+/// the position list, in any data format.  The part reads `data` through
+/// its own reader (`ops::project::Gather`) — forward through the column's
+/// chunk cursor where its position chunks ascend — so parts share no state
+/// and nothing is morphed before fanning out.
 pub fn project_part(
     data: &Column,
     positions: &Column,
     chunks: Range<usize>,
     format: &Format,
 ) -> Column {
-    assert!(
-        data.supports_random_access(),
-        "project_part requires a random-access data column; morph before fanning out"
-    );
+    let mut gather = Gather::new(data);
     map_chunks(positions, chunks, format, |_, chunk, out| {
-        gather_chunk(data, chunk, out)
+        gather.gather_chunk(chunk, out)
     })
 }
 
@@ -386,6 +385,99 @@ mod tests {
                 &pos_format.to_string(),
                 |r| project_part(&data, &pos, r, &Format::DynBp),
             );
+        }
+    }
+
+    /// Position lists for the project reader table over a column of `len`
+    /// values whose remainder starts at `main_len`.
+    fn position_patterns(len: u64, main_len: u64) -> Vec<(&'static str, Vec<u64>)> {
+        let ascending: Vec<u64> = (0..len).step_by(3).collect();
+        let mut zigzag = ascending.clone();
+        zigzag.extend(ascending.iter().rev());
+        zigzag.extend(&ascending);
+        let mut behind: Vec<u64> = (len / 2..len).step_by(5).collect();
+        behind.extend((0..len).step_by(7));
+        vec![
+            ("dense ascending", (0..len).filter(|p| p % 4 != 1).collect()),
+            ("sparse ascending", (0..len).step_by(2053).collect()),
+            (
+                "duplicates",
+                (0..len).step_by(41).flat_map(|p| [p; 4]).collect(),
+            ),
+            ("all in the remainder", (main_len..len).collect()),
+            ("ascending, descending, ascending", zigzag),
+            ("restart behind the window", behind),
+            ("empty", Vec::new()),
+        ]
+    }
+
+    #[test]
+    fn project_parts_read_every_data_format_and_position_pattern() {
+        // 9_100 values with runs: every blocked format carries a remainder
+        // and RLE directory chunks span several cursor pieces.
+        let data_values: Vec<u64> = (0..9_100u64).map(|i| (i / 900) * 7 + i % 2).collect();
+        for data_format in Format::all_formats(100) {
+            let data = Column::compress(&data_values, &data_format);
+            let reference = data.decompress();
+            let (len, main_len) = (data.logical_len() as u64, data.main_part_len() as u64);
+            for (what, positions) in position_patterns(len, main_len) {
+                let expected: Vec<u64> = positions.iter().map(|&p| reference[p as usize]).collect();
+                let pos = Column::from_slice(&positions);
+                let what = format!("data {data_format}, {what}");
+                assert_splices_to(&pos, &expected, &Format::DeltaDynBp, &what, |r| {
+                    project_part(&data, &pos, r, &Format::DeltaDynBp)
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn fused_select_project_sum_reads_every_data_format() {
+        use crate::exec::{ExecutionContext, FormatConfig};
+        use crate::parallel::ParallelExecutor;
+        use crate::plan::PlanBuilder;
+        use std::collections::HashMap;
+
+        let mut b = PlanBuilder::new("fsp");
+        let x = b.scan("x");
+        let y = b.scan("y");
+        let pos = b.select("pos", x, CmpOp::Lt, 40);
+        let at = b.project("at", y, pos);
+        let total = b.agg_sum("total", at);
+        let plan = b.finish_scalar(total);
+
+        let x_values = sample(12_000);
+        let y_values: Vec<u64> = (0..12_000u64).map(|i| (i / 300) * 1000 + i % 5).collect();
+        let expected = x_values
+            .iter()
+            .zip(&y_values)
+            .filter(|(&x, _)| x < 40)
+            .fold(0u64, |acc, (_, &y)| acc.wrapping_add(y));
+        for y_format in Format::all_formats(40_000) {
+            let columns = HashMap::from([
+                ("x".to_string(), Column::from_slice(&x_values)),
+                ("y".to_string(), Column::compress(&y_values, &y_format)),
+            ]);
+            for settings in [
+                ExecSettings::vectorized_compressed().with_fusion(),
+                ExecSettings::vectorized_compressed(),
+            ] {
+                let fused = settings.fusion;
+                let formats = FormatConfig::with_default(Format::DynBp);
+                let mut ctx = ExecutionContext::new(settings.clone(), formats.clone());
+                let output = plan.execute(&columns, &mut ctx);
+                assert_eq!(output.values, vec![expected], "{y_format}, fused {fused}");
+                assert_eq!(ctx.fused_region_count(), usize::from(fused));
+                // The same plan fanned out as morsel parts on two workers.
+                let settings = settings.with_morsel_threshold(1024);
+                let mut ctx = ExecutionContext::new(settings, formats);
+                let output = ParallelExecutor::new(2).execute(&plan, &columns, &mut ctx);
+                assert_eq!(
+                    output.values,
+                    vec![expected],
+                    "{y_format}, fused {fused}, morsels"
+                );
+            }
         }
     }
 

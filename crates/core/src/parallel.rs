@@ -29,7 +29,7 @@
 //! [`crate::ExecSettings::morsel_threshold`] is set and a ready node's
 //! partitioned input (see [`QueryPlan::morsel_op`]) reaches the threshold,
 //! the worker that pops the node does not execute it; instead it builds the
-//! operator's shared state once (a semi-join build set, a project morph),
+//! operator's shared state once (a semi-join build set),
 //! splits the input's seekable chunk directory into `k` contiguous ranges
 //! ([`Column::partition_chunks`]) and publishes a [`MorselJob`].  Every
 //! worker — including the one that published — then claims parts from the
@@ -72,7 +72,6 @@ use morph_vector::keys::KeySet;
 use crate::exec::{ExecSettings, ExecutionContext, FormatConfig, NodeRecords};
 use crate::fusion::{FusedPartial, FusedRegion, FusionPlan, RegionOutcome, StageKind};
 use crate::ops::partitioned;
-use crate::ops::project::ensure_random_access;
 use crate::plan::{
     cached_from_slot, execute_node, plan_cache_info, ColumnSource, MorselOp, NodeCacheInfo,
     PlanExecutor, PlanOutput, QueryPlan, Slot,
@@ -88,13 +87,10 @@ struct NodeResult<'a> {
 /// Operator state built once by the fanning-out worker and shared by all
 /// parts of a morsel job.
 enum MorselAux {
-    /// No shared state (selects, calcs, sums, projects on random-access
-    /// data).
+    /// No shared state (selects, calcs, sums, projects, intersections).
     None,
     /// The semi-join build set.
     Set(KeySet),
-    /// The project data column, morphed to a random-access format.
-    Morphed(Column),
 }
 
 /// The partial result of one morsel part.
@@ -118,7 +114,7 @@ struct MorselJob {
     done: AtomicUsize,
     /// Partial results, indexed like `parts`.
     partials: Vec<OnceLock<MorselPartial>>,
-    /// Shared operator state (build set, morphed data column).
+    /// Shared operator state (the semi-join build set).
     aux: MorselAux,
     /// Format the partials and the merged column are materialised in.
     out_format: Format,
@@ -141,10 +137,7 @@ struct FusedJob {
     done: AtomicUsize,
     /// Per part, one partial per stage (in stage order).
     partials: Vec<OnceLock<Vec<FusedPartial>>>,
-    /// Per stage, the project data column morphed to random access (built
-    /// once here, shared by all parts — like [`MorselAux::Morphed`]).
-    prepared: Vec<Option<Column>>,
-    /// Fan-out time: every member's recorded duration spans preparation
+    /// Fan-out time: every member's recorded duration spans fan-out
     /// through merge, like the unfused morsel timing.
     started: Instant,
 }
@@ -505,7 +498,7 @@ impl ParallelExecutor {
                                     // A cached node never fans out: the hit
                                     // inside `execute_node` completes it
                                     // immediately, so building morsel state
-                                    // (build sets, morphs) would be wasted.
+                                    // (build sets) would be wasted.
                                     let cached = settings
                                         .cache
                                         .as_deref()
@@ -569,7 +562,6 @@ impl ParallelExecutor {
                                     let (partial, _) = crate::fusion::run_region_part(
                                         plan,
                                         region,
-                                        &job.prepared,
                                         job.parts[part].clone(),
                                         &slot_of,
                                         settings,
@@ -734,8 +726,8 @@ fn complete_region<'a>(
 /// Decide whether a fused region fans out across the pool and, if so,
 /// build the job: the region must be prefix-independent (every select
 /// reads the driver directly), and the driver must reach the morsel
-/// threshold and split into at least two chunk ranges.  The project data
-/// morphs are built here, once, and shared by all parts.
+/// threshold and split into at least two chunk ranges.  The job carries no
+/// shared operator state: each part opens its own project readers.
 fn plan_fused_job<'a, 's, F>(
     region_index: usize,
     region: &FusedRegion,
@@ -763,10 +755,7 @@ where
     if parts.len() < 2 {
         return None;
     }
-    // Timing starts before the project morphs: every member's recorded
-    // duration includes shared-state construction, like the serial pass.
     let started = Instant::now();
-    let prepared = crate::fusion::prepare_project_data(region, &col);
     let partials = (0..parts.len()).map(|_| OnceLock::new()).collect();
     Some(FusedJob {
         region_index,
@@ -774,7 +763,6 @@ where
         next: AtomicUsize::new(0),
         done: AtomicUsize::new(0),
         partials,
-        prepared,
         started,
     })
 }
@@ -835,7 +823,7 @@ fn merge_fused_job(
 /// Decide whether node `idx` is fanned out and, if so, build the job: the
 /// input must have a partitioned kernel ([`QueryPlan::morsel_op`]), reach
 /// the morsel threshold and split into at least two chunk ranges.  Shared
-/// operator state (semi-join build set, project morph) is built here, once.
+/// operator state (the semi-join build set) is built here, once.
 fn plan_morsel_job<'a, 's, F>(
     plan: &QueryPlan,
     idx: usize,
@@ -865,22 +853,15 @@ where
         return None;
     }
     // Timing starts before the shared state is built: the serial operator
-    // includes set construction and the project morph in its measurement.
+    // includes set construction in its measurement.
     let started = Instant::now();
     let aux = match op {
         MorselOp::SemiJoin { build, .. } => {
             let build = slots(build.node).column(build.port);
             MorselAux::Set(partitioned::build_semi_join_set(build, input.logical_len()))
         }
-        MorselOp::Project { data, .. } => {
-            let data = slots(data.node).column(data.port);
-            match ensure_random_access(data) {
-                Some(morphed) => MorselAux::Morphed(morphed),
-                None => MorselAux::None,
-            }
-        }
-        // The sorted intersection shares no state: each part opens its own
-        // chunk cursor over the second input and seeks it by value.
+        // Projects and sorted intersections share no state: each part opens
+        // its own reader or chunk cursor over the second input.
         _ => MorselAux::None,
     };
     let out_format = partitioned::effective_output_format(
@@ -932,18 +913,12 @@ where
         MorselOp::SelectBetween { input, low, high } => MorselPartial::Col(
             partitioned::select_between_part(col(input), low, high, range, &job.out_format),
         ),
-        MorselOp::Project { data, positions } => {
-            let data = match &job.aux {
-                MorselAux::Morphed(morphed) => morphed,
-                _ => col(data),
-            };
-            MorselPartial::Col(partitioned::project_part(
-                data,
-                col(positions),
-                range,
-                &job.out_format,
-            ))
-        }
+        MorselOp::Project { data, positions } => MorselPartial::Col(partitioned::project_part(
+            col(data),
+            col(positions),
+            range,
+            &job.out_format,
+        )),
         MorselOp::SemiJoin { probe, .. } => {
             let set = match &job.aux {
                 MorselAux::Set(set) => set,
@@ -1138,7 +1113,7 @@ mod tests {
     #[test]
     fn morsel_fanout_covers_project_and_semi_join() {
         // A plan whose hot nodes are a project and a semi-join, with a
-        // non-random-access data column (forces the one-time morph).
+        // non-random-access data column (read forward by every part).
         let mut columns = HashMap::new();
         columns.insert(
             "keys".to_string(),

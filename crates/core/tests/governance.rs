@@ -229,6 +229,84 @@ fn join_key_tables_are_charged_to_the_memory_budget() {
     }
 }
 
+/// A project of a DELTA-compressed data column at a base-column position
+/// list, summed: `positions` names the sorted or the shuffled list.
+fn gather_plan(positions: &str) -> QueryPlan {
+    let mut b = PlanBuilder::new("gather");
+    let data = b.scan("data");
+    let positions = b.scan(positions);
+    let at = b.project("at", data, positions);
+    let total = b.agg_sum("total", at);
+    b.finish_scalar(total)
+}
+
+/// 200 000 data values (a 20-bit static-BP copy is ≈ 500 KB, the DELTA
+/// column a few KB) and the same 4000 positions in ascending and in
+/// scrambled order.
+fn gather_source() -> (HashMap<String, Column>, usize) {
+    let data: Vec<u64> = (0..200_000u64).map(|i| i * 3).collect();
+    let morph_bytes =
+        Column::compress(&data, &Format::static_bp_for_max(599_997)).size_used_bytes();
+    let sorted: Vec<u64> = (0..4000u64).map(|i| i * 50).collect();
+    let shuffled: Vec<u64> = (0..4000u64).map(|i| (i * 1237) % 4000 * 50).collect();
+    let mut columns = HashMap::new();
+    columns.insert(
+        "data".to_string(),
+        Column::compress(&data, &Format::DeltaDynBp),
+    );
+    columns.insert("sorted".to_string(), Column::from_vec(sorted));
+    columns.insert("shuffled".to_string(), Column::from_vec(shuffled));
+    (columns, morph_bytes)
+}
+
+#[test]
+fn project_random_access_copy_is_charged_to_the_memory_budget() {
+    let (source, morph_bytes) = gather_source();
+    let run =
+        |positions: &str, governor: &Arc<QueryGovernor>, executor: Option<&ParallelExecutor>| {
+            let mut settings = governed(governor);
+            if executor.is_some() {
+                settings = settings.with_morsel_threshold(1024);
+            }
+            let mut ctx = ExecutionContext::new(settings, formats());
+            let plan = gather_plan(positions);
+            match executor {
+                Some(executor) => executor.try_execute(&plan, &source, &mut ctx),
+                None => plan.try_execute(&source, &mut ctx),
+            }
+        };
+    let unlimited = Arc::new(QueryGovernor::new());
+    let reference = run("sorted", &unlimited, None).expect("unlimited run succeeds");
+    assert_eq!(unlimited.transient_peak_bytes(), 0, "sorted: no copy");
+    assert!(unlimited.used_bytes() < morph_bytes / 10);
+    assert_eq!(run("shuffled", &unlimited, None), Ok(reference.clone()));
+
+    let budget = morph_bytes / 2;
+    let executor = ParallelExecutor::new(2);
+    for executor in [None, Some(&executor)] {
+        // Ascending positions read the DELTA column forward: nothing
+        // O(column) is allocated, so a budget below the copy's size holds.
+        let tight = Arc::new(QueryGovernor::new().with_memory_budget(budget));
+        assert_eq!(run("sorted", &tight, executor), Ok(reference.clone()));
+        // Scrambled positions need the static-BP copy, which is charged.
+        let tight = Arc::new(QueryGovernor::new().with_memory_budget(budget));
+        match run("shuffled", &tight, executor) {
+            Err(ExecError::MemoryExceeded {
+                used_bytes,
+                budget_bytes,
+            }) => {
+                assert_eq!(budget_bytes, budget);
+                assert!(used_bytes >= morph_bytes, "{used_bytes} < {morph_bytes}");
+            }
+            other => panic!("expected memory violation, got {other:?}"),
+        }
+        // The same executor (and its pool) keeps serving.
+        let roomy = Arc::new(QueryGovernor::new().with_memory_budget(2 * morph_bytes));
+        assert_eq!(run("shuffled", &roomy, executor), Ok(reference.clone()));
+        assert_eq!(roomy.transient_peak_bytes(), morph_bytes);
+    }
+}
+
 #[test]
 fn decode_fault_surfaces_structured_error() {
     let governor = governor_with_fault(FaultSite::Node, 3, FaultKind::Decode);
