@@ -1,10 +1,8 @@
-//! Overhead of the plan layer: building a `QueryPlan` DAG and walking it in
-//! topological order must cost (far) less than 1 % on top of the direct
-//! hand-written operator-call path it replaced.
+//! Overhead of the plan layer: building a `QueryPlan` DAG must cost (far)
+//! less than 1 % of executing it.
 //!
-//! Three measurements on SSB Q1.1:
+//! Two measurements on SSB Q1.1:
 //!
-//! * `direct` — the frozen pre-redesign path (`SsbQuery::execute_direct`),
 //! * `plan` — plan construction + `PlanExecutor` walk (`SsbQuery::execute`),
 //! * `plan_construction` — building the DAG alone (no execution), showing
 //!   the absolute cost of the abstraction (microseconds, versus
@@ -28,12 +26,6 @@ fn bench_plan_overhead(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(2));
 
-    group.bench_function("direct", |b| {
-        b.iter(|| {
-            let mut ctx = ExecutionContext::new(settings.clone(), formats.clone());
-            query.execute_direct(&data, &mut ctx)
-        })
-    });
     group.bench_function("plan", |b| {
         b.iter(|| {
             let mut ctx = ExecutionContext::new(settings.clone(), formats.clone());

@@ -49,9 +49,10 @@ use morph_storage::Column;
 ///
 /// Every carry buffer is bounded by one decoded chunk
 /// ([`morph_compression::CACHE_BUFFER_ELEMENTS`] values); this module
-/// records the high-water mark so the bench harness
-/// (`parallel_speedup` → `BENCH_ssb.json`) and a CI test can assert the
-/// O(chunk) bound instead of trusting it.
+/// records the high-water mark so the CI tests — per operator
+/// (`crates/core/tests/pairwise_transient.rs`) and over all 13 SSB plans
+/// (`crates/ssb/tests/ssb_transient.rs`) — can assert the O(chunk) bound
+/// instead of trusting it.
 pub mod transient {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -68,8 +69,7 @@ pub mod transient {
     /// [`QueryGovernor`](crate::govern::QueryGovernor), when one is
     /// registered: memory verdicts are per query, so a concurrent tenant's
     /// spike cannot trip another query's budget.  The process-global peak
-    /// below remains for the single-threaded bench harness
-    /// (`pairwise_peak_transient_bytes`) and the CI bound test.
+    /// below remains for the CI bound tests.
     pub(crate) fn record(bytes: usize) {
         PEAK_BYTES.fetch_max(bytes, Ordering::Relaxed);
         crate::govern::charge_transient(bytes);

@@ -23,10 +23,9 @@
 use morph_compression::{ChunkCursor, DecodeError, Format};
 use morph_storage::{Column, ColumnCursor};
 
-use crate::exec::{ExecSettings, IntegrationDegree};
+use crate::exec::ExecSettings;
 use crate::ops::agg::agg_max;
 use crate::ops::partitioned::{effective_output_format, project_part};
-use crate::specialized;
 
 /// The reader one project part gathers its data column through — built
 /// once per serial operator, morsel part or fused project stage, and fed
@@ -197,10 +196,9 @@ fn chunk_containing(data: &Column, position: usize) -> usize {
 /// Gather `data[position]` for every position in `positions` (in order),
 /// materialising the output in `out_format`.
 ///
-/// With the specialized degree, a static-BP data column is gathered straight
-/// off the packed bit stream ([`specialized::project_on_static_bp`]); any
-/// other case is the chunk-range kernel [`project_part`] over the whole
-/// position list, reading `data` through one `Gather`.
+/// Under every integration degree this is the chunk-range kernel
+/// [`project_part`] over the whole position list, reading `data` through
+/// one `Gather` — on static BP that is one packed-word read per position.
 ///
 /// # Panics
 /// Panics if a position is out of bounds for `data`.
@@ -210,11 +208,6 @@ pub fn project(
     out_format: &Format,
     settings: &ExecSettings,
 ) -> Column {
-    if settings.degree == IntegrationDegree::Specialized
-        && matches!(data.format(), Format::StaticBp(_))
-    {
-        return specialized::project_on_static_bp(data, positions, out_format);
-    }
     project_part(
         data,
         positions,
@@ -226,6 +219,7 @@ pub fn project(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::IntegrationDegree;
     use std::time::Duration;
 
     fn sample(n: usize) -> Vec<u64> {
@@ -301,6 +295,25 @@ mod tests {
         let positions = Column::from_slice(&[]);
         let out = project(&data, &positions, &Format::DynBp, &ExecSettings::default());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn specialized_static_bp_project_equals_the_default_degree() {
+        let data = Column::compress(&sample(6000), &Format::StaticBp(11));
+        assert!(data.remainder_len() > 0, "test should cover the remainder");
+        let position_values: Vec<u64> = (0..6000u64).filter(|p| p % 7 == 0).collect();
+        let positions = Column::compress(&position_values, &Format::DeltaDynBp);
+        let specialized = ExecSettings {
+            degree: IntegrationDegree::Specialized,
+            ..ExecSettings::default()
+        };
+        for out_format in [Format::DynBp, Format::Uncompressed] {
+            assert_eq!(
+                project(&data, &positions, &out_format, &specialized),
+                project(&data, &positions, &out_format, &ExecSettings::default()),
+                "out {out_format}"
+            );
+        }
     }
 
     #[test]

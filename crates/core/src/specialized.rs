@@ -115,53 +115,6 @@ pub fn agg_sum_on_static_bp(input: &Column) -> u64 {
     total
 }
 
-/// Project (gather) on a static-BP-compressed data column: positions are
-/// resolved straight off the packed bit stream, without the per-element
-/// format dispatch of [`Column::get`] — the fixed width makes every
-/// element's bit offset pure arithmetic (the degenerate, O(1)-computable
-/// case of the seekable chunk directory), so the gather reads exactly one
-/// `width`-bit window per position.
-///
-/// Positions at or beyond the main part fall into the uncompressed
-/// remainder, which is decoded once up front (it is at most one block).
-///
-/// Registered behind [`crate::IntegrationDegree::Specialized`] in
-/// [`crate::project`]; data columns in any other format keep the existing
-/// fallback behaviour.
-///
-/// # Panics
-/// Panics if `data` is not static-BP-compressed or a position is out of
-/// bounds.
-pub fn project_on_static_bp(data: &Column, positions: &Column, out_format: &Format) -> Column {
-    let width = match data.format() {
-        Format::StaticBp(width) => *width,
-        other => panic!("project_on_static_bp requires a static-BP-compressed input, got {other}"),
-    };
-    let main = data.main_part_bytes();
-    let main_len = data.main_part_len();
-    let remainder = data.remainder_values();
-    let len = data.logical_len();
-    let mut builder = ColumnBuilder::new(*out_format);
-    let mut scratch: Vec<u64> = Vec::new();
-    positions.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        scratch.clear();
-        for &position in chunk {
-            let idx = position as usize;
-            if idx >= len {
-                panic!("project: position {position} out of bounds");
-            }
-            scratch.push(if idx < main_len {
-                morph_compression::bitpack::get_packed(main, width, idx)
-            } else {
-                remainder[idx - main_len]
-            });
-        }
-        builder.push_slice(&scratch);
-    });
-    builder.finish()
-}
-
 /// Count of the elements of an RLE-compressed column satisfying a predicate,
 /// computed directly on the runs (used by ablation benchmarks).
 pub fn count_matches_on_rle(op: CmpOp, input: &Column, constant: u64) -> u64 {
@@ -275,48 +228,6 @@ mod tests {
     fn agg_sum_on_static_bp_rejects_other_formats() {
         let column = Column::from_slice(&[1, 2, 3]);
         agg_sum_on_static_bp(&column);
-    }
-
-    #[test]
-    fn project_on_static_bp_matches_general_project() {
-        use crate::{project, IntegrationDegree};
-        let data_values: Vec<u64> = (0..6000u64).map(|i| (i * 37) % 2048).collect();
-        let position_values: Vec<u64> = (0..6000u64).filter(|p| p % 7 == 0).collect();
-        let data = Column::compress(&data_values, &Format::StaticBp(11));
-        assert!(data.remainder_len() > 0, "test should cover the remainder");
-        let positions = Column::compress(&position_values, &Format::DeltaDynBp);
-        for out_format in [Format::DynBp, Format::Uncompressed] {
-            let specialized = project_on_static_bp(&data, &positions, &out_format);
-            let general = project(&data, &positions, &out_format, &ExecSettings::default());
-            assert_eq!(specialized, general, "out {out_format}");
-            // The registered Specialized degree takes the direct-gather path
-            // and must stay byte-identical as well.
-            let via_degree = project(
-                &data,
-                &positions,
-                &out_format,
-                &ExecSettings {
-                    degree: IntegrationDegree::Specialized,
-                    ..ExecSettings::default()
-                },
-            );
-            assert_eq!(via_degree, general, "out {out_format}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a static-BP-compressed input")]
-    fn project_on_static_bp_rejects_other_formats() {
-        let column = Column::from_slice(&[1, 2, 3]);
-        project_on_static_bp(&column, &Column::from_slice(&[0]), &Format::Uncompressed);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn project_on_static_bp_rejects_out_of_bounds_positions() {
-        let data = Column::compress(&[1u64, 2, 3, 4], &Format::StaticBp(3));
-        let positions = Column::from_slice(&[9]);
-        project_on_static_bp(&data, &positions, &Format::Uncompressed);
     }
 
     #[test]

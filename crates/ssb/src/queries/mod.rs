@@ -20,12 +20,7 @@
 //! column and intermediate — so the format-selection strategies can assign
 //! each one an individual format and the harness can account footprints
 //! exactly like the paper does.
-//!
-//! The pre-redesign hand-written implementations are kept frozen in
-//! [`direct`] (reachable via [`SsbQuery::execute_direct`]) as the reference
-//! the differential tests compare plan-based execution against.
 
-mod direct;
 mod flight1;
 mod flight2;
 mod flight3;
@@ -142,15 +137,6 @@ impl SsbQuery {
             group_keys: output.group_keys,
             values: output.values,
         }
-    }
-
-    /// Execute the query through the frozen pre-redesign hand-written path.
-    ///
-    /// Kept for differential testing (plan-based execution must produce
-    /// byte-identical results and context records) and for the
-    /// `plan_overhead` benchmark; not intended for new callers.
-    pub fn execute_direct(&self, data: &SsbData, ctx: &mut ExecutionContext) -> QueryResult {
-        direct::run(*self, data, ctx)
     }
 }
 

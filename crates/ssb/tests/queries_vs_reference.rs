@@ -4,16 +4,17 @@
 //! compression formats chosen for base columns and intermediates.
 
 use morph_compression::Format;
-use morph_ssb::{dbgen, reference, SsbQuery};
+use morph_ssb::{dbgen, reference, SsbData, SsbQuery};
 use morphstore_engine::exec::FormatConfig;
 use morphstore_engine::{ExecSettings, ExecutionContext, IntegrationDegree, ProcessingStyle};
+use proptest::prelude::*;
 
 const SCALE_FACTOR: f64 = 0.01;
 const SEED: u64 = 42;
 
 fn run_query(
     query: SsbQuery,
-    data: &morph_ssb::SsbData,
+    data: &SsbData,
     settings: ExecSettings,
     formats: FormatConfig,
 ) -> (morph_ssb::QueryResult, ExecutionContext) {
@@ -144,6 +145,62 @@ fn compression_reduces_the_query_footprint() {
         assert!(
             (compressed as f64) < 0.7 * uncompressed as f64,
             "{query}: compressed {compressed} vs uncompressed {uncompressed}"
+        );
+    }
+}
+
+fn check_all_queries_against_reference(
+    data: &SsbData,
+    raw: &SsbData,
+    settings: ExecSettings,
+    formats: &FormatConfig,
+) {
+    for query in SsbQuery::all() {
+        let (result, _) = run_query(query, data, settings.clone(), formats.clone());
+        assert_eq!(
+            result.sorted_rows(),
+            reference::evaluate(query, raw).sorted_rows(),
+            "{query}: plan execution diverged from the reference interpreter"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // All 13 queries against the reference over random data seeds, under
+    // scalar uncompressed processing, uniform continuous compression, and a
+    // heterogeneous per-edge assignment over static-BP base columns.
+    #[test]
+    fn all_queries_match_reference_across_seeds_and_format_assignments(seed in 0u64..10_000) {
+        let raw = dbgen::generate(0.004, seed);
+
+        check_all_queries_against_reference(
+            &raw,
+            &raw,
+            ExecSettings::scalar_uncompressed(),
+            &FormatConfig::uncompressed(),
+        );
+
+        check_all_queries_against_reference(
+            &raw.with_uniform_format(&Format::DynBp),
+            &raw,
+            ExecSettings::vectorized_compressed(),
+            &FormatConfig::with_default(Format::DynBp),
+        );
+
+        // 26 bits cover the widest intermediate (projected datekeys need 25).
+        let mixed = FormatConfig::with_default(Format::StaticBp(26))
+            .set("1.1/lo_pos", Format::DeltaDynBp)
+            .set("2.1/lo_pos", Format::Uncompressed)
+            .set("3.2/revenue_at_pos", Format::ForDynBp)
+            .set("4.1/group_year", Format::Rle)
+            .set("4.1/group_year_reps", Format::DeltaDynBp);
+        check_all_queries_against_reference(
+            &raw.with_narrow_static_bp(false),
+            &raw,
+            ExecSettings::vectorized_compressed(),
+            &mixed,
         );
     }
 }
