@@ -9,6 +9,7 @@
 //! Regenerate with:
 //! `cargo run -p morph-bench --release --bin fig6_simple_query [--elements N] [--runs R]`
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use morph_bench::{fmt_mib, fmt_ms, print_header, print_row, HarnessArgs};
@@ -16,9 +17,8 @@ use morph_compression::Format;
 use morph_storage::datagen::SyntheticColumn;
 use morph_storage::Column;
 use morphstore_engine::exec::FormatConfig;
-use morphstore_engine::{
-    agg_sum, project, select, CmpOp, ExecSettings, ExecutionContext, IntegrationDegree,
-};
+use morphstore_engine::plan::{PlanBuilder, PlanExecutor, QueryPlan};
+use morphstore_engine::{CmpOp, ExecSettings, ExecutionContext, IntegrationDegree};
 
 /// One format configuration of the simple query: formats for the base
 /// columns X and Y and the intermediates X' (positions) and Y' (projected
@@ -31,6 +31,22 @@ struct Config {
     degree: IntegrationDegree,
 }
 
+/// The label of the simple query's plan, the prefix of its intermediates'
+/// record names (`"fig6/X'"`, `"fig6/Y'"`).
+const LABEL: &str = "fig6";
+
+/// `SELECT SUM(Y) FROM R WHERE X = c` as a plan: scan X, scan Y,
+/// select X', project Y', sum.
+fn simple_query(constant: u64) -> QueryPlan {
+    let mut p = PlanBuilder::new(LABEL);
+    let x = p.scan("X");
+    let y = p.scan("Y");
+    let positions = p.select("X'", x, CmpOp::Eq, constant);
+    let projected = p.project("Y'", y, positions);
+    let sum = p.agg_sum("sum", projected);
+    p.finish_scalar(sum)
+}
+
 fn run_simple_query(
     x: &Column,
     y: &Column,
@@ -41,23 +57,18 @@ fn run_simple_query(
         degree: config.degree,
         ..ExecSettings::default()
     };
-    let mut ctx = ExecutionContext::new(settings.clone(), FormatConfig::uncompressed());
+    let formats = FormatConfig::uncompressed()
+        .set(&format!("{LABEL}/X'"), config.positions)
+        .set(&format!("{LABEL}/Y'"), config.projected);
+    let mut ctx = ExecutionContext::new(settings, formats);
     let start = Instant::now();
-    let x_base = x.to_format(&config.base);
-    let y_base = y.to_format(&config.base);
-    ctx.record_base("X", &x_base);
-    ctx.record_base("Y", &y_base);
-    let positions = ctx.time("select", || {
-        select(CmpOp::Eq, &x_base, constant, &config.positions, &settings)
-    });
-    ctx.record_intermediate("X'", &positions);
-    let projected = ctx.time("project", || {
-        project(&y_base, &positions, &config.projected, &settings)
-    });
-    ctx.record_intermediate("Y'", &projected);
-    let sum = ctx.time("sum", || agg_sum(&projected, &settings));
+    let source = HashMap::from([
+        ("X".to_string(), x.to_format(&config.base)),
+        ("Y".to_string(), y.to_format(&config.base)),
+    ]);
+    let output = PlanExecutor.execute(&simple_query(constant), &source, &mut ctx);
     let elapsed = start.elapsed();
-    (sum, ctx, elapsed)
+    (output.values[0], ctx, elapsed)
 }
 
 fn main() {
@@ -174,8 +185,8 @@ fn main() {
                 fitted.label.to_string(),
                 fmt_mib(size_of("X")),
                 fmt_mib(size_of("Y")),
-                fmt_mib(size_of("X'")),
-                fmt_mib(size_of("Y'")),
+                fmt_mib(size_of(&format!("{LABEL}/X'"))),
+                fmt_mib(size_of(&format!("{LABEL}/Y'"))),
                 fmt_mib(ctx.total_footprint_bytes()),
                 fmt_ms(total_runtime / args.runs.max(1) as u32),
                 sum.to_string(),

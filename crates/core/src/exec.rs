@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use morph_cache::QueryCache;
 use morph_compression::Format;
@@ -75,12 +75,13 @@ pub struct ExecSettings {
     pub style: ProcessingStyle,
     /// Degree of integrating compression into the operators.
     pub degree: IntegrationDegree,
-    /// Minimum input length (in data elements) above which the parallel
-    /// executor splits a single hot operator (select, select-between,
-    /// project, semi-join probe, calc, sorted intersection, whole-column
-    /// sum) into chunk-range *morsels* processed by several workers.
-    /// `None` (the default) disables intra-operator parallelism; the serial
-    /// executor ignores the setting entirely.
+    /// Minimum input length (in data elements) above which the scheduler
+    /// splits a single hot operator (select, select-between, project,
+    /// semi-join probe, calc, sorted intersection, whole-column sum) or a
+    /// prefix-independent fused region into chunk-range *morsels*
+    /// processed by several workers.  `None` (the default) disables
+    /// intra-operator parallelism; one worker never splits, so the setting
+    /// has no effect on [`PlanExecutor`](crate::plan::PlanExecutor).
     pub morsel_threshold: Option<usize>,
     /// Cross-query plan-level cache consulted by both executors before a
     /// node is scheduled: a hit completes the node without running the
@@ -296,13 +297,13 @@ pub struct ColumnRecord {
 /// Bookkeeping of a single plan node's execution, recorded independently of
 /// the [`ExecutionContext`] so nodes can run on worker threads.
 ///
-/// The parallel plan executor gives every node its own `NodeRecords`; once
-/// all nodes have completed, the per-node records are merged back into the
-/// context **in topological (node-list) order** via
-/// [`ExecutionContext::merge_node_records`].  Because the serial executor
-/// visits nodes in exactly that order, the merged footprint records and
-/// operator-timing label sequences are identical to serial execution no
-/// matter which thread ran which node when.
+/// The scheduler ([`crate::parallel`]) gives every node its own
+/// `NodeRecords`; once all nodes have completed, the per-node records are
+/// merged back into the context **in topological (node-list) order** via
+/// [`ExecutionContext::merge_node_records`] — on every path, serial or
+/// parallel, fused or not — so the merged footprint records and
+/// operator-timing label sequences never depend on which thread ran which
+/// node when.  A failed execution merges nothing.
 #[derive(Debug, Default)]
 pub struct NodeRecords {
     records: Vec<ColumnRecord>,
@@ -371,19 +372,9 @@ impl NodeRecords {
         self.node = Some(node as u32);
     }
 
-    /// Run `f`, recording its wall-clock duration under `op_name`.
-    pub fn time<R>(&mut self, op_name: &str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = f();
-        self.timings.push((op_name.to_string(), start.elapsed()));
-        self.timing_nodes.push(self.node);
-        result
-    }
-
-    /// Record an externally measured duration under `op_name` — used by the
-    /// morsel path, where one operator's wall clock spans several workers
-    /// and cannot be measured around a single closure, and by the cache-hit
-    /// path, where the recorded duration is the lookup time.
+    /// Record a measured duration under `op_name`: an operator's run, a
+    /// fanned-out unit's fan-out-to-merge wall clock, a fused stage's
+    /// accumulated time, or a cache hit's lookup time.
     pub fn push_timing(&mut self, op_name: &str, elapsed: Duration) {
         self.timings.push((op_name.to_string(), elapsed));
         self.timing_nodes.push(self.node);
@@ -490,55 +481,6 @@ impl ExecutionContext {
         self.formats.format_for(column, Format::Uncompressed)
     }
 
-    /// Record a base column touched by the query.  Recording the same base
-    /// column twice has no effect (its footprint is counted once per query,
-    /// as in the paper's evaluation).
-    pub fn record_base(&mut self, name: &str, column: &Column) {
-        if self.records.iter().any(|r| r.is_base && r.name == name) {
-            return;
-        }
-        self.records.push(ColumnRecord {
-            name: name.to_string(),
-            format: *column.format(),
-            len: column.logical_len(),
-            bytes: column.size_used_bytes(),
-            is_base: true,
-        });
-    }
-
-    /// Record an intermediate result produced by the query; its physical
-    /// size is charged to the current query's memory budget.
-    pub fn record_intermediate(&mut self, name: &str, column: &Column) {
-        // Cross-check the static plan verifier against runtime reality: in
-        // debug builds every produced column must carry a self-consistent
-        // seekable chunk directory, so all existing determinism suites
-        // exercise the invariant for free.
-        #[cfg(debug_assertions)]
-        if let Err(detail) = column.check_chunk_directory() {
-            panic!("column {name:?} has an inconsistent chunk directory: {detail}");
-        }
-        crate::govern::charge_materialized(column.size_used_bytes());
-        self.records.push(ColumnRecord {
-            name: name.to_string(),
-            format: *column.format(),
-            len: column.logical_len(),
-            bytes: column.size_used_bytes(),
-            is_base: false,
-        });
-        if self.capture {
-            self.captured.insert(name.to_string(), column.clone());
-        }
-    }
-
-    /// Run `f`, recording its wall-clock duration under `op_name`.
-    pub fn time<R>(&mut self, op_name: &str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = f();
-        self.timings.push((op_name.to_string(), start.elapsed()));
-        self.timing_nodes.push(None);
-        result
-    }
-
     /// Whether intermediate capture is enabled (see
     /// [`ExecutionContext::enable_capture`]).
     pub fn capture_enabled(&self) -> bool {
@@ -547,11 +489,10 @@ impl ExecutionContext {
 
     /// Merge the records of one executed plan node into the context.
     ///
-    /// The plan executors call this once per node **in topological
-    /// (node-list) order**, which makes the merged footprint and timing
-    /// sequences independent of the actual (possibly parallel) execution
-    /// schedule.  Base-column records deduplicate exactly like
-    /// [`ExecutionContext::record_base`]: the footprint of a base column is
+    /// The scheduler calls this once per node **in topological (node-list)
+    /// order**, which makes the merged footprint and timing sequences
+    /// independent of the actual (possibly parallel) execution schedule.
+    /// Base-column records deduplicate: the footprint of a base column is
     /// counted once per query.
     pub fn merge_node_records(&mut self, node: NodeRecords) {
         for record in node.records {
@@ -591,10 +532,10 @@ impl ExecutionContext {
     }
 
     /// The stable plan-node index of each timing record, aligned with
-    /// [`ExecutionContext::timings`] — `None` for ad-hoc timings recorded
-    /// outside a plan node.  Spans and timings join on this channel instead
-    /// of matching label strings (the label sequences themselves are part
-    /// of the byte-identity contract and never change).
+    /// [`ExecutionContext::timings`] — `None` for timings pushed before
+    /// [`NodeRecords::set_node`].  Spans and timings join on this channel
+    /// instead of matching label strings (the label sequences themselves
+    /// are part of the byte-identity contract and never change).
     pub fn timing_node_ids(&self) -> &[Option<u32>] {
         &self.timing_nodes
     }
@@ -632,17 +573,10 @@ impl ExecutionContext {
         self.records.iter().filter(|r| !r.is_base).count()
     }
 
-    /// Note one executed fused region whose interior columns summed to
-    /// `bytes` physical bytes — bytes that were recorded (footprints stay
-    /// byte-identical) but *not retained*: the columns were dropped
+    /// Note `regions` executed fused regions whose interior columns summed
+    /// to `bytes` physical bytes — bytes that were recorded (footprints
+    /// stay byte-identical) but *not retained*: the columns were dropped
     /// instead of entering the slot table.
-    pub fn note_fused_region(&mut self, bytes: u64) {
-        self.fused_regions += 1;
-        self.fused_bytes_avoided += bytes;
-    }
-
-    /// Fold fused-region accounting from a parallel execution (called once
-    /// after the workers join, with their accumulated totals).
     pub(crate) fn add_fused(&mut self, regions: usize, bytes: u64) {
         self.fused_regions += regions;
         self.fused_bytes_avoided += bytes;
@@ -727,8 +661,14 @@ mod tests {
         let mut ctx = ExecutionContext::new(ExecSettings::default(), FormatConfig::uncompressed());
         let base = Column::from_slice(&[1, 2, 3, 4]);
         let inter = Column::compress(&(0..1000u64).collect::<Vec<_>>(), &Format::StaticBp(10));
-        ctx.record_base("base", &base);
-        ctx.record_intermediate("inter", &inter);
+        let mut node = NodeRecords::new(false);
+        node.record_base("base", &base);
+        node.record_intermediate("inter", &inter);
+        ctx.merge_node_records(node);
+        // A second node touching the same base column: counted once.
+        let mut again = NodeRecords::new(false);
+        again.record_base("base", &base);
+        ctx.merge_node_records(again);
         assert_eq!(ctx.base_footprint_bytes(), 32);
         assert_eq!(ctx.intermediate_footprint_bytes(), inter.size_used_bytes());
         assert_eq!(ctx.total_footprint_bytes(), 32 + inter.size_used_bytes());
@@ -739,11 +679,15 @@ mod tests {
     #[test]
     fn execution_context_times_operators() {
         let mut ctx = ExecutionContext::default();
-        let result = ctx.time("op1", || 21 * 2);
-        assert_eq!(result, 42);
-        ctx.time("op2", || std::thread::sleep(Duration::from_millis(1)));
+        let mut node = NodeRecords::new(false);
+        node.set_node(3);
+        node.push_timing("op1", Duration::from_millis(2));
+        node.push_timing("op2", Duration::from_millis(1));
+        assert_eq!(node.last_duration(), Duration::from_millis(1));
+        ctx.merge_node_records(node);
         assert_eq!(ctx.timings().len(), 2);
-        assert!(ctx.total_runtime() >= Duration::from_millis(1));
+        assert_eq!(ctx.total_runtime(), Duration::from_millis(3));
         assert_eq!(ctx.timings()[0].0, "op1");
+        assert_eq!(ctx.timing_node_ids(), &[Some(3), Some(3)]);
     }
 }

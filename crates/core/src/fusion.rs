@@ -56,30 +56,31 @@
 //! bit-for-bit, so regions silently demote to node-by-node execution
 //! there.
 //!
-//! ## Governance and faults
+//! ## Scheduling, governance and faults
 //!
-//! The fused loop checkpoints once per *node* when the region starts (one
-//! checkpoint per member — the same count the unfused executor pays) and
-//! once per driver chunk inside the loop, so cancellation, deadlines and
-//! seeded chunk faults keep firing with bounded latency mid-pipeline.
+//! A region is one *unit* of the scheduler ([`crate::parallel`]): it runs
+//! when its root's unit comes up, as one pass over the whole driver or —
+//! when it is prefix-independent and the driver crosses the morsel
+//! threshold — as several passes over driver chunk ranges whose per-stage
+//! partials splice back in range order.  The scheduler checkpoints once per
+//! *member* when the unit starts (the same count an unfused run pays), and
+//! the pass checkpoints once per driver chunk, so cancellation, deadlines
+//! and seeded chunk faults keep firing with bounded latency mid-pipeline.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use morph_cache::{CachedValue, QueryCache};
-use morph_compression::Format;
+use morph_cache::QueryCache;
 use morph_storage::{Column, ColumnBuilder};
 use morph_vector::ProcessingStyle;
 
-use crate::exec::{ExecSettings, FormatConfig, IntegrationDegree, NodeRecords};
+use crate::exec::{ExecSettings, FormatConfig, IntegrationDegree};
 use crate::ops::agg::sum_chunk;
 use crate::ops::calc::binary_chunk;
-use crate::ops::partitioned;
 use crate::ops::project::Gather;
 use crate::ops::select::{between_chunk, filter_chunk};
-use crate::plan::{ColRef, NodeCacheInfo, PlanOp, PlanOutputs, QueryPlan, Slot};
+use crate::plan::{ColRef, NodeCacheInfo, Partial, PlanOp, PlanOutputs, QueryPlan, Slot};
 use crate::{BinaryOp, CmpOp};
 
 /// Where a fused stage reads its streamed input from.
@@ -312,11 +313,6 @@ impl FusionPlan {
     /// The region at `index`.
     pub(crate) fn region(&self, index: usize) -> &FusedRegion {
         &self.regions[index]
-    }
-
-    /// Whether `node` is the root of a region.
-    pub(crate) fn is_region_root(&self, node: usize) -> bool {
-        self.region_of[node].is_some_and(|index| self.regions[index].root == node)
     }
 
     /// Read-only summaries of the regions, for cost models and tooling.
@@ -559,33 +555,6 @@ fn grow_region(
     })
 }
 
-/// A partial (or complete) fused-stage output: a column for position- and
-/// value-producing stages, a wrapping sum for the aggregation root.
-pub(crate) enum FusedPartial {
-    /// A (partial) output column.
-    Col(Column),
-    /// A (partial) wrapping sum.
-    Sum(u64),
-}
-
-/// The completed execution of one region member: its node index, its
-/// bookkeeping, and its slot (interiors yield [`Slot::Fused`] — their
-/// columns are dropped once recorded).
-pub(crate) struct FusedNodeOutcome {
-    pub(crate) node: usize,
-    pub(crate) records: NodeRecords,
-    pub(crate) slot: Slot<'static>,
-}
-
-/// The completed execution of one region.
-pub(crate) struct RegionOutcome {
-    /// Per-member outcomes, in ascending node order.
-    pub(crate) nodes: Vec<FusedNodeOutcome>,
-    /// Physical bytes of the interior columns that were dropped instead of
-    /// retained — the query's `intermediate_bytes_avoided` contribution.
-    pub(crate) interior_bytes: u64,
-}
-
 /// Per-stage working state of one pass over (a range of) the driver.
 struct StagePass<'d> {
     /// Per stage, the project reader over the stage's data column (`None`
@@ -704,102 +673,6 @@ fn run_chunk(
     }
 }
 
-/// Finish one region member: push its timing, record (and cache) its
-/// output, and decide its slot.  Interiors contribute their physical size
-/// to `interior_bytes` and collapse to [`Slot::Fused`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_node_outcome(
-    plan: &QueryPlan,
-    region: &FusedRegion,
-    node: usize,
-    value: FusedPartial,
-    elapsed: Duration,
-    settings: &ExecSettings,
-    cache_info: Option<&[NodeCacheInfo]>,
-    capture: bool,
-    interior_bytes: &mut u64,
-) -> FusedNodeOutcome {
-    let full = plan.node_full_name(node);
-    let timing = plan.node_timing_label(node);
-    let mut records = NodeRecords::new(capture);
-    records.set_node(node);
-    records.push_timing(&timing, elapsed);
-    let (slot, cached) = match value {
-        FusedPartial::Sum(total) => (Slot::Scalar(total), CachedValue::Scalar(total)),
-        FusedPartial::Col(column) => {
-            records.record_intermediate(&full, &column);
-            let column = Arc::new(column);
-            let cached = CachedValue::Column(Arc::clone(&column));
-            let slot = if node == region.root {
-                Slot::Col(column)
-            } else {
-                *interior_bytes += column.size_used_bytes() as u64;
-                Slot::Fused
-            };
-            (slot, cached)
-        }
-    };
-    if let (Some(cache), Some(infos)) = (settings.cache.as_deref(), cache_info) {
-        let info = &infos[node];
-        if let Some(key) = info.key {
-            cache.insert(key, cached, records.last_duration(), &info.deps);
-        }
-    }
-    FusedNodeOutcome {
-        node,
-        records,
-        slot,
-    }
-}
-
-/// Execute one fused region in a single pass over its driver column: the
-/// chunk-range pass [`run_region_part`] over the driver's whole chunk range.
-///
-/// All externals (driver, project data) must already be in the slot table
-/// — the caller dispatches the region when its *root* becomes ready, and
-/// every external has a smaller node index than the root.
-pub(crate) fn execute_region<'a, 's, F>(
-    plan: &QueryPlan,
-    region: &FusedRegion,
-    slots: &F,
-    settings: &ExecSettings,
-    formats: &FormatConfig,
-    cache_info: Option<&[NodeCacheInfo]>,
-    capture: bool,
-) -> RegionOutcome
-where
-    'a: 's,
-    F: Fn(usize) -> &'s Slot<'a>,
-{
-    // One node checkpoint per member, exactly like the unfused executor.
-    for _ in &region.members {
-        crate::govern::checkpoint_node();
-    }
-    let chunks = 0..slots(region.driver.node)
-        .column(region.driver.port)
-        .chunk_count();
-    let (partials, elapsed) = run_region_part(plan, region, chunks, slots, settings, formats);
-    let mut outcome = RegionOutcome {
-        nodes: Vec::with_capacity(region.stages.len()),
-        interior_bytes: 0,
-    };
-    for ((stage, value), elapsed) in region.stages.iter().zip(partials).zip(elapsed) {
-        let node = fused_node_outcome(
-            plan,
-            region,
-            stage.node,
-            value,
-            elapsed,
-            settings,
-            cache_info,
-            capture,
-            &mut outcome.interior_bytes,
-        );
-        outcome.nodes.push(node);
-    }
-    outcome
-}
-
 /// Run one pass of a fused region over the driver chunk range `chunks`,
 /// producing one partial — built at the effective output format, like every
 /// chunk-range kernel, so a range-order splice reconstructs the whole-range
@@ -815,7 +688,7 @@ pub(crate) fn run_region_part<'a, 's, F>(
     slots: &F,
     settings: &ExecSettings,
     formats: &FormatConfig,
-) -> (Vec<FusedPartial>, Vec<Duration>)
+) -> (Vec<Partial>, Vec<Duration>)
 where
     'a: 's,
     F: Fn(usize) -> &'s Slot<'a>,
@@ -832,9 +705,9 @@ where
         .iter()
         .map(|stage| match stage.kind {
             StageKind::AggSum { .. } => None,
-            _ => Some(ColumnBuilder::new(fused_part_format(
-                plan, stage.node, settings, formats,
-            ))),
+            _ => Some(ColumnBuilder::new(
+                plan.part_format(stage.node, settings, formats),
+            )),
         })
         .collect();
     driver.for_each_chunk_in(chunks, &mut |start, chunk| {
@@ -849,25 +722,11 @@ where
         .into_iter()
         .enumerate()
         .map(|(i, sink)| match sink {
-            Some(builder) => FusedPartial::Col(builder.finish()),
-            None => FusedPartial::Sum(pass.sums[i]),
+            Some(builder) => Partial::Col(builder.finish()),
+            None => Partial::Sum(pass.sums[i]),
         })
         .collect();
     (partials, pass.elapsed)
-}
-
-/// The output format a fused morsel job materialises member `node` in —
-/// shared by part execution and the final splice.
-pub(crate) fn fused_part_format(
-    plan: &QueryPlan,
-    node: usize,
-    settings: &ExecSettings,
-    formats: &FormatConfig,
-) -> Format {
-    partitioned::effective_output_format(
-        &formats.format_for(&plan.node_full_name(node), Format::Uncompressed),
-        settings,
-    )
 }
 
 #[cfg(test)]
@@ -875,7 +734,9 @@ mod tests {
     use super::*;
     use crate::exec::{ColumnRecord, ExecutionContext};
     use crate::plan::{PlanBuilder, PlanOutput};
+    use morph_compression::Format;
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn source(n: u64) -> HashMap<String, Column> {
         let mut columns = HashMap::new();

@@ -43,24 +43,26 @@
 //!
 //! Operators compose into a declarative DAG via the [`plan`] module: a
 //! [`plan::PlanBuilder`] offers one constructor per operator and returns
-//! typed handles, and a [`plan::PlanExecutor`] walks the finished
+//! typed handles, and a [`plan::PlanExecutor`] runs the finished
 //! [`plan::QueryPlan`] in topological order, resolving each edge's
 //! compression format from the [`exec::FormatConfig`] and recording
 //! footprints and timings in the [`ExecutionContext`].  Because DP1
 //! materialises every intermediate, the plan is an explicit dependency
-//! graph, and the [`parallel::ParallelExecutor`] schedules independent
-//! subtrees on a worker pool with bookkeeping identical to the serial
-//! walk.  With [`ExecSettings::morsel_threshold`] set it additionally
-//! splits single large operators into chunk-range morsels over the
-//! columns' seekable chunk directories ([`ops::partitioned`]), spliced
-//! back byte-identically.  With an [`ExecSettings::cache`] handle set,
-//! both executors additionally consult the cross-query plan-level
-//! [`QueryCache`] (`morph-cache`): every non-scan node is keyed by a
+//! graph, and one ready-queue scheduler ([`parallel`]) runs it: inline on
+//! the calling thread for [`plan::PlanExecutor`], on several workers for
+//! the [`parallel::ParallelExecutor`], with identical bookkeeping.  With
+//! [`ExecSettings::morsel_threshold`] set, several workers additionally
+//! split single large operators (and fused regions) into chunk-range
+//! morsels over the columns' seekable chunk directories
+//! ([`ops::partitioned`]), spliced back byte-identically.  With an
+//! [`ExecSettings::cache`] handle set, the scheduler additionally consults
+//! the cross-query plan-level [`QueryCache`] (`morph-cache`): every
+//! non-scan node is keyed by a
 //! canonical fingerprint of the subplan rooted at it, a hit completes the
 //! node without running the operator — with footprint and timing records
 //! identical to an execution — and a miss inserts the result for the next
 //! query.  With an [`ExecSettings::tracer`] attached (`morph-telemetry`),
-//! both executors additionally record one lock-free span per plan node —
+//! the scheduler additionally records one lock-free span per plan node —
 //! wall time, rows, compressed vs. logical bytes, cache hits, morsel
 //! fan-out — which [`plan::QueryPlan::explain_analyze`] renders as a
 //! per-node profile; results, footprint records and timing-label sequences

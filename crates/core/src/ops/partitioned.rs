@@ -24,9 +24,11 @@
 //!   blocks are position-independent), and partial sums of the wrapping
 //!   [`agg_sum`](crate::agg_sum) reduce associatively.
 //!
-//! The [`crate::parallel::ParallelExecutor`] drives these kernels from its
-//! worker pool; the functions are public so tests (and other schedulers)
-//! can exercise the partition → process → merge pipeline directly.
+//! The scheduler ([`crate::parallel`]) runs these kernels as the parts of a
+//! fanned-out unit and splices their outputs with [`concat_partials`]; a
+//! unit that runs as one part calls the whole-column operator instead.  The
+//! functions are public so tests can exercise the partition → process →
+//! merge pipeline directly.
 
 use std::ops::Range;
 

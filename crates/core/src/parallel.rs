@@ -1,5 +1,5 @@
-//! Parallel plan execution: schedule independent plan subtrees — and
-//! chunk-range *morsels* of single large operators — on a worker pool.
+//! Plan execution: one ready-queue scheduler for serial, parallel, morsel
+//! and fused execution.
 //!
 //! The operator-at-a-time model (DP1) materialises every intermediate as a
 //! real named column, which makes a [`QueryPlan`] an *explicit* dependency
@@ -7,304 +7,710 @@
 //! engine the paper benchmarks against (Figure 9), exploits the same
 //! inter-operator parallelism; the multi-join SSB plans are the showcase:
 //! their dimension-table subtrees (select → project → semi-join per
-//! dimension) are mutually independent and can run concurrently.
+//! dimension) are mutually independent and can run concurrently.  In
+//! Rozenberg et al.'s model of analytic column stores, serial, morsel and
+//! fused execution are different schedules of the same position-list
+//! operators — so there is one scheduler, here.
 //!
-//! ## Scheduling
+//! ## Units and parts
 //!
-//! [`ParallelExecutor`] computes each node's in-degree from
-//! [`QueryPlan::dependencies`], seeds a shared task queue with the
-//! zero-in-degree nodes (the scans), and lets `threads` scoped workers
-//! (`std::thread::scope` — no external dependencies) pull tasks from
-//! the queue, parking on a `Condvar` while it is empty (idle workers burn
-//! no cycles while one long operator runs).  A worker executes a node via
-//! the same [`execute_node`] core the serial executor uses, publishes the
-//! result in a per-node `OnceLock` cell, decrements the in-degree of every
-//! dependent and enqueues those that become ready.  Workers exit when all
-//! nodes have completed.
+//! The scheduler runs *units*: a single plan node, or a fused region
+//! ([`crate::fusion`]) collapsed to its root, which inherits the region's
+//! external inputs (interiors are never scheduled).  A unit runs as one or
+//! more chunk-range *parts*:
 //!
-//! ## Intra-operator parallelism (morsels)
+//! * One part is the whole unit.  A node runs its whole-column operator
+//!   ([`run_node_op`], which keeps the `Specialized` / `OnTheFlyMorphing`
+//!   kernel dispatch); a region runs one pass over its whole driver.
+//! * With [`ExecSettings::morsel_threshold`] set and more than one worker, a
+//!   unit whose partitioned input — a node's [`PlanOp::partitioned_input`],
+//!   a prefix-independent region's driver — reaches the threshold splits
+//!   into k = min(workers, chunks, len / threshold) ≥ 2 contiguous chunk
+//!   ranges ([`Column::partition_chunks`]).  Shared state (a semi-join build
+//!   set) is built once, each part runs the chunk-range kernel ([`run_part`],
+//!   [`crate::fusion::run_region_part`]), and the worker finishing the last
+//!   part splices every member's partials in range order
+//!   ([`partitioned::concat_partials`]; sums fold wrapping) — byte-identical
+//!   to the one-part run.  Chunk-range decoding never replays a prefix, so
+//!   a part costs what its share of the column costs.
 //!
-//! Inter-operator parallelism alone leaves the Q1.x SSB plans serial: they
-//! are one chain of huge fact-table operators.  When
-//! [`crate::ExecSettings::morsel_threshold`] is set and a ready node's
-//! partitioned input (see [`QueryPlan::morsel_op`]) reaches the threshold,
-//! the worker that pops the node does not execute it; instead it builds the
-//! operator's shared state once (a semi-join build set),
-//! splits the input's seekable chunk directory into `k` contiguous ranges
-//! ([`Column::partition_chunks`]) and publishes a [`MorselJob`].  Every
-//! worker — including the one that published — then claims parts from the
-//! job; the worker completing the *last* part splices the partials back in
-//! range order ([`partitioned::concat_partials`]) and completes the node
-//! exactly like the single-task path.  Chunk-range decoding never replays a
-//! prefix (each chunk is an independently decodable block), so parts cost
-//! what their share of the column costs.
+//! Either way each member completes through one function (`Run::finish`):
+//! push the timing, record the output, insert it into the plan cache, and
+//! drop a fused interior's column.
+//!
+//! ## The loop
+//!
+//! Ready unit roots wait in one queue under one mutex, and idle workers park
+//! on a `Condvar`.  A worker takes a claimable part of a fanned-out unit
+//! first (finishing an in-flight fan-out unblocks its dependents soonest),
+//! else the ready unit with the **lowest root index** (`Queue::pop`).  One
+//! worker therefore runs the units in node-list order, and never splits one:
+//! [`PlanExecutor`](crate::plan::PlanExecutor) is this loop with one
+//! worker, inline on the calling thread (its source need not be `Sync`),
+//! and [`ParallelExecutor`] runs it on the calling thread plus
+//! `threads - 1` scoped workers.  Every unit
+//! passes one governance node checkpoint per member when it starts, whatever
+//! its shape.
 //!
 //! ## Determinism
 //!
-//! Results are bit-identical to serial execution because every operator is a
-//! pure function of its input columns and the format assignment — and
-//! because the morsel merge reconstructs the serial builder's byte stream
-//! (see [`partitioned`]).  Footprint and timing **records** are kept
-//! identical too: each node records into its own [`NodeRecords`], and after
-//! the pool drains, the per-node records are merged into the
-//! [`ExecutionContext`] in topological (node-list) order — the exact order
-//! the serial executor produces
+//! Results are bit-identical across schedules because every operator is a
+//! pure function of its input columns and the format assignment, and the
+//! splice reconstructs the one-part byte stream (see [`partitioned`]).
+//! Footprint and timing **records** are identical too: each node records
+//! into its own [`NodeRecords`], and once the loop ends the per-node records
+//! are merged into the [`ExecutionContext`] in node-list order
 //! ([`ExecutionContext::merge_node_records`]).  Only the measured durations
-//! differ; names, formats, sizes and label sequences do not.
-//!
-//! ## `threads = 1`
-//!
-//! A single-threaded `ParallelExecutor` delegates to the serial
-//! [`PlanExecutor`] outright — no queue, no cells, no thread spawn — so the
-//! documented fast path degenerates to today's executor; the only extra
-//! work is the worker-count clamp.
+//! differ.  An execution that fails merges nothing.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use morph_compression::Format;
+use morph_cache::{CacheKey, QueryCache};
 use morph_storage::Column;
+use morph_telemetry::PlanTrace;
 use morph_vector::keys::KeySet;
 
 use crate::exec::{ExecSettings, ExecutionContext, FormatConfig, NodeRecords};
-use crate::fusion::{FusedPartial, FusedRegion, FusionPlan, RegionOutcome, StageKind};
+use crate::fusion::{run_region_part, FusionPlan};
+use crate::govern::GovernorScope;
 use crate::ops::partitioned;
 use crate::plan::{
-    cached_from_slot, execute_node, plan_cache_info, ColumnSource, MorselOp, NodeCacheInfo,
-    PlanExecutor, PlanOutput, QueryPlan, Slot,
+    cached_from_slot, plan_cache_info, run_node_op, run_part, slot_from_cached, ColRef,
+    ColumnSource, NodeCacheInfo, Partial, PlanOp, PlanOutput, QueryPlan, Slot,
 };
 
-/// The result of one plan node, published for dependent nodes and the final
-/// record merge.
+/// The unit graph of one execution: [`QueryPlan::dependencies`] with every
+/// fused region collapsed to its root.
+struct Graph {
+    /// Per node, the members of the unit it roots, in node order: the node
+    /// itself, or a region's members for its root.  Empty for region
+    /// interiors, which are never scheduled.
+    members: Vec<Vec<usize>>,
+    /// Per node, the number of inputs its unit waits for.
+    inputs: Vec<usize>,
+    /// Per node, the unit roots that consume it.
+    dependents: Vec<Vec<usize>>,
+}
+
+impl Graph {
+    fn new(plan: &QueryPlan, fusion: &FusionPlan) -> Graph {
+        let mut deps = plan.dependencies();
+        let mut members: Vec<Vec<usize>> = (0..deps.len()).map(|idx| vec![idx]).collect();
+        for region in fusion.regions() {
+            for &member in &region.members {
+                members[member].clear();
+            }
+            members[region.root] = region.members.clone();
+            deps[region.root] = region.externals.clone();
+        }
+        let mut dependents = vec![Vec::new(); deps.len()];
+        for (idx, inputs) in deps.iter().enumerate() {
+            if !members[idx].is_empty() {
+                for &input in inputs {
+                    dependents[input].push(idx);
+                }
+            }
+        }
+        Graph {
+            members,
+            inputs: deps.iter().map(Vec::len).collect(),
+            dependents,
+        }
+    }
+}
+
+/// What a worker runs next.
+#[derive(Debug, PartialEq, Eq)]
+enum Task {
+    /// Start the unit rooted at this node.
+    Unit(usize),
+    /// Run part `part` of the fanned-out unit rooted at `root`.
+    Part { root: usize, part: usize },
+}
+
+/// The ready queue: plain data, advanced under the run's mutex.
+struct Queue {
+    /// Unit roots whose inputs have all completed.
+    ready: BTreeSet<usize>,
+    /// Per fanned-out unit root, its parts not yet claimed.
+    parts: BTreeMap<usize, Range<usize>>,
+    /// Per node, the inputs its unit still waits for.
+    waiting: Vec<usize>,
+    /// Nodes not yet completed.
+    pending: usize,
+    /// Every node completed, or a worker panicked: workers exit.
+    done: bool,
+}
+
+impl Queue {
+    fn new(graph: &Graph) -> Queue {
+        let units = 0..graph.inputs.len();
+        Queue {
+            ready: units
+                .filter(|&idx| !graph.members[idx].is_empty() && graph.inputs[idx] == 0)
+                .collect(),
+            parts: BTreeMap::new(),
+            waiting: graph.inputs.clone(),
+            pending: graph.inputs.len(),
+            done: graph.inputs.is_empty(),
+        }
+    }
+
+    /// The pop policy: a claimable part first — of the lowest fanned-out
+    /// root — else the ready unit with the lowest root index.  With one
+    /// worker nothing fans out, so the pops are node-list order.
+    fn pop(&mut self) -> Option<Task> {
+        if let Some(mut entry) = self.parts.first_entry() {
+            let root = *entry.key();
+            let part = entry
+                .get_mut()
+                .next()
+                .expect("drained part ranges are removed");
+            if entry.get().is_empty() {
+                entry.remove();
+            }
+            return Some(Task::Part { root, part });
+        }
+        self.ready.pop_first().map(Task::Unit)
+    }
+
+    /// Complete the unit rooted at `root`; returns how many units became
+    /// ready.
+    fn complete(&mut self, graph: &Graph, root: usize) -> usize {
+        self.pending -= graph.members[root].len();
+        if self.pending == 0 {
+            self.done = true;
+        }
+        let mut released = 0;
+        for &dependent in &graph.dependents[root] {
+            self.waiting[dependent] -= 1;
+            if self.waiting[dependent] == 0 {
+                self.ready.insert(dependent);
+                released += 1;
+            }
+        }
+        released
+    }
+}
+
+/// A unit fanned out into k ≥ 2 chunk-range parts.
+struct Job {
+    /// Contiguous chunk ranges of the unit's partitioned input, in order.
+    parts: Vec<Range<usize>>,
+    /// Per part, one partial per member.
+    partials: Vec<OnceLock<Vec<Partial>>>,
+    /// Completed parts; the worker completing the last one merges.
+    done: AtomicUsize,
+    /// The semi-join build set, built once for all parts.
+    keys: Option<KeySet>,
+    /// Fan-out time: every member's recorded duration spans fan-out
+    /// through merge, shared-state construction included (as in the
+    /// whole-column operator).
+    started: Instant,
+}
+
+/// A completed node, published for its consumers and the final merge.
 struct NodeResult<'a> {
     slot: Slot<'a>,
     records: NodeRecords,
 }
 
-/// Operator state built once by the fanning-out worker and shared by all
-/// parts of a morsel job.
-enum MorselAux {
-    /// No shared state (selects, calcs, sums, projects, intersections).
-    None,
-    /// The semi-join build set.
-    Set(KeySet),
-}
-
-/// The partial result of one morsel part.
-enum MorselPartial {
-    /// A partial output column (select, project, semi-join).
-    Col(Column),
-    /// A partial wrapping sum (agg_sum).
-    Sum(u64),
-}
-
-/// One fanned-out operator: `parts` contiguous chunk ranges of the
-/// partitioned input, claimed by workers one at a time.
-struct MorselJob {
-    /// The plan node this job executes.
-    node: usize,
-    /// Contiguous chunk ranges, covering the input in order.
-    parts: Vec<Range<usize>>,
-    /// Next unclaimed part (claims happen under the queue lock).
-    next: AtomicUsize,
-    /// Completed parts; the worker completing the last one merges.
-    done: AtomicUsize,
-    /// Partial results, indexed like `parts`.
-    partials: Vec<OnceLock<MorselPartial>>,
-    /// Shared operator state (the semi-join build set).
-    aux: MorselAux,
-    /// Format the partials and the merged column are materialised in.
-    out_format: Format,
-    /// Fan-out time: the node's recorded duration spans shared-state
-    /// construction through merge, like the serial operator timing.
-    started: Instant,
-}
-
-/// One fanned-out fused region: `parts` contiguous chunk ranges of the
-/// region's *driver* column, each processed as a full pipeline pass that
-/// yields one partial per stage.
-struct FusedJob {
-    /// Index of the region in the execution's [`FusionPlan`].
-    region_index: usize,
-    /// Contiguous driver chunk ranges, covering the driver in order.
-    parts: Vec<Range<usize>>,
-    /// Next unclaimed part (claims happen under the queue lock).
-    next: AtomicUsize,
-    /// Completed parts; the worker completing the last one merges.
-    done: AtomicUsize,
-    /// Per part, one partial per stage (in stage order).
-    partials: Vec<OnceLock<Vec<FusedPartial>>>,
-    /// Fan-out time: every member's recorded duration spans fan-out
-    /// through merge, like the unfused morsel timing.
-    started: Instant,
-}
-
-/// A fanned-out job in the morsel queue: a single-operator morsel job or a
-/// whole fused region.
-enum QueuedJob {
-    Op(Arc<MorselJob>),
-    Fused(Arc<FusedJob>),
-}
-
-impl QueuedJob {
-    fn next(&self) -> &AtomicUsize {
-        match self {
-            QueuedJob::Op(job) => &job.next,
-            QueuedJob::Fused(job) => &job.next,
-        }
-    }
-
-    fn part_count(&self) -> usize {
-        match self {
-            QueuedJob::Op(job) => job.parts.len(),
-            QueuedJob::Fused(job) => job.parts.len(),
-        }
-    }
-}
-
-/// A unit of work pulled from the task queue.
-enum Task {
-    /// Execute (or fan out) one plan node or fused region root.
-    Node(usize),
-    /// Process part `1` of morsel job `0`.
-    Morsel(Arc<MorselJob>, usize),
-    /// Process driver chunk-range part `1` of fused-region job `0`.
-    FusedPart(Arc<FusedJob>, usize),
-}
-
-/// The queue proper, guarded by one mutex so Condvar parking covers both
-/// task kinds without lost wakeups.
-struct TaskQueue {
-    /// Node indices whose dependencies have all completed.
-    nodes: VecDeque<usize>,
-    /// Fanned-out jobs with unclaimed parts, oldest first.
-    morsels: VecDeque<QueuedJob>,
-}
-
-/// Shared scheduler state of one parallel plan execution.
-struct Scheduler {
-    queue: Mutex<TaskQueue>,
-    /// Signalled whenever the queue gains entries or `done` flips.
+/// One execution of one plan: the state the workers of the loop share.
+pub(crate) struct Run<'r, 'a> {
+    plan: &'r QueryPlan,
+    settings: &'r ExecSettings,
+    formats: &'r FormatConfig,
+    capture: bool,
+    workers: usize,
+    cache_info: Option<Vec<NodeCacheInfo>>,
+    fusion: FusionPlan,
+    graph: Graph,
+    trace: Option<Arc<PlanTrace>>,
+    queue: Mutex<Queue>,
+    /// Signalled whenever the queue gains work or `done` flips.
     wakeup: Condvar,
-    /// Per node, the number of dependencies that have not completed yet.
-    remaining: Vec<AtomicUsize>,
-    /// Number of completed nodes.
-    completed: AtomicUsize,
-    /// All nodes completed (or a worker panicked): workers must exit.
-    done: AtomicBool,
+    /// Per node, its result once completed.
+    cells: Vec<OnceLock<NodeResult<'a>>>,
+    /// Per unit root, its job once fanned out.
+    jobs: Vec<OnceLock<Job>>,
 }
 
-impl Scheduler {
+/// Run `plan` with `workers` workers — the one function behind every plan
+/// execution.  `drive` runs the loop ([`Run::work`]): inline on the
+/// calling thread, or there and on spawned workers.  Records are merged
+/// into `ctx` only once every node completed.
+pub(crate) fn run_plan<'a>(
+    plan: &QueryPlan,
+    source: &'a dyn ColumnSource,
+    ctx: &mut ExecutionContext,
+    workers: usize,
+    drive: impl FnOnce(&Run<'_, 'a>),
+) -> PlanOutput {
+    // Debug builds statically verify every plan before touching data, so
+    // the determinism suites double as verifier suites.
+    #[cfg(debug_assertions)]
+    crate::verify::assert_verified(plan);
+    let _governed = GovernorScope::enter(ctx.settings.governor.clone());
+    let settings = &ctx.settings;
+    // Subplan cache keys are a pure function of the plan, the format
+    // assignment and the base columns: computed once, before the loop.
+    let cache_info = settings
+        .cache
+        .as_deref()
+        .map(|cache| plan_cache_info(plan, source, &ctx.formats, settings, cache));
+    let fusion = FusionPlan::for_execution(plan, settings, cache_info.as_deref());
+    #[cfg(debug_assertions)]
+    crate::verify::assert_fusion_verified(plan, &fusion);
+    // Tracing is out of band: spans are recorded next to (never instead
+    // of) the ordinary bookkeeping, so results, footprint records and
+    // timing-label sequences stay byte-identical with a tracer attached.
+    let trace = settings
+        .tracer
+        .as_ref()
+        .map(|tracer| tracer.begin(plan.topology(&fusion, &ctx.formats)));
+    let graph = Graph::new(plan, &fusion);
+    let node_count = plan.node_count();
+    let run = Run {
+        plan,
+        settings,
+        formats: &ctx.formats,
+        capture: ctx.capture_enabled(),
+        workers,
+        cache_info,
+        fusion,
+        queue: Mutex::new(Queue::new(&graph)),
+        graph,
+        trace,
+        wakeup: Condvar::new(),
+        cells: (0..node_count).map(|_| OnceLock::new()).collect(),
+        jobs: (0..node_count).map(|_| OnceLock::new()).collect(),
+    };
+    drive(&run);
+    let Run {
+        cells,
+        fusion,
+        trace,
+        ..
+    } = run;
+    let mut slots = Vec::with_capacity(node_count);
+    let mut bytes_avoided = 0;
+    for cell in cells {
+        let result = cell
+            .into_inner()
+            .expect("every node completed before the loop ended");
+        ctx.merge_node_records(result.records);
+        if let Slot::Fused(bytes) = result.slot {
+            bytes_avoided += bytes;
+        }
+        slots.push(result.slot);
+    }
+    ctx.add_fused(fusion.region_count(), bytes_avoided);
+    let output = plan.collect_output(|i| &slots[i]);
+    if let (Some(tracer), Some(trace)) = (&ctx.settings.tracer, trace) {
+        tracer.finish(trace);
+    }
+    output
+}
+
+impl<'a> Run<'_, 'a> {
+    /// The worker loop: run tasks until every node completed or a worker
+    /// panicked.
+    pub(crate) fn work(&self, source: &'a dyn ColumnSource) {
+        let _release = PanicRelease(self);
+        while let Some(task) = self.next_task() {
+            match task {
+                Task::Unit(root) => self.start_unit(root, source),
+                Task::Part { root, part } => self.run_job_part(root, part),
+            }
+        }
+    }
+
     /// Block until a task is available; `None` once the execution is done.
-    ///
-    /// Morsel parts are claimed before whole nodes: finishing an in-flight
-    /// fan-out unblocks its dependents soonest, and the job was only created
-    /// because its operator dominates the plan.
     fn next_task(&self) -> Option<Task> {
         let mut queue = self.queue.lock().expect("scheduler lock");
         loop {
-            // `done` first: on normal completion the queue is empty anyway,
-            // and after a sibling's panic the survivors must stop instead of
-            // draining the rest of the plan before the panic propagates.
-            if self.done.load(Ordering::Acquire) {
+            // `done` first: after a sibling's panic the survivors stop
+            // instead of draining the rest of the plan before the panic
+            // propagates.
+            if queue.done {
                 return None;
             }
-            while let Some(job) = queue.morsels.front() {
-                // Claims happen under the queue lock, so `next` never skips.
-                let part = job.next().fetch_add(1, Ordering::Relaxed);
-                if part < job.part_count() {
-                    let last = part + 1 == job.part_count();
-                    let task = match job {
-                        QueuedJob::Op(job) => Task::Morsel(Arc::clone(job), part),
-                        QueuedJob::Fused(job) => Task::FusedPart(Arc::clone(job), part),
-                    };
-                    if last {
-                        queue.morsels.pop_front();
-                    }
-                    return Some(task);
-                }
-                queue.morsels.pop_front();
-            }
-            if let Some(idx) = queue.nodes.pop_front() {
-                return Some(Task::Node(idx));
+            if let Some(task) = queue.pop() {
+                return Some(task);
             }
             queue = self.wakeup.wait(queue).expect("scheduler lock");
         }
     }
 
-    /// Publish newly-ready nodes and wake waiting workers.  A single new
-    /// node needs a single worker; `finished` and multi-node batches wake
-    /// everyone.
-    fn enqueue_ready(&self, nodes: Vec<usize>, finished: bool) {
-        if nodes.is_empty() && !finished {
+    /// The slot of a completed node.  `OnceLock::get` pairs its acquire
+    /// load with the publishing `set`, so a consumer sees its input fully
+    /// initialised.
+    fn slot(&self, idx: usize) -> &Slot<'a> {
+        &self.cells[idx]
+            .get()
+            .expect("a unit starts after its inputs completed")
+            .slot
+    }
+
+    fn column(&self, r: ColRef) -> &Column {
+        self.slot(r.node).column(r.port)
+    }
+
+    /// Start the unit rooted at `root`: one node checkpoint per member,
+    /// then fan it out, or run it whole.
+    fn start_unit(&self, root: usize, source: &'a dyn ColumnSource) {
+        for _ in &self.graph.members[root] {
+            crate::govern::checkpoint_node();
+        }
+        if let Some(parts) = self.plan_parts(root) {
+            self.fan_out(root, parts);
             return;
         }
-        let single = nodes.len() == 1 && !finished;
-        let mut queue = self.queue.lock().expect("scheduler lock");
-        queue.nodes.extend(nodes);
-        drop(queue);
-        if single {
-            self.wakeup.notify_one();
-        } else {
-            self.wakeup.notify_all();
+        match self.fusion.region_of(root) {
+            None => {
+                let (slot, records) = self.execute_node(root, source);
+                self.publish(root, slot, records);
+                self.complete(root);
+            }
+            Some(index) => {
+                let region = self.fusion.region(index);
+                let chunks = 0..self.column(region.driver).chunk_count();
+                let slots = |i: usize| self.slot(i);
+                let (partials, elapsed) = run_region_part(
+                    self.plan,
+                    region,
+                    chunks,
+                    &slots,
+                    self.settings,
+                    self.formats,
+                );
+                self.complete_unit(root, partials.into_iter().zip(elapsed));
+            }
         }
     }
 
-    /// Publish a fanned-out job and wake all parked workers to claim parts.
-    fn publish_morsels(&self, job: QueuedJob) {
+    /// The chunk ranges unit `root` splits into, or `None` when it runs
+    /// whole.  It needs more than one worker, a partitioned input (a
+    /// node's [`PlanOp::partitioned_input`], a prefix-independent region's
+    /// driver) that reaches the morsel threshold, and at least two chunk
+    /// ranges.  A cached node never splits: the hit completes it at once.
+    fn plan_parts(&self, root: usize) -> Option<Vec<Range<usize>>> {
+        let threshold = self.settings.morsel_threshold?.max(1);
+        if self.workers < 2 {
+            return None;
+        }
+        let input = match self.fusion.region_of(root) {
+            Some(index) => {
+                let region = self.fusion.region(index);
+                region.prefix_independent.then_some(region.driver)?
+            }
+            None => {
+                let input = self.plan.nodes[root].op.partitioned_input()?;
+                let cached = self
+                    .cache_entry(root)
+                    .is_some_and(|(cache, key, _)| cache.contains(&key));
+                if cached {
+                    return None;
+                }
+                input
+            }
+        };
+        let input = self.column(input);
+        if input.logical_len() < threshold || input.chunk_count() < 2 {
+            return None;
+        }
+        // Enough parts that each carries roughly a threshold's worth of
+        // work, but never more than the pool could process concurrently.
+        let wanted = self
+            .workers
+            .min(input.chunk_count())
+            .min((input.logical_len() / threshold).max(2));
+        let parts = input.partition_chunks(wanted);
+        (parts.len() >= 2).then_some(parts)
+    }
+
+    /// Fan unit `root` out: build its shared state once, publish its job
+    /// and offer the parts to every worker.
+    fn fan_out(&self, root: usize, parts: Vec<Range<usize>>) {
+        let started = Instant::now();
+        let keys = match self.plan.nodes[root].op {
+            PlanOp::SemiJoin { probe, build } => Some(partitioned::build_semi_join_set(
+                self.column(build),
+                self.column(probe).logical_len(),
+            )),
+            _ => None,
+        };
+        let count = parts.len();
+        if let Some(trace) = &self.trace {
+            for &member in &self.graph.members[root] {
+                trace.note_fan_out(member, count as u64);
+            }
+        }
+        let job = Job {
+            partials: (0..count).map(|_| OnceLock::new()).collect(),
+            parts,
+            done: AtomicUsize::new(0),
+            keys,
+            started,
+        };
+        if self.jobs[root].set(job).is_err() {
+            unreachable!("unit {root} fanned out twice");
+        }
         let mut queue = self.queue.lock().expect("scheduler lock");
-        queue.morsels.push_back(job);
+        queue.parts.insert(root, 0..count);
         drop(queue);
         self.wakeup.notify_all();
     }
+
+    /// Run part `part` of the fanned-out unit `root`.  The worker finishing
+    /// the last part merges every member's partials in range order and
+    /// completes the unit.
+    fn run_job_part(&self, root: usize, part: usize) {
+        let job = self.jobs[root]
+            .get()
+            .expect("a unit's job is published before its parts");
+        let chunks = job.parts[part].clone();
+        let slots = |i: usize| self.slot(i);
+        let (settings, formats) = (self.settings, self.formats);
+        let partials = match self.fusion.region_of(root) {
+            Some(index) => {
+                let region = self.fusion.region(index);
+                run_region_part(self.plan, region, chunks, &slots, settings, formats).0
+            }
+            None => {
+                let keys = job.keys.as_ref();
+                let partial = run_part(self.plan, root, chunks, &slots, settings, formats, keys);
+                vec![partial]
+            }
+        };
+        if job.partials[part].set(partials).is_err() {
+            unreachable!("part {part} of unit {root} ran twice");
+        }
+        if job.done.fetch_add(1, Ordering::AcqRel) + 1 < job.parts.len() {
+            return;
+        }
+        let parts: Vec<&Vec<Partial>> = job
+            .partials
+            .iter()
+            .map(|cell| cell.get().expect("every part completed"))
+            .collect();
+        let elapsed = job.started.elapsed();
+        let members = self.graph.members[root].iter().enumerate();
+        let merged = members.map(|(stage, &member)| {
+            let value = if matches!(self.plan.nodes[member].op, PlanOp::AggSum { .. }) {
+                let sums = parts.iter().map(|part| match part[stage] {
+                    Partial::Sum(sum) => sum,
+                    Partial::Col(_) => unreachable!("sum stage with a column partial"),
+                });
+                Partial::Sum(sums.fold(0, u64::wrapping_add))
+            } else {
+                let columns = parts.iter().map(|part| match &part[stage] {
+                    Partial::Col(column) => column,
+                    Partial::Sum(_) => unreachable!("column stage with a sum partial"),
+                });
+                let format = self.plan.part_format(member, settings, formats);
+                Partial::Col(partitioned::concat_partials(&format, columns))
+            };
+            (value, elapsed)
+        });
+        self.complete_unit(root, merged);
+    }
+
+    /// Run node `idx` whole.  A scan resolves to its base column; with a
+    /// plan cache attached, a hit replays the node's records under the
+    /// identical names and timing label (the lookup time as duration); a
+    /// miss runs the operator and finishes the node.
+    fn execute_node(&self, idx: usize, source: &'a dyn ColumnSource) -> (Slot<'a>, NodeRecords) {
+        let mut records = self.records(idx);
+        if let PlanOp::Scan { column } = &self.plan.nodes[idx].op {
+            let base = source.column(column);
+            records.record_base(column, base);
+            return (Slot::Base(base), records);
+        }
+        if let Some((cache, key, _)) = self.cache_entry(idx) {
+            let lookup_started = Instant::now();
+            if let Some(value) = cache.lookup(&key) {
+                // A value of the wrong shape (a key collision) is a miss.
+                if let Some(slot) = slot_from_cached(self.plan, idx, value, &mut records) {
+                    records.note_cache_hit();
+                    let label = self.plan.node_timing_label(idx);
+                    records.push_timing(&label, lookup_started.elapsed());
+                    return (slot, records);
+                }
+            }
+        }
+        let started = Instant::now();
+        let slots = |i: usize| self.slot(i);
+        let slot = run_node_op(self.plan, idx, &slots, self.settings, self.formats);
+        let slot = self.finish(idx, slot, started.elapsed(), &mut records);
+        (slot, records)
+    }
+
+    /// Finish, publish and complete every member of unit `root` from its
+    /// value and measured duration.  A one-part unit's partials move into
+    /// place.
+    fn complete_unit(&self, root: usize, values: impl Iterator<Item = (Partial, Duration)>) {
+        for (&member, (value, elapsed)) in self.graph.members[root].iter().zip(values) {
+            let slot = match value {
+                Partial::Col(column) => Slot::Col(Arc::new(column)),
+                Partial::Sum(total) => Slot::Scalar(total),
+            };
+            let mut records = self.records(member);
+            let slot = self.finish(member, slot, elapsed, &mut records);
+            self.publish(member, slot, records);
+        }
+        self.complete(root);
+    }
+
+    /// Complete node `idx` from its output — the one completion path of a
+    /// whole-column node, a merged fan-out and every fused member: push the
+    /// timing, record the output, insert it into the plan cache (its
+    /// runtime is the eviction benefit) and decide the slot.  A fused
+    /// interior is recorded and cached, then dropped.
+    fn finish(
+        &self,
+        idx: usize,
+        slot: Slot<'static>,
+        elapsed: Duration,
+        records: &mut NodeRecords,
+    ) -> Slot<'static> {
+        records.push_timing(&self.plan.node_timing_label(idx), elapsed);
+        let full = self.plan.node_full_name(idx);
+        match &slot {
+            Slot::Col(column) => records.record_intermediate(&full, column),
+            Slot::Group(group) => {
+                records.record_intermediate(&full, &group.group_ids);
+                records.record_intermediate(&format!("{full}_reps"), &group.representatives);
+            }
+            _ => {}
+        }
+        if let Some((cache, key, deps)) = self.cache_entry(idx) {
+            if let Some(value) = cached_from_slot(&slot) {
+                cache.insert(key, value, elapsed, deps);
+            }
+        }
+        match slot {
+            Slot::Col(column) if self.graph.members[idx].is_empty() => {
+                Slot::Fused(column.size_used_bytes() as u64)
+            }
+            slot => slot,
+        }
+    }
+
+    /// Node `idx`'s plan-cache entry: the cache, the node's key and its
+    /// invalidation tags (`None` without a cache, and for scans).
+    fn cache_entry(&self, idx: usize) -> Option<(&QueryCache, CacheKey, &[String])> {
+        let cache = self.settings.cache.as_deref()?;
+        let info = &self.cache_info.as_ref()?[idx];
+        Some((cache, info.key?, &info.deps))
+    }
+
+    fn records(&self, idx: usize) -> NodeRecords {
+        let mut records = NodeRecords::new(self.capture);
+        records.set_node(idx);
+        records
+    }
+
+    /// Publish node `idx`'s result for its consumers and the final merge,
+    /// and record its span.
+    fn publish(&self, idx: usize, slot: Slot<'a>, records: NodeRecords) {
+        if let Some(trace) = &self.trace {
+            records.record_span(trace, idx);
+        }
+        if self.cells[idx].set(NodeResult { slot, records }).is_err() {
+            unreachable!("plan node {idx} completed twice");
+        }
+    }
+
+    /// Complete unit `root` and wake the workers its consumers need: a
+    /// single ready unit needs a single worker; batches and the end of the
+    /// plan wake everyone.
+    fn complete(&self, root: usize) {
+        let mut queue = self.queue.lock().expect("scheduler lock");
+        let released = queue.complete(&self.graph, root);
+        let done = queue.done;
+        drop(queue);
+        if done || released > 1 {
+            self.wakeup.notify_all();
+        } else if released == 1 {
+            self.wakeup.notify_one();
+        }
+    }
 }
 
-/// Unblocks the sibling workers when a worker thread panics (an operator
-/// assertion, an unknown column), so `std::thread::scope` can join all
-/// threads and propagate the panic instead of deadlocking on the condvar.
-struct PanicRelease<'s>(&'s Scheduler);
+/// Unblocks the sibling workers when a worker panics (an operator
+/// assertion, an unknown column, a governance trip), so the scope can join
+/// every thread and propagate the panic instead of deadlocking on the
+/// condvar.
+struct PanicRelease<'s, 'r, 'a>(&'s Run<'r, 'a>);
 
-impl Drop for PanicRelease<'_> {
+impl Drop for PanicRelease<'_, '_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             // Flip `done` while holding the queue mutex: a sibling that has
             // checked `done` under the lock is either already waiting (and
             // gets the notification) or has not checked yet (and will see
-            // the flag).  Without the lock the notify could land in the
-            // check-to-wait window and be lost, leaving the sibling — and
-            // the scope join — blocked forever.  `into_inner` instead of
-            // `unwrap`: panicking inside a drop during unwind would abort.
-            let _guard = self
+            // the flag).  `into_inner` instead of `expect`: panicking inside
+            // a drop during unwind would abort.
+            let mut queue = self
                 .0
                 .queue
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            self.0.done.store(true, Ordering::Release);
+            queue.done = true;
             self.0.wakeup.notify_all();
         }
     }
 }
 
-/// Executes a [`QueryPlan`] with a pool of `threads` scoped workers,
-/// dispatching every node whose dependencies have completed — and, when
-/// [`ExecSettings::morsel_threshold`] is set, splitting single large
-/// operators into chunk-range morsels across the same pool.
+/// The order one worker starts the units of `plan` in — under the plan's
+/// fusion analysis when `fused` — as the scheduler's pop policy yields it
+/// over the plan's unit graph: node-list order, with each fused region at
+/// its root's index and its interiors left out.  Exposed so tests can pin
+/// the policy on real plans.
+pub fn single_worker_order(plan: &QueryPlan, fused: bool) -> Vec<usize> {
+    let fusion = if fused {
+        FusionPlan::analyze(plan)
+    } else {
+        FusionPlan::empty(plan.node_count())
+    };
+    let graph = Graph::new(plan, &fusion);
+    let mut queue = Queue::new(&graph);
+    let mut order = Vec::new();
+    while let Some(task) = queue.pop() {
+        let Task::Unit(root) = task else {
+            unreachable!("one worker never fans out")
+        };
+        order.push(root);
+        queue.complete(&graph, root);
+    }
+    order
+}
+
+/// Executes a [`QueryPlan`] with `threads` workers: the calling thread and
+/// `threads - 1` scoped workers run the scheduler's loop together,
+/// dispatching every unit whose inputs have completed — and, when
+/// [`ExecSettings::morsel_threshold`] is set, splitting large units into
+/// chunk-range morsels across the same workers.
 ///
-/// Drop-in alternative to the serial [`PlanExecutor`]: identical results,
-/// identical footprint records and identical timing-label sequences (see the
-/// [module docs](self) for why).  The column source must be [`Sync`] because
-/// the workers scan base columns concurrently.
+/// Drop-in alternative to [`PlanExecutor`](crate::plan::PlanExecutor):
+/// identical results, identical footprint records and identical
+/// timing-label sequences (see the [module docs](self) for why).  The
+/// column source must be [`Sync`] because the workers scan base columns
+/// concurrently.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelExecutor {
     threads: usize,
 }
 
 impl ParallelExecutor {
-    /// Create an executor with a pool of `threads` workers (clamped to at
-    /// least 1; `threads = 1` delegates to the serial [`PlanExecutor`]).
+    /// Create an executor with `threads` workers (clamped to at least 1;
+    /// one worker is [`PlanExecutor`](crate::plan::PlanExecutor)'s inline
+    /// loop).
     pub fn new(threads: usize) -> ParallelExecutor {
         ParallelExecutor {
             threads: threads.max(1),
@@ -317,320 +723,44 @@ impl ParallelExecutor {
     }
 
     /// Execute `plan` against `source`, recording footprints and timings in
-    /// `ctx` exactly like the serial executor would.
+    /// `ctx` exactly like [`PlanExecutor`](crate::plan::PlanExecutor) would.
     pub fn execute(
         &self,
         plan: &QueryPlan,
         source: &(dyn ColumnSource + Sync),
         ctx: &mut ExecutionContext,
     ) -> PlanOutput {
-        // Debug builds statically verify every plan before touching data
-        // (mirroring the serial executor, which also covers the
-        // single-worker delegation below).
-        #[cfg(debug_assertions)]
-        crate::verify::assert_verified(plan);
-        let node_count = plan.node_count();
-        // Without morsels, more workers than nodes can never be utilised;
-        // with morsels, extra workers process parts of fanned-out nodes.  A
-        // single worker is the serial executor with queue overhead, so skip
-        // the machinery.
+        // Without morsels, more workers than nodes can never be utilised.
         let workers = if ctx.settings.morsel_threshold.is_some() {
             self.threads
         } else {
-            self.threads.min(node_count)
+            self.threads.min(plan.node_count())
         };
-        if workers <= 1 || node_count == 0 {
-            return PlanExecutor.execute(plan, source, ctx);
-        }
-
-        let settings = ctx.settings.clone();
-        let formats = &ctx.formats;
-        let capture = ctx.capture_enabled();
-        // Subplan cache keys are a pure function of the plan, the format
-        // assignment and the base columns — computed once here, before the
-        // pool starts, and shared read-only by all workers.
-        let cache_info = settings
-            .cache
-            .as_deref()
-            .map(|cache| plan_cache_info(plan, source, formats, &settings, cache));
-        // Fusion analysis (empty when disabled or inapplicable): a fused
-        // region is scheduled through its *root* node — the root's
-        // dependencies become the region's externals, and interiors never
-        // enter the queue (their cells are published by the region
-        // completion instead).
-        let fusion = FusionPlan::for_execution(plan, &settings, cache_info.as_deref());
-        #[cfg(debug_assertions)]
-        crate::verify::assert_fusion_verified(plan, &fusion);
-        // Tracing mirrors the serial executor: spans are recorded next to
-        // the ordinary bookkeeping by whichever worker completes a node,
-        // with relaxed atomic stores only (see `morph_telemetry::trace`).
-        let trace = settings
-            .tracer
-            .as_ref()
-            .map(|t| t.begin(plan.topology(&fusion, formats)));
-        let interior = |idx: usize| fusion.region_of(idx).is_some() && !fusion.is_region_root(idx);
-
-        let mut dependencies = plan.dependencies();
-        for region in fusion.regions() {
-            dependencies[region.root] = region.externals.clone();
-        }
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); node_count];
-        let mut seeds = Vec::new();
-        for (idx, deps) in dependencies.iter().enumerate() {
-            if interior(idx) {
-                continue;
-            }
-            for &dep in deps {
-                dependents[dep].push(idx);
-            }
-            if deps.is_empty() {
-                seeds.push(idx);
-            }
-        }
-
-        let scheduler = Scheduler {
-            queue: Mutex::new(TaskQueue {
-                nodes: seeds.into_iter().collect(),
-                morsels: VecDeque::new(),
-            }),
-            wakeup: Condvar::new(),
-            remaining: dependencies
-                .iter()
-                .enumerate()
-                .map(|(idx, deps)| {
-                    // `usize::MAX` keeps interiors out of the queue even if
-                    // a stray decrement were ever to reach them.
-                    AtomicUsize::new(if interior(idx) {
-                        usize::MAX
-                    } else {
-                        deps.len()
+        run_plan(plan, source, ctx, workers, |run| {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (1..workers)
+                    .map(|_| {
+                        scope.spawn(move || {
+                            // Register the query's governor on this worker
+                            // so its checkpoints observe cancellation,
+                            // deadline and memory limits; a trip unwinds the
+                            // worker and `PanicRelease` drains the siblings.
+                            let _governed = GovernorScope::enter(run.settings.governor.clone());
+                            run.work(source);
+                        })
                     })
-                })
-                .collect(),
-            completed: AtomicUsize::new(0),
-            done: AtomicBool::new(false),
-        };
-        let cells: Vec<OnceLock<NodeResult<'_>>> =
-            (0..node_count).map(|_| OnceLock::new()).collect();
-        // Per-execution fused metrics, folded into the context after the
-        // pool drains (workers only hold `&mut`-free shared state).
-        let fused_regions_run = AtomicUsize::new(0);
-        let fused_bytes_avoided = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let scheduler = &scheduler;
-                    let cells = &cells;
-                    let dependents = &dependents;
-                    let settings = &settings;
-                    let cache_info = &cache_info;
-                    let fusion = &fusion;
-                    let trace = &trace;
-                    let fused_regions_run = &fused_regions_run;
-                    let fused_bytes_avoided = &fused_bytes_avoided;
-                    scope.spawn(move || {
-                        let _release = PanicRelease(scheduler);
-                        // Register the query's governor on this worker so
-                        // node/chunk checkpoints (and morsel parts) observe
-                        // cancellation, deadline and memory limits; a trip
-                        // unwinds the worker and `PanicRelease` drains the
-                        // siblings.
-                        let _governed =
-                            crate::govern::GovernorScope::enter(settings.governor.clone());
-                        // `OnceLock::get` pairs its acquire load with the
-                        // publishing `set`, so a dependent worker sees the
-                        // dependency's slot fully initialised.
-                        let slot_of =
-                            |i: usize| &cells[i].get().expect("dependency completed").slot;
-                        while let Some(task) = scheduler.next_task() {
-                            match task {
-                                Task::Node(idx) => {
-                                    if let Some(region_index) = fusion.region_of(idx) {
-                                        let region = fusion.region(region_index);
-                                        debug_assert_eq!(
-                                            region.root, idx,
-                                            "only region roots are scheduled"
-                                        );
-                                        if let Some(job) = plan_fused_job(
-                                            region_index,
-                                            region,
-                                            &slot_of,
-                                            settings,
-                                            workers,
-                                        ) {
-                                            if let Some(trace) = trace {
-                                                for &member in &region.members {
-                                                    trace.note_fan_out(
-                                                        member,
-                                                        job.parts.len() as u64,
-                                                    );
-                                                }
-                                            }
-                                            scheduler
-                                                .publish_morsels(QueuedJob::Fused(Arc::new(job)));
-                                            continue;
-                                        }
-                                        let outcome = crate::fusion::execute_region(
-                                            plan,
-                                            region,
-                                            &slot_of,
-                                            settings,
-                                            formats,
-                                            cache_info.as_deref(),
-                                            capture,
-                                        );
-                                        fused_regions_run.fetch_add(1, Ordering::Relaxed);
-                                        fused_bytes_avoided
-                                            .fetch_add(outcome.interior_bytes, Ordering::Relaxed);
-                                        if let Some(trace) = trace {
-                                            for node in &outcome.nodes {
-                                                node.records.record_span(trace, node.node);
-                                            }
-                                        }
-                                        complete_region(
-                                            scheduler, cells, dependents, node_count, region,
-                                            outcome,
-                                        );
-                                        continue;
-                                    }
-                                    let info = cache_info.as_ref().map(|infos| &infos[idx]);
-                                    // A cached node never fans out: the hit
-                                    // inside `execute_node` completes it
-                                    // immediately, so building morsel state
-                                    // (build sets) would be wasted.
-                                    let cached = settings
-                                        .cache
-                                        .as_deref()
-                                        .zip(info.and_then(|i| i.key))
-                                        .is_some_and(|(cache, key)| cache.contains(&key));
-                                    if !cached {
-                                        if let Some(job) = plan_morsel_job(
-                                            plan, idx, &slot_of, settings, formats, workers,
-                                        ) {
-                                            if let Some(trace) = trace {
-                                                trace.note_fan_out(idx, job.parts.len() as u64);
-                                            }
-                                            scheduler.publish_morsels(QueuedJob::Op(Arc::new(job)));
-                                            continue;
-                                        }
-                                    }
-                                    let mut records = NodeRecords::new(capture);
-                                    records.set_node(idx);
-                                    let slot = execute_node(
-                                        plan,
-                                        idx,
-                                        slot_of,
-                                        source,
-                                        settings,
-                                        formats,
-                                        info,
-                                        &mut records,
-                                    );
-                                    if let Some(trace) = trace {
-                                        records.record_span(trace, idx);
-                                    }
-                                    complete_node(
-                                        scheduler, cells, dependents, node_count, idx, slot,
-                                        records,
-                                    );
-                                }
-                                Task::Morsel(job, part) => {
-                                    let partial =
-                                        run_morsel_part(plan, &job, part, &slot_of, settings);
-                                    if job.partials[part].set(partial).is_err() {
-                                        unreachable!("morsel part {part} executed twice");
-                                    }
-                                    let finished_parts =
-                                        job.done.fetch_add(1, Ordering::AcqRel) + 1;
-                                    if finished_parts == job.parts.len() {
-                                        let info =
-                                            cache_info.as_ref().map(|infos| &infos[job.node]);
-                                        let (slot, records) =
-                                            merge_morsel_job(plan, &job, capture, settings, info);
-                                        if let Some(trace) = trace {
-                                            records.record_span(trace, job.node);
-                                        }
-                                        complete_node(
-                                            scheduler, cells, dependents, node_count, job.node,
-                                            slot, records,
-                                        );
-                                    }
-                                }
-                                Task::FusedPart(job, part) => {
-                                    let region = fusion.region(job.region_index);
-                                    let (partial, _) = crate::fusion::run_region_part(
-                                        plan,
-                                        region,
-                                        job.parts[part].clone(),
-                                        &slot_of,
-                                        settings,
-                                        formats,
-                                    );
-                                    if job.partials[part].set(partial).is_err() {
-                                        unreachable!("fused part {part} executed twice");
-                                    }
-                                    let finished_parts =
-                                        job.done.fetch_add(1, Ordering::AcqRel) + 1;
-                                    if finished_parts == job.parts.len() {
-                                        let outcome = merge_fused_job(
-                                            plan,
-                                            region,
-                                            &job,
-                                            capture,
-                                            settings,
-                                            formats,
-                                            cache_info.as_deref(),
-                                        );
-                                        fused_regions_run.fetch_add(1, Ordering::Relaxed);
-                                        fused_bytes_avoided
-                                            .fetch_add(outcome.interior_bytes, Ordering::Relaxed);
-                                        if let Some(trace) = trace {
-                                            for node in &outcome.nodes {
-                                                node.records.record_span(trace, node.node);
-                                            }
-                                        }
-                                        complete_region(
-                                            scheduler, cells, dependents, node_count, region,
-                                            outcome,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            // Re-raise a worker's original panic payload (scope itself would
-            // replace it with a generic "a scoped thread panicked").  The
-            // `PanicRelease` guard has already unblocked the siblings.
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
+                    .collect();
+                run.work(source);
+                // Re-raise a worker's original panic payload (scope itself
+                // would replace it with a generic "a scoped thread
+                // panicked").
+                for handle in handles {
+                    if let Err(payload) = handle.join() {
+                        std::panic::resume_unwind(payload);
+                    }
                 }
-            }
-        });
-
-        ctx.add_fused(
-            fused_regions_run.into_inner(),
-            fused_bytes_avoided.into_inner(),
-        );
-        // Merge per-node records in topological (node-list) order — this is
-        // what keeps the context byte-identical to serial execution — and
-        // collect the slots for output assembly.
-        let mut slots = Vec::with_capacity(node_count);
-        for cell in cells {
-            let result = cell
-                .into_inner()
-                .expect("all plan nodes completed before the pool drained");
-            ctx.merge_node_records(result.records);
-            slots.push(result.slot);
-        }
-        let output = plan.collect_output(|i| &slots[i]);
-        if let (Some(tracer), Some(trace)) = (&settings.tracer, trace) {
-            tracer.finish(trace);
-        }
-        output
+            })
+        })
     }
 
     /// Fallible counterpart of [`ParallelExecutor::execute`]: runs the plan
@@ -639,8 +769,9 @@ impl ParallelExecutor {
     /// re-raised from whichever worker tripped first — into a structured
     /// [`ExecError`](crate::govern::ExecError).  Any other panic resumes
     /// unchanged.  The scheduler's `PanicRelease` guard has already
-    /// unblocked the sibling workers and the pool has fully drained by the
-    /// time this returns, so the pool is never poisoned.
+    /// unblocked the sibling workers and every worker has joined by the
+    /// time this returns, so the executor is never poisoned; `ctx` holds no
+    /// records.
     pub fn try_execute(
         &self,
         plan: &QueryPlan,
@@ -651,360 +782,11 @@ impl ParallelExecutor {
     }
 }
 
-/// Publish one completed node: store its slot and records, release its
-/// dependents and flip `done` when it was the last node.  Shared by the
-/// single-task path and the morsel merge.
-fn complete_node<'a>(
-    scheduler: &Scheduler,
-    cells: &[OnceLock<NodeResult<'a>>],
-    dependents: &[Vec<usize>],
-    node_count: usize,
-    idx: usize,
-    slot: Slot<'a>,
-    records: NodeRecords,
-) {
-    if cells[idx].set(NodeResult { slot, records }).is_err() {
-        unreachable!("plan node {idx} executed twice");
-    }
-    let mut newly_ready = Vec::new();
-    for &dependent in &dependents[idx] {
-        let left = scheduler.remaining[dependent].fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(left > 0, "in-degree underflow");
-        if left == 1 {
-            newly_ready.push(dependent);
-        }
-    }
-    let finished = scheduler.completed.fetch_add(1, Ordering::AcqRel) + 1 == node_count;
-    if finished {
-        scheduler.done.store(true, Ordering::Release);
-    }
-    scheduler.enqueue_ready(newly_ready, finished);
-}
-
-/// Publish a completed fused region: interior cells first (they have no
-/// dependents in the rewritten graph — their single consumer is a member
-/// of the same region), then the root through the regular completion path,
-/// which releases the root's dependents and detects plan completion (the
-/// counter already includes the interiors published here).
-fn complete_region<'a>(
-    scheduler: &Scheduler,
-    cells: &[OnceLock<NodeResult<'a>>],
-    dependents: &[Vec<usize>],
-    node_count: usize,
-    region: &FusedRegion,
-    outcome: RegionOutcome,
-) {
-    let mut root_result = None;
-    for node in outcome.nodes {
-        if node.node == region.root {
-            root_result = Some((node.slot, node.records));
-            continue;
-        }
-        if cells[node.node]
-            .set(NodeResult {
-                slot: node.slot,
-                records: node.records,
-            })
-            .is_err()
-        {
-            unreachable!("fused interior {} completed twice", node.node);
-        }
-        scheduler.completed.fetch_add(1, Ordering::AcqRel);
-    }
-    let (slot, records) = root_result.expect("region outcome includes its root");
-    complete_node(
-        scheduler,
-        cells,
-        dependents,
-        node_count,
-        region.root,
-        slot,
-        records,
-    );
-}
-
-/// Decide whether a fused region fans out across the pool and, if so,
-/// build the job: the region must be prefix-independent (every select
-/// reads the driver directly), and the driver must reach the morsel
-/// threshold and split into at least two chunk ranges.  The job carries no
-/// shared operator state: each part opens its own project readers.
-fn plan_fused_job<'a, 's, F>(
-    region_index: usize,
-    region: &FusedRegion,
-    slots: &F,
-    settings: &ExecSettings,
-    workers: usize,
-) -> Option<FusedJob>
-where
-    'a: 's,
-    F: Fn(usize) -> &'s Slot<'a>,
-{
-    let threshold = settings.morsel_threshold?;
-    if !region.prefix_independent {
-        return None;
-    }
-    let col = |r: crate::plan::ColRef| slots(r.node).column(r.port);
-    let driver = col(region.driver);
-    if driver.logical_len() < threshold.max(1) || driver.chunk_count() < 2 {
-        return None;
-    }
-    let parts_wanted = workers
-        .min(driver.chunk_count())
-        .min((driver.logical_len() / threshold.max(1)).max(2));
-    let parts = driver.partition_chunks(parts_wanted);
-    if parts.len() < 2 {
-        return None;
-    }
-    let started = Instant::now();
-    let partials = (0..parts.len()).map(|_| OnceLock::new()).collect();
-    Some(FusedJob {
-        region_index,
-        parts,
-        next: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        partials,
-        started,
-    })
-}
-
-/// Merge the partials of a fully processed fused job — per stage, in range
-/// order — into per-member outcomes, byte-identical to a whole-column
-/// fused pass (and hence to the serial operators).
-fn merge_fused_job(
-    plan: &QueryPlan,
-    region: &FusedRegion,
-    job: &FusedJob,
-    capture: bool,
-    settings: &ExecSettings,
-    formats: &FormatConfig,
-    cache_info: Option<&[NodeCacheInfo]>,
-) -> RegionOutcome {
-    let parts: Vec<&Vec<FusedPartial>> = job
-        .partials
-        .iter()
-        .map(|cell| cell.get().expect("all parts completed"))
-        .collect();
-    let mut outcome = RegionOutcome {
-        nodes: Vec::with_capacity(region.stages.len()),
-        interior_bytes: 0,
-    };
-    for (i, stage) in region.stages.iter().enumerate() {
-        let value = match stage.kind {
-            StageKind::AggSum { .. } => {
-                FusedPartial::Sum(parts.iter().fold(0u64, |acc, part| match &part[i] {
-                    FusedPartial::Sum(sum) => acc.wrapping_add(*sum),
-                    FusedPartial::Col(_) => unreachable!("sum stage with column partial"),
-                }))
-            }
-            _ => {
-                let format = crate::fusion::fused_part_format(plan, stage.node, settings, formats);
-                let columns = parts.iter().map(|part| match &part[i] {
-                    FusedPartial::Col(column) => column,
-                    FusedPartial::Sum(_) => unreachable!("column stage with sum partial"),
-                });
-                FusedPartial::Col(partitioned::concat_partials(&format, columns))
-            }
-        };
-        outcome.nodes.push(crate::fusion::fused_node_outcome(
-            plan,
-            region,
-            stage.node,
-            value,
-            job.started.elapsed(),
-            settings,
-            cache_info,
-            capture,
-            &mut outcome.interior_bytes,
-        ));
-    }
-    outcome
-}
-
-/// Decide whether node `idx` is fanned out and, if so, build the job: the
-/// input must have a partitioned kernel ([`QueryPlan::morsel_op`]), reach
-/// the morsel threshold and split into at least two chunk ranges.  Shared
-/// operator state (the semi-join build set) is built here, once.
-fn plan_morsel_job<'a, 's, F>(
-    plan: &QueryPlan,
-    idx: usize,
-    slots: &F,
-    settings: &ExecSettings,
-    formats: &FormatConfig,
-    workers: usize,
-) -> Option<MorselJob>
-where
-    'a: 's,
-    F: Fn(usize) -> &'s Slot<'a>,
-{
-    let threshold = settings.morsel_threshold?;
-    let op = plan.morsel_op(idx)?;
-    let input_ref = op.partitioned_input();
-    let input = slots(input_ref.node).column(input_ref.port);
-    if input.logical_len() < threshold.max(1) || input.chunk_count() < 2 {
-        return None;
-    }
-    // Enough parts that each carries roughly a threshold's worth of work,
-    // but never more than the pool could process concurrently.
-    let parts_wanted = workers
-        .min(input.chunk_count())
-        .min((input.logical_len() / threshold.max(1)).max(2));
-    let parts = input.partition_chunks(parts_wanted);
-    if parts.len() < 2 {
-        return None;
-    }
-    // Timing starts before the shared state is built: the serial operator
-    // includes set construction in its measurement.
-    let started = Instant::now();
-    let aux = match op {
-        MorselOp::SemiJoin { build, .. } => {
-            let build = slots(build.node).column(build.port);
-            MorselAux::Set(partitioned::build_semi_join_set(build, input.logical_len()))
-        }
-        // Projects and sorted intersections share no state: each part opens
-        // its own reader or chunk cursor over the second input.
-        _ => MorselAux::None,
-    };
-    let out_format = partitioned::effective_output_format(
-        &formats.format_for(&plan.node_full_name(idx), Format::Uncompressed),
-        settings,
-    );
-    let partials = (0..parts.len()).map(|_| OnceLock::new()).collect();
-    Some(MorselJob {
-        node: idx,
-        parts,
-        next: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        partials,
-        aux,
-        out_format,
-        started,
-    })
-}
-
-/// Process one claimed part of a morsel job with the matching partitioned
-/// kernel from [`partitioned`].
-fn run_morsel_part<'a, 's, F>(
-    plan: &QueryPlan,
-    job: &MorselJob,
-    part: usize,
-    slots: &F,
-    settings: &ExecSettings,
-) -> MorselPartial
-where
-    'a: 's,
-    F: Fn(usize) -> &'s Slot<'a>,
-{
-    let range = job.parts[part].clone();
-    let op = plan.morsel_op(job.node).expect("morsel node");
-    let col = |r: crate::plan::ColRef| slots(r.node).column(r.port);
-    match op {
-        MorselOp::Select {
-            input,
-            op,
-            constant,
-        } => MorselPartial::Col(partitioned::select_part(
-            op,
-            col(input),
-            constant,
-            range,
-            &job.out_format,
-            settings.style,
-        )),
-        MorselOp::SelectBetween { input, low, high } => MorselPartial::Col(
-            partitioned::select_between_part(col(input), low, high, range, &job.out_format),
-        ),
-        MorselOp::Project { data, positions } => MorselPartial::Col(partitioned::project_part(
-            col(data),
-            col(positions),
-            range,
-            &job.out_format,
-        )),
-        MorselOp::SemiJoin { probe, .. } => {
-            let set = match &job.aux {
-                MorselAux::Set(set) => set,
-                _ => unreachable!("semi-join job without a build set"),
-            };
-            MorselPartial::Col(partitioned::semi_join_part(
-                col(probe),
-                set,
-                range,
-                &job.out_format,
-            ))
-        }
-        MorselOp::CalcBinary { op, lhs, rhs } => MorselPartial::Col(partitioned::calc_binary_part(
-            op,
-            col(lhs),
-            col(rhs),
-            range,
-            &job.out_format,
-            settings.style,
-        )),
-        MorselOp::IntersectSorted { a, b } => MorselPartial::Col(
-            partitioned::intersect_sorted_part(col(a), col(b), range, &job.out_format),
-        ),
-        MorselOp::AggSum { values } => MorselPartial::Sum(partitioned::agg_sum_part(
-            col(values),
-            range,
-            settings.style,
-        )),
-    }
-}
-
-/// Merge the partials of a fully processed morsel job — in range order —
-/// into the node's slot and records, byte-identical to the serial operator,
-/// and insert the merged result into the plan cache (when one is attached):
-/// because the splice reconstructs the serial byte stream, morsel-produced
-/// entries are interchangeable with serially produced ones.
-fn merge_morsel_job(
-    plan: &QueryPlan,
-    job: &MorselJob,
-    capture: bool,
-    settings: &ExecSettings,
-    cache_info: Option<&NodeCacheInfo>,
-) -> (Slot<'static>, NodeRecords) {
-    let mut records = NodeRecords::new(capture);
-    records.set_node(job.node);
-    let partials = job
-        .partials
-        .iter()
-        .map(|cell| cell.get().expect("all parts completed"));
-    let slot = match plan.morsel_op(job.node).expect("morsel node") {
-        MorselOp::AggSum { .. } => {
-            let total = partials.fold(0u64, |acc, partial| match partial {
-                MorselPartial::Sum(sum) => acc.wrapping_add(*sum),
-                MorselPartial::Col(_) => unreachable!("sum job with column partial"),
-            });
-            Slot::Scalar(total)
-        }
-        _ => {
-            let columns = partials.map(|partial| match partial {
-                MorselPartial::Col(column) => column,
-                MorselPartial::Sum(_) => unreachable!("column job with sum partial"),
-            });
-            let merged = partitioned::concat_partials(&job.out_format, columns);
-            records.record_intermediate(&plan.node_full_name(job.node), &merged);
-            Slot::Col(Arc::new(merged))
-        }
-    };
-    records.push_timing(&plan.node_timing_label(job.node), job.started.elapsed());
-    if let Some((cache, key)) = settings
-        .cache
-        .as_deref()
-        .zip(cache_info.and_then(|info| info.key))
-    {
-        if let Some(value) = cached_from_slot(&slot) {
-            let deps = cache_info.map(|info| info.deps.as_slice()).unwrap_or(&[]);
-            cache.insert(key, value, records.last_duration(), deps);
-        }
-    }
-    (slot, records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{ExecSettings, FormatConfig};
-    use crate::plan::PlanBuilder;
+    use crate::plan::{PlanBuilder, PlanExecutor};
     use crate::CmpOp;
     use morph_compression::Format;
     use morph_storage::Column;
@@ -1172,6 +954,45 @@ mod tests {
                 serial_ctx.captured_columns()
             );
         }
+    }
+
+    #[test]
+    fn pop_takes_parts_first_then_the_lowest_ready_root() {
+        let mut queue = Queue {
+            ready: BTreeSet::from([4, 1, 3]),
+            parts: BTreeMap::from([(6, 0..2), (2, 1..2)]),
+            waiting: Vec::new(),
+            pending: 9,
+            done: false,
+        };
+        let pops: Vec<Task> = std::iter::from_fn(|| queue.pop()).collect();
+        assert_eq!(
+            pops,
+            vec![
+                Task::Part { root: 2, part: 1 },
+                Task::Part { root: 6, part: 0 },
+                Task::Part { root: 6, part: 1 },
+                Task::Unit(1),
+                Task::Unit(3),
+                Task::Unit(4),
+            ]
+        );
+    }
+
+    #[test]
+    fn one_worker_pops_node_list_order_with_regions_at_their_roots() {
+        let diamond = diamond_plan();
+        assert_eq!(single_worker_order(&diamond, false), vec![0, 1, 2, 3, 4, 5]);
+        // 0 a, 1 b, 2 pos, 3 b_at, 4 total: one region {2, 3, 4}.
+        let mut p = PlanBuilder::new("chain");
+        let a = p.scan("a");
+        let b = p.scan("b");
+        let pos = p.select("pos", a, CmpOp::Lt, 40);
+        let at = p.project("b_at", b, pos);
+        let total = p.agg_sum("total", at);
+        let chain = p.finish_scalar(total);
+        assert_eq!(single_worker_order(&chain, false), vec![0, 1, 2, 3, 4]);
+        assert_eq!(single_worker_order(&chain, true), vec![0, 1, 4]);
     }
 
     #[test]

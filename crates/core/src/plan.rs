@@ -18,26 +18,29 @@
 //!   column and every named intermediate the plan materialises — which is
 //!   what the format-selection strategies enumerate ([`QueryPlan::edges`])
 //!   and what the debug printer renders ([`QueryPlan::describe`]).
-//! * [`PlanExecutor`] walks the DAG in topological order, resolves each
-//!   edge's format from the [`FormatConfig`] of the given
+//! * [`PlanExecutor`] runs the DAG on the calling thread: each node's
+//!   output format is resolved from the [`FormatConfig`] of the given
 //!   [`ExecutionContext`] under the stable name `"<plan label>/<step>"`,
-//!   runs the physical operator, and records footprints and timings exactly
-//!   like the paper's evaluation requires — the bookkeeping every query
-//!   used to copy-paste by hand.
+//!   and footprints and timings are recorded exactly like the paper's
+//!   evaluation requires — the bookkeeping every query used to copy-paste
+//!   by hand.
 //!
-//! The DAG is also an explicit dependency graph ([`QueryPlan::dependencies`],
-//! [`QueryPlan::ready_sets`]): the [`crate::parallel::ParallelExecutor`]
-//! schedules independent subtrees on a worker pool through the same
-//! node-execution core, with identical observable bookkeeping.
+//! This module also holds what a node computes — [`run_node_op`], the
+//! whole-column operator, and [`run_part`], its chunk-range kernel over one
+//! part of the node's partitioned input.  *When* nodes run is the scheduler's
+//! business ([`crate::parallel`]): one ready-queue loop over the explicit
+//! dependency graph ([`QueryPlan::dependencies`]) behind both
+//! [`PlanExecutor`] and [`crate::parallel::ParallelExecutor`].
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 use morph_cache::{CacheKey, CachedValue, Fingerprint, QueryCache};
 use morph_compression::Format;
 use morph_storage::Column;
+use morph_vector::keys::KeySet;
 
 use crate::exec::{ExecSettings, ExecutionContext, FormatConfig, NodeRecords};
 use crate::ops::agg::{agg_sum, agg_sum_grouped};
@@ -46,6 +49,7 @@ use crate::ops::group::{group_by, group_by_refine, GroupResult};
 use crate::ops::join::{join, semi_join};
 use crate::ops::merge::{intersect_sorted, merge_sorted};
 use crate::ops::morph_op::morph;
+use crate::ops::partitioned;
 use crate::ops::project::project;
 use crate::ops::select::{select, select_between};
 use crate::{BinaryOp, CmpOp};
@@ -222,6 +226,26 @@ impl PlanOp {
             PlanOp::AggSum { values } => vec![values],
         }
     }
+
+    /// The input [`run_part`] range-partitions, or `None` for operators
+    /// without a chunk-range kernel.  Only the hot operators dominated by
+    /// one streamed input have one: `select` / `select_between` (the data
+    /// column), `project` (the position list), `semi_join` (the probe side;
+    /// the build set is shared), `calc_binary` (the left operand; the right
+    /// operand's aligned logical ranges are pulled per part),
+    /// `intersect_sorted` (the first list; each part seeks into the second)
+    /// and the whole-column `agg_sum`.
+    pub(crate) fn partitioned_input(&self) -> Option<ColRef> {
+        match *self {
+            PlanOp::Select { input, .. } | PlanOp::SelectBetween { input, .. } => Some(input),
+            PlanOp::Project { positions, .. } => Some(positions),
+            PlanOp::SemiJoin { probe, .. } => Some(probe),
+            PlanOp::CalcBinary { lhs, .. } => Some(lhs),
+            PlanOp::IntersectSorted { a, .. } => Some(a),
+            PlanOp::AggSum { values } => Some(values),
+            _ => None,
+        }
+    }
 }
 
 /// One node of the DAG: a step name plus the operator it runs.
@@ -271,7 +295,7 @@ pub struct PlanOutput {
 /// A finished logical operator DAG.
 ///
 /// Nodes are stored in construction order, which [`PlanBuilder`] guarantees
-/// to be a topological order; [`PlanExecutor`] therefore walks the node list
+/// to be a topological order; one worker therefore runs the node list
 /// linearly.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
@@ -620,7 +644,8 @@ impl QueryPlan {
     /// Per node, the indices of the nodes whose outputs it consumes
     /// (sorted, deduplicated).  Handles can only refer to already-appended
     /// nodes, so `dependencies()[i]` contains only indices `< i` — this is
-    /// the explicit dependency graph the parallel scheduler runs on.
+    /// the explicit dependency graph the scheduler ([`crate::parallel`])
+    /// runs on.
     pub fn dependencies(&self) -> Vec<Vec<usize>> {
         self.nodes
             .iter()
@@ -639,9 +664,9 @@ impl QueryPlan {
     /// mutually independent and could run concurrently.
     ///
     /// This is the plan's parallelism profile (its length is the critical
-    /// path in operator counts).  The [`crate::parallel::ParallelExecutor`]
-    /// schedules *dynamically* by in-degree instead of level-by-level — a
-    /// level barrier would serialise unbalanced subtrees — but the level
+    /// path in operator counts).  The scheduler ([`crate::parallel`]) runs
+    /// *dynamically* by in-degree instead of level-by-level — a level
+    /// barrier would serialise unbalanced subtrees — but the level
     /// structure is what tests and tools inspect.
     pub fn ready_sets(&self) -> Vec<Vec<usize>> {
         let deps = self.dependencies();
@@ -715,31 +740,20 @@ impl QueryPlan {
         fp.finish()
     }
 
-    /// The morsel decomposition of node `idx`, if its operator has a
-    /// chunk-partitioned variant: which input column is streamed (and thus
-    /// range-partitioned) and what per-part kernel applies.  `None` for
-    /// operators without a partitioned variant.
-    pub(crate) fn morsel_op(&self, idx: usize) -> Option<MorselOp> {
-        match self.nodes[idx].op {
-            PlanOp::Select {
-                input,
-                op,
-                constant,
-            } => Some(MorselOp::Select {
-                input,
-                op,
-                constant,
-            }),
-            PlanOp::SelectBetween { input, low, high } => {
-                Some(MorselOp::SelectBetween { input, low, high })
-            }
-            PlanOp::Project { data, positions } => Some(MorselOp::Project { data, positions }),
-            PlanOp::SemiJoin { probe, build } => Some(MorselOp::SemiJoin { probe, build }),
-            PlanOp::CalcBinary { op, lhs, rhs } => Some(MorselOp::CalcBinary { op, lhs, rhs }),
-            PlanOp::IntersectSorted { a, b } => Some(MorselOp::IntersectSorted { a, b }),
-            PlanOp::AggSum { values } => Some(MorselOp::AggSum { values }),
-            _ => None,
-        }
+    /// The format node `idx`'s output is built in by every chunk-range run —
+    /// a morsel part, a fused stage and the splice that merges their
+    /// partials: the edge's assigned format, made effective for the
+    /// integration degree.
+    pub(crate) fn part_format(
+        &self,
+        idx: usize,
+        settings: &ExecSettings,
+        formats: &FormatConfig,
+    ) -> Format {
+        partitioned::effective_output_format(
+            &formats.format_for(&self.node_full_name(idx), Format::Uncompressed),
+            settings,
+        )
     }
 
     /// Assemble the caller-facing [`PlanOutput`] from the executed slots.
@@ -1012,88 +1026,6 @@ impl PlanBuilder {
     }
 }
 
-/// The chunk-partitionable operator of a plan node, as seen by the morsel
-/// scheduler: the handle of the input column that is range-partitioned plus
-/// the operator parameters the per-part kernels need.
-///
-/// Only the hot operators dominated by one streamed input have partitioned
-/// variants: `select` / `select_between` (partition the data column),
-/// `project` (partition the position list), `semi_join` (partition the
-/// probe side; the build set is shared), `calc_binary` (partition the left
-/// operand; the right operand's aligned logical ranges are pulled per
-/// part), `intersect_sorted` (partition the first position list; the second
-/// is decompressed once and shared) and the whole-column `agg_sum`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum MorselOp {
-    /// Comparison select over a partitioned data column.
-    Select {
-        /// The filtered column (partitioned).
-        input: ColRef,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Comparison constant.
-        constant: u64,
-    },
-    /// Inclusive range select over a partitioned data column.
-    SelectBetween {
-        /// The filtered column (partitioned).
-        input: ColRef,
-        /// Lower bound (inclusive).
-        low: u64,
-        /// Upper bound (inclusive).
-        high: u64,
-    },
-    /// Gather over a partitioned position list.
-    Project {
-        /// The random-accessed data column (shared).
-        data: ColRef,
-        /// The position list (partitioned).
-        positions: ColRef,
-    },
-    /// Semi-join probing a partitioned column against a shared build set.
-    SemiJoin {
-        /// The probe column (partitioned).
-        probe: ColRef,
-        /// The build column (hashed once, shared).
-        build: ColRef,
-    },
-    /// Element-wise binary calculation over a partitioned left operand.
-    CalcBinary {
-        /// The arithmetic operator.
-        op: crate::BinaryOp,
-        /// The left operand (partitioned).
-        lhs: ColRef,
-        /// The right operand (aligned logical ranges pulled per part).
-        rhs: ColRef,
-    },
-    /// Sorted intersection over a partitioned first position list.
-    IntersectSorted {
-        /// The first position list (partitioned).
-        a: ColRef,
-        /// The second position list (decompressed once, shared).
-        b: ColRef,
-    },
-    /// Whole-column sum over a partitioned column.
-    AggSum {
-        /// The summed column (partitioned).
-        values: ColRef,
-    },
-}
-
-impl MorselOp {
-    /// The handle of the input column the morsel scheduler partitions.
-    pub(crate) fn partitioned_input(&self) -> ColRef {
-        match *self {
-            MorselOp::Select { input, .. } | MorselOp::SelectBetween { input, .. } => input,
-            MorselOp::Project { positions, .. } => positions,
-            MorselOp::SemiJoin { probe, .. } => probe,
-            MorselOp::CalcBinary { lhs, .. } => lhs,
-            MorselOp::IntersectSorted { a, .. } => a,
-            MorselOp::AggSum { values } => values,
-        }
-    }
-}
-
 /// Mix one operator's tag and parameters (not its inputs — the caller mixes
 /// those, either as sub-fingerprints or as node indices).
 ///
@@ -1172,9 +1104,9 @@ fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// Per-node cache data, precomputed by [`plan_cache_info`] before execution
-/// starts (both executors share it; the parallel executor computes it once
-/// on the coordinating thread).
+/// Per-node cache data, precomputed by [`plan_cache_info`] once per
+/// execution, before the scheduler starts, and shared read-only by its
+/// workers.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeCacheInfo {
     /// Canonical fingerprint of the subplan rooted at this node, under the
@@ -1263,13 +1195,13 @@ pub(crate) fn plan_cache_info(
 /// timing label is pushed by the caller).  Returns `None` when the cached
 /// value's shape does not match the node (a 128-bit key collision — treat
 /// as a miss and execute).
-fn slot_from_cached(
+pub(crate) fn slot_from_cached(
     plan: &QueryPlan,
     idx: usize,
-    full: &str,
     value: CachedValue,
     rec: &mut NodeRecords,
 ) -> Option<Slot<'static>> {
+    let full = &plan.node_full_name(idx);
     match (value, &plan.nodes[idx].op) {
         (CachedValue::Scalar(total), PlanOp::AggSum { .. }) => Some(Slot::Scalar(total)),
         (
@@ -1313,8 +1245,8 @@ pub(crate) fn cached_from_slot(slot: &Slot<'_>) -> Option<CachedValue> {
             count: group.group_count,
         }),
         Slot::Scalar(total) => Some(CachedValue::Scalar(*total)),
-        // Fused interiors insert their own entries as the region finishes.
-        Slot::Fused => None,
+        // An interior's column is cached before its slot drops it.
+        Slot::Fused(_) => None,
     }
 }
 
@@ -1332,8 +1264,9 @@ pub(crate) enum Slot<'a> {
     Scalar(u64),
     /// Interior of an executed fused region: the column was recorded (and
     /// possibly cached) but deliberately *not retained* — fusion's whole
-    /// point.  Region validation guarantees no node ever reads this slot.
-    Fused,
+    /// point — and this is its physical size in bytes.  Region validation
+    /// guarantees no node ever reads this slot.
+    Fused(u64),
 }
 
 impl Slot<'_> {
@@ -1362,11 +1295,19 @@ impl Slot<'_> {
     }
 }
 
-/// Walks a [`QueryPlan`] in topological order against a [`ColumnSource`],
+/// The output of one chunk-range part of one node: a partial column, or
+/// the partial wrapping sum of an `agg_sum`.  A unit's partials splice (or
+/// fold) back into its nodes' outputs in range order.
+pub(crate) enum Partial {
+    Col(Column),
+    Sum(u64),
+}
+
+/// Runs a [`QueryPlan`] against a [`ColumnSource`] on the calling thread,
 /// materialising every node under the execution settings and format
 /// assignment of an [`ExecutionContext`].
 ///
-/// Per node, the executor
+/// Per node, execution
 ///
 /// 1. resolves the output format from the context's [`FormatConfig`] under
 ///    the stable name `"<plan label>/<step>"` (grouped representatives:
@@ -1375,6 +1316,10 @@ impl Slot<'_> {
 ///    timing it as `"<plan label>/<mnemonic>:<step>"`,
 /// 3. records the result in the context — base columns once per query,
 ///    intermediates always — so footprints match the paper's accounting.
+///
+/// This is the scheduler of [`crate::parallel`] with one worker, run
+/// inline: units are popped in node-list order, no unit splits into
+/// morsels, and no thread is spawned — so the source need not be `Sync`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PlanExecutor;
 
@@ -1386,125 +1331,7 @@ impl PlanExecutor {
         source: &dyn ColumnSource,
         ctx: &mut ExecutionContext,
     ) -> PlanOutput {
-        // Debug builds statically verify every plan before touching data,
-        // so the determinism suites double as verifier suites.
-        #[cfg(debug_assertions)]
-        crate::verify::assert_verified(plan);
-        let _governed = crate::govern::GovernorScope::enter(ctx.settings.governor.clone());
-        let cache_info = ctx
-            .settings
-            .cache
-            .as_deref()
-            .map(|cache| plan_cache_info(plan, source, &ctx.formats, &ctx.settings, cache));
-        let fusion =
-            crate::fusion::FusionPlan::for_execution(plan, &ctx.settings, cache_info.as_deref());
-        #[cfg(debug_assertions)]
-        crate::verify::assert_fusion_verified(plan, &fusion);
-        // Tracing is out of band: spans are recorded next to (never instead
-        // of) the ordinary bookkeeping, so results, footprint records and
-        // timing-label sequences stay byte-identical with a tracer attached.
-        let tracer = ctx.settings.tracer.clone();
-        let trace = tracer
-            .as_ref()
-            .map(|t| t.begin(plan.topology(&fusion, &ctx.formats)));
-        if fusion.is_empty() {
-            // Node-by-node execution, with records merged as each node
-            // completes (on an unwind, `ctx` holds the completed prefix).
-            let mut slots: Vec<Slot<'_>> = Vec::with_capacity(plan.nodes.len());
-            for idx in 0..plan.nodes.len() {
-                let mut rec = NodeRecords::new(ctx.capture_enabled());
-                rec.set_node(idx);
-                let slot = execute_node(
-                    plan,
-                    idx,
-                    |i| &slots[i],
-                    source,
-                    &ctx.settings,
-                    &ctx.formats,
-                    cache_info.as_ref().map(|infos| &infos[idx]),
-                    &mut rec,
-                );
-                if let Some(trace) = &trace {
-                    rec.record_span(trace, idx);
-                }
-                ctx.merge_node_records(rec);
-                slots.push(slot);
-            }
-            let output = plan.collect_output(|i| &slots[i]);
-            if let (Some(tracer), Some(trace)) = (&tracer, trace) {
-                tracer.finish(trace);
-            }
-            return output;
-        }
-        // Fused execution: a whole region runs (in one pass) when its root
-        // comes up, so interior records only exist from that moment.  All
-        // per-node records are therefore buffered and merged in node-list
-        // order once the walk completes — the same order the unfused path
-        // merges in, keeping footprints and timing labels byte-identical.
-        let mut pending: Vec<Option<NodeRecords>> = (0..plan.nodes.len()).map(|_| None).collect();
-        let mut slots: Vec<Slot<'_>> = Vec::with_capacity(plan.nodes.len());
-        for idx in 0..plan.nodes.len() {
-            match fusion.region_of(idx) {
-                Some(region_index) if fusion.region(region_index).root == idx => {
-                    let region = fusion.region(region_index);
-                    let outcome = crate::fusion::execute_region(
-                        plan,
-                        region,
-                        &|i: usize| &slots[i],
-                        &ctx.settings,
-                        &ctx.formats,
-                        cache_info.as_deref(),
-                        ctx.capture_enabled(),
-                    );
-                    ctx.note_fused_region(outcome.interior_bytes);
-                    let mut root_slot = None;
-                    for node in outcome.nodes {
-                        if node.node == idx {
-                            root_slot = Some(node.slot);
-                        }
-                        if let Some(trace) = &trace {
-                            node.records.record_span(trace, node.node);
-                        }
-                        pending[node.node] = Some(node.records);
-                    }
-                    slots.push(root_slot.expect("region outcome includes its root"));
-                }
-                Some(_) => {
-                    // Interior of a region: the region's single pass runs
-                    // when its root comes up; until then (and after — the
-                    // column is dropped once recorded) the slot is a
-                    // placeholder no node ever reads.
-                    slots.push(Slot::Fused);
-                }
-                None => {
-                    let mut rec = NodeRecords::new(ctx.capture_enabled());
-                    rec.set_node(idx);
-                    let slot = execute_node(
-                        plan,
-                        idx,
-                        |i| &slots[i],
-                        source,
-                        &ctx.settings,
-                        &ctx.formats,
-                        cache_info.as_ref().map(|infos| &infos[idx]),
-                        &mut rec,
-                    );
-                    if let Some(trace) = &trace {
-                        rec.record_span(trace, idx);
-                    }
-                    pending[idx] = Some(rec);
-                    slots.push(slot);
-                }
-            }
-        }
-        for rec in pending.into_iter().flatten() {
-            ctx.merge_node_records(rec);
-        }
-        let output = plan.collect_output(|i| &slots[i]);
-        if let (Some(tracer), Some(trace)) = (&tracer, trace) {
-            tracer.finish(trace);
-        }
-        output
+        crate::parallel::run_plan(plan, source, ctx, 1, |run| run.work(source))
     }
 
     /// Fallible counterpart of [`PlanExecutor::execute`]: runs the plan
@@ -1512,7 +1339,7 @@ impl PlanExecutor {
     /// (when one is attached) and converts a governance or decode unwind
     /// into a structured [`ExecError`](crate::govern::ExecError).  Any
     /// other panic — a genuine bug — resumes unchanged.  On `Err`, `ctx`
-    /// holds the records of the nodes that completed before the trip.
+    /// holds no records: they are merged only once every node completed.
     pub fn try_execute(
         &self,
         plan: &QueryPlan,
@@ -1523,141 +1350,52 @@ impl PlanExecutor {
     }
 }
 
-/// Execute one plan node: the shared core of the serial [`PlanExecutor`] and
-/// the [`crate::parallel::ParallelExecutor`].
+/// Run the physical operator of one (non-scan) plan node over its whole
+/// input columns — the one-part run of a node, which keeps the
+/// `Specialized` / `OnTheFlyMorphing` kernel dispatch of the operators.
 ///
-/// `slots` resolves an already-executed node index to its materialised value
-/// (a borrow of the serial slot vector, or of the parallel executor's
-/// completed cells).  All bookkeeping goes to the node-local `rec`; the
-/// caller merges it into the [`ExecutionContext`] in topological order.
-///
-/// With a plan cache attached (`settings.cache` plus this node's
-/// precomputed `cache_info`), the node is first looked up by its canonical
-/// subplan key: a hit replays the node's records under the identical names
-/// and timing label — flagged via [`NodeRecords::note_cache_hit`] — and
-/// returns without running the operator; a miss executes and inserts the
-/// result, with the node's measured runtime as the eviction benefit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_node<'a, 's, F>(
+/// `slots` resolves an already-executed node index to its materialised
+/// value.  Nothing is recorded here: the scheduler times the call and
+/// completes the node.
+pub(crate) fn run_node_op<'a, 's, F>(
     plan: &QueryPlan,
     idx: usize,
-    slots: F,
-    source: &'a dyn ColumnSource,
-    settings: &ExecSettings,
-    formats: &FormatConfig,
-    cache_info: Option<&NodeCacheInfo>,
-    rec: &mut NodeRecords,
-) -> Slot<'a>
-where
-    'a: 's,
-    F: Fn(usize) -> &'s Slot<'a>,
-{
-    crate::govern::checkpoint_node();
-    let node = &plan.nodes[idx];
-    if let PlanOp::Scan { column } = &node.op {
-        let base = source.column(column);
-        rec.record_base(column, base);
-        return Slot::Base(base);
-    }
-    let col = |r: ColRef| slots(r.node).column(r.port);
-    let full = plan.node_full_name(idx);
-    let timing = plan.node_timing_label(idx);
-
-    let cache = settings
-        .cache
-        .as_deref()
-        .zip(cache_info.and_then(|info| info.key));
-    if let Some((cache, key)) = cache {
-        let lookup_started = Instant::now();
-        if let Some(value) = cache.lookup(&key) {
-            if let Some(slot) = slot_from_cached(plan, idx, &full, value, rec) {
-                rec.note_cache_hit();
-                rec.push_timing(&timing, lookup_started.elapsed());
-                return slot;
-            }
-        }
-    }
-
-    let slot = run_node_op(
-        plan, idx, &col, &slots, settings, formats, &full, &timing, rec,
-    );
-    if let Some((cache, key)) = cache {
-        if let Some(value) = cached_from_slot(&slot) {
-            let deps = cache_info.map(|info| info.deps.as_slice()).unwrap_or(&[]);
-            cache.insert(key, value, rec.last_duration(), deps);
-        }
-    }
-    slot
-}
-
-/// Run the physical operator of one (non-scan) plan node and record its
-/// output — the execution half of [`execute_node`], shared by the hit-miss
-/// wrapper above.
-#[allow(clippy::too_many_arguments)]
-fn run_node_op<'a, 's, F>(
-    plan: &QueryPlan,
-    idx: usize,
-    col: &impl Fn(ColRef) -> &'s Column,
     slots: &F,
     settings: &ExecSettings,
     formats: &FormatConfig,
-    full: &str,
-    timing: &str,
-    rec: &mut NodeRecords,
-) -> Slot<'a>
+) -> Slot<'static>
 where
     'a: 's,
     F: Fn(usize) -> &'s Slot<'a>,
 {
-    let node = &plan.nodes[idx];
-    let out_format = formats.format_for(full, Format::Uncompressed);
-
-    match &node.op {
-        PlanOp::Scan { .. } => unreachable!("scans are handled by execute_node"),
-        PlanOp::AggSum { values } => {
-            let input = col(*values);
-            let total = rec.time(timing, || agg_sum(input, settings));
-            return Slot::Scalar(total);
+    let col = |r: ColRef| slots(r.node).column(r.port);
+    let full = plan.node_full_name(idx);
+    let out_format = formats.format_for(&full, Format::Uncompressed);
+    let reps_format = || formats.format_for(&format!("{full}_reps"), Format::Uncompressed);
+    let out = match &plan.nodes[idx].op {
+        PlanOp::Scan { .. } => unreachable!("scans resolve to their base column"),
+        PlanOp::AggSum { values } => return Slot::Scalar(agg_sum(col(*values), settings)),
+        PlanOp::GroupBy { keys } => {
+            let formats = (&out_format, &reps_format());
+            return Slot::Group(Box::new(group_by(col(*keys), formats, settings)));
         }
-        PlanOp::GroupBy { keys } | PlanOp::GroupByRefine { keys, .. } => {
-            let reps_name = format!("{full}_reps");
-            let reps_format = formats.format_for(&reps_name, Format::Uncompressed);
-            let keys = col(*keys);
-            let result = match &node.op {
-                PlanOp::GroupBy { .. } => rec.time(timing, || {
-                    group_by(keys, (&out_format, &reps_format), settings)
-                }),
-                PlanOp::GroupByRefine { previous, .. } => {
-                    let previous = slots(previous.node).group();
-                    rec.time(timing, || {
-                        group_by_refine(previous, keys, (&out_format, &reps_format), settings)
-                    })
-                }
-                _ => unreachable!(),
-            };
-            rec.record_intermediate(full, &result.group_ids);
-            rec.record_intermediate(&reps_name, &result.representatives);
-            return Slot::Group(Box::new(result));
+        PlanOp::GroupByRefine { previous, keys } => {
+            let previous = slots(previous.node).group();
+            let formats = (&out_format, &reps_format());
+            return Slot::Group(Box::new(group_by_refine(
+                previous,
+                col(*keys),
+                formats,
+                settings,
+            )));
         }
-        _ => {}
-    }
-
-    let out = match &node.op {
         PlanOp::Select {
             input,
             op,
             constant,
-        } => {
-            let input = col(*input);
-            rec.time(timing, || {
-                select(*op, input, *constant, &out_format, settings)
-            })
-        }
+        } => select(*op, col(*input), *constant, &out_format, settings),
         PlanOp::SelectBetween { input, low, high } => {
-            let input = col(*input);
-            rec.time(timing, || {
-                select_between(input, *low, *high, &out_format, settings)
-            })
+            select_between(col(*input), *low, *high, &out_format, settings)
         }
         PlanOp::SelectIn2 {
             input,
@@ -1665,37 +1403,32 @@ where
             second,
         } => {
             let input = col(*input);
-            rec.time(timing, || {
-                let first = select(CmpOp::Eq, input, *first, &out_format, settings);
-                let second = select(CmpOp::Eq, input, *second, &out_format, settings);
-                merge_sorted(&first, &second, &out_format, settings)
-            })
+            let first = select(CmpOp::Eq, input, *first, &out_format, settings);
+            let second = select(CmpOp::Eq, input, *second, &out_format, settings);
+            merge_sorted(&first, &second, &out_format, settings)
         }
         PlanOp::IntersectSorted { a, b } => {
-            let (a, b) = (col(*a), col(*b));
-            rec.time(timing, || intersect_sorted(a, b, &out_format, settings))
+            intersect_sorted(col(*a), col(*b), &out_format, settings)
         }
-        PlanOp::MergeSorted { a, b } => {
-            let (a, b) = (col(*a), col(*b));
-            rec.time(timing, || merge_sorted(a, b, &out_format, settings))
-        }
+        PlanOp::MergeSorted { a, b } => merge_sorted(col(*a), col(*b), &out_format, settings),
         PlanOp::Project { data, positions } => {
-            let (data, positions) = (col(*data), col(*positions));
-            rec.time(timing, || project(data, positions, &out_format, settings))
+            project(col(*data), col(*positions), &out_format, settings)
         }
         PlanOp::SemiJoin { probe, build } => {
-            let (probe, build) = (col(*probe), col(*build));
-            rec.time(timing, || semi_join(probe, build, &out_format, settings))
+            semi_join(col(*probe), col(*build), &out_format, settings)
         }
         PlanOp::Join { probe, build } => {
-            let (probe, build) = (col(*probe), col(*build));
+            let probe = col(*probe);
             // The probe-side positions of an N:1 key join are the
             // identity sequence 0..len; they are not part of the plan, so
             // they are materialised in DELTA + BP (ideal for a sorted
             // identity sequence) irrespective of the recorded output.
-            let (probe_pos, build_pos) = rec.time(timing, || {
-                join(probe, build, (&Format::DeltaDynBp, &out_format), settings)
-            });
+            let (probe_pos, build_pos) = join(
+                probe,
+                col(*build),
+                (&Format::DeltaDynBp, &out_format),
+                settings,
+            );
             assert_eq!(
                 probe_pos.logical_len(),
                 probe.logical_len(),
@@ -1704,35 +1437,76 @@ where
             build_pos
         }
         PlanOp::CalcBinary { op, lhs, rhs } => {
-            let (lhs, rhs) = (col(*lhs), col(*rhs));
-            rec.time(timing, || calc_binary(*op, lhs, rhs, &out_format, settings))
+            calc_binary(*op, col(*lhs), col(*rhs), &out_format, settings)
         }
         PlanOp::AggSumGrouped { group, values } => {
             let grouping = slots(group.node).group();
-            let values = col(*values);
             // Grouped sums are final query outputs and stay uncompressed
             // (Section 3.3).
-            rec.time(timing, || {
-                agg_sum_grouped(
-                    &grouping.group_ids,
-                    values,
-                    grouping.group_count,
-                    &Format::Uncompressed,
-                    settings,
-                )
-            })
+            agg_sum_grouped(
+                &grouping.group_ids,
+                col(*values),
+                grouping.group_count,
+                &Format::Uncompressed,
+                settings,
+            )
         }
-        PlanOp::Morph { input, target } => {
-            let input = col(*input);
-            rec.time(timing, || morph(input, target))
-        }
-        PlanOp::Scan { .. }
-        | PlanOp::GroupBy { .. }
-        | PlanOp::GroupByRefine { .. }
-        | PlanOp::AggSum { .. } => unreachable!("handled above"),
+        PlanOp::Morph { input, target } => morph(col(*input), target),
     };
-    rec.record_intermediate(full, &out);
     Slot::Col(Arc::new(out))
+}
+
+/// Run node `idx`'s chunk-range kernel ([`partitioned`]) over the chunk
+/// range `chunks` of its [`PlanOp::partitioned_input`]: one part of a
+/// fanned-out node.  `keys` is the semi-join build set, built once for all
+/// parts.
+pub(crate) fn run_part<'a, 's, F>(
+    plan: &QueryPlan,
+    idx: usize,
+    chunks: Range<usize>,
+    slots: &F,
+    settings: &ExecSettings,
+    formats: &FormatConfig,
+    keys: Option<&KeySet>,
+) -> Partial
+where
+    'a: 's,
+    F: Fn(usize) -> &'s Slot<'a>,
+{
+    let col = |r: ColRef| slots(r.node).column(r.port);
+    let format = plan.part_format(idx, settings, formats);
+    let column = match plan.nodes[idx].op {
+        PlanOp::Select {
+            input,
+            op,
+            constant,
+        } => partitioned::select_part(op, col(input), constant, chunks, &format, settings.style),
+        PlanOp::SelectBetween { input, low, high } => {
+            partitioned::select_between_part(col(input), low, high, chunks, &format)
+        }
+        PlanOp::Project { data, positions } => {
+            partitioned::project_part(col(data), col(positions), chunks, &format)
+        }
+        PlanOp::SemiJoin { probe, .. } => {
+            let keys = keys.expect("a fanned-out semi-join carries its build set");
+            partitioned::semi_join_part(col(probe), keys, chunks, &format)
+        }
+        PlanOp::CalcBinary { op, lhs, rhs } => {
+            partitioned::calc_binary_part(op, col(lhs), col(rhs), chunks, &format, settings.style)
+        }
+        PlanOp::IntersectSorted { a, b } => {
+            partitioned::intersect_sorted_part(col(a), col(b), chunks, &format)
+        }
+        PlanOp::AggSum { values } => {
+            return Partial::Sum(partitioned::agg_sum_part(
+                col(values),
+                chunks,
+                settings.style,
+            ))
+        }
+        _ => unreachable!("only nodes with a partitioned input fan out"),
+    };
+    Partial::Col(column)
 }
 
 #[cfg(test)]

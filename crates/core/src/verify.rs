@@ -397,10 +397,9 @@ fn verify_structure(plan: &QueryPlan) -> Result<(), PlanError> {
     // Morsel-partition safety: the partitioned input of every
     // chunk-partitionable node is one of its declared inputs, so fan-out
     // only ever streams columns the dependency graph orders before it.
-    for idx in 0..node_count {
-        if let Some(morsel) = plan.morsel_op(idx) {
-            let partitioned = morsel.partitioned_input();
-            if !plan.nodes[idx].op.inputs().contains(&partitioned) {
+    for (idx, node) in plan.nodes.iter().enumerate() {
+        if let Some(partitioned) = node.op.partitioned_input() {
+            if !node.op.inputs().contains(&partitioned) {
                 return Err(PlanError::MorselInputMismatch { node: idx });
             }
         }

@@ -6,6 +6,7 @@
 //! [`ExecError`]s from `try_execute` on both executors (serial, parallel and
 //! morsel-parallel); injected decode faults surface structurally while
 //! injected plain panics resume as panics without poisoning anything; a
+//! failed run leaves no records in its context on any path; a
 //! cooperative cancel returns well inside the 50 ms bound; and — the cache
 //! consistency property — *any* cancel/deadline interleaving mid-plan
 //! leaves a shared [`QueryCache`] consistent: no partially computed subplan
@@ -97,6 +98,56 @@ fn ungoverned_and_governed_runs_are_byte_identical() {
     assert!(governor.chunk_checkpoints() > 10, "chunk checkpoints fired");
     assert_eq!(governor.node_checkpoints(), 7, "one per plan node");
     assert!(governor.used_bytes() > 0, "intermediates were charged");
+
+    // One node checkpoint per plan node on every path: two workers, a
+    // morsel-fanned node, and a fused region fanned out as morsels.
+    let paths: [fn(ExecSettings) -> ExecSettings; 3] = [
+        |settings| settings,
+        |settings| settings.with_morsel_threshold(1024),
+        |settings| settings.with_fusion().with_morsel_threshold(1024),
+    ];
+    for (path, settings) in paths.into_iter().enumerate() {
+        let governor = Arc::new(QueryGovernor::new());
+        let mut ctx = ExecutionContext::new(settings(governed(&governor)), formats());
+        let output = ParallelExecutor::new(2).try_execute(&build_plan(), &source(), &mut ctx);
+        assert_eq!(output, reference, "path {path}");
+        assert_eq!(rows(&ctx), reference_records, "path {path}");
+        assert_eq!(
+            governor.node_checkpoints(),
+            7,
+            "path {path}: one per plan node"
+        );
+    }
+}
+
+#[test]
+fn failed_runs_leave_no_records_on_any_path() {
+    // Warm every node, then invalidate the subplans over `y`: `left` still
+    // hits, the rest recompute, and the fused region is not demoted.
+    let cache = Arc::new(QueryCache::unbounded());
+    run_cached(&cache, None).0.expect("warm-up run succeeds");
+    cache.bump_generation("y");
+    for threads in [1, 2] {
+        for fused in [false, true] {
+            let governor = governor_with_fault(FaultSite::Node, 4, FaultKind::Decode);
+            let mut settings = governed(&governor).with_cache(Arc::clone(&cache));
+            if fused {
+                settings = settings.with_fusion();
+            }
+            let mut ctx = ExecutionContext::new(settings, formats());
+            let result = match threads {
+                1 => build_plan().try_execute(&source(), &mut ctx),
+                n => ParallelExecutor::new(n).try_execute(&build_plan(), &source(), &mut ctx),
+            };
+            let case = format!("threads {threads}, fused {fused}");
+            assert!(
+                matches!(result, Err(ExecError::Decode(_))),
+                "{case}: {result:?}"
+            );
+            assert!(ctx.records().is_empty(), "{case}: {:?}", ctx.records());
+            assert_eq!(ctx.cache_hit_count(), 0, "{case}");
+        }
+    }
 }
 
 #[test]

@@ -124,6 +124,28 @@ fn l6_allows_timing_modules_and_tests() {
     assert!(fired.is_empty(), "unexpected diagnostics: {fired:?}");
 }
 
+#[test]
+fn engine_sanctions_follow_the_scheduler() {
+    // The scheduler and the fused pass own the engine's node and stage
+    // clocks; the plan and context modules hold none.
+    for label in ["crates/core/src/parallel.rs", "crates/core/src/fusion.rs"] {
+        let fired = rules_fired(label, "l6_instant.rs");
+        assert!(
+            fired.is_empty(),
+            "{label}: unexpected diagnostics: {fired:?}"
+        );
+    }
+    for label in ["crates/core/src/plan.rs", "crates/core/src/exec.rs"] {
+        assert_eq!(rules_fired(label, "l6_instant.rs"), vec!["L6"], "{label}");
+    }
+    // The scheduler's counters are ordered (or guarded by its mutex).
+    let source = "use std::sync::atomic::{AtomicU64, Ordering};\n\
+                  pub fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
+    let fired = lint_source("crates/core/src/parallel.rs", source);
+    assert_eq!(fired.len(), 1);
+    assert_eq!(fired[0].rule, "L3");
+}
+
 /// The linter's reason to exist: the actual workspace must be clean under
 /// the checked-in allowlist. This is the same run CI performs.
 #[test]

@@ -121,8 +121,9 @@ impl SsbQuery {
     ///
     /// Results, footprint records and operator-timing label sequences are
     /// identical to [`SsbQuery::execute`] at every thread count — the
-    /// parallel executor merges per-node records back in topological order;
-    /// `threads = 1` delegates to the serial executor outright.  A plan
+    /// scheduler merges per-node records back in topological order;
+    /// `threads = 1` runs the same loop as [`SsbQuery::execute`], inline on
+    /// the calling thread.  A plan
     /// cache attached via `ExecSettings::cache` is shared with the serial
     /// path: entries inserted by either executor (including morsel-merged
     /// columns, which are byte-identical to serial outputs) hit in both.
