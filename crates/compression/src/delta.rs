@@ -14,7 +14,7 @@
 //! it works for unsorted data too, merely with larger widths.
 
 use crate::bitpack;
-use crate::{ChunkCursor, ChunkEntry, Compressor, DecodeError, DYN_BP_BLOCK};
+use crate::{ByteSink, ChunkCursor, ChunkEntry, Compressor, DecodeError, DYN_BP_BLOCK};
 
 /// Validate and read the `[reference: u64][width: u8]` header of the block
 /// starting at `offset`, returning the reference, the width and the byte
@@ -68,28 +68,26 @@ impl Default for DeltaDynBpCompressor {
 }
 
 impl Compressor for DeltaDynBpCompressor {
-    fn append(&mut self, values: &[u64], out: &mut Vec<u8>) {
+    fn append(&mut self, values: &[u64], out: &mut dyn ByteSink) {
         assert_eq!(
             values.len() % DYN_BP_BLOCK,
             0,
             "DELTA+BP chunks must be multiples of {DYN_BP_BLOCK} elements"
         );
         for block in values.chunks_exact(DYN_BP_BLOCK) {
-            out.extend_from_slice(&self.previous.to_le_bytes());
+            out.put(&self.previous.to_le_bytes());
             self.scratch.clear();
-            let mut prev = self.previous;
-            for &value in block {
-                self.scratch.push(value.wrapping_sub(prev));
-                prev = value;
-            }
-            self.previous = prev;
+            self.scratch.push(block[0].wrapping_sub(self.previous));
+            self.scratch
+                .extend(block.windows(2).map(|pair| pair[1].wrapping_sub(pair[0])));
+            self.previous = block[DYN_BP_BLOCK - 1];
             let width = bitpack::bit_width_of_max(&self.scratch);
-            out.push(width);
-            bitpack::pack_into(&self.scratch, width, out);
+            out.put(&[width]);
+            out.pack(&self.scratch, width);
         }
     }
 
-    fn finish(&mut self, _out: &mut Vec<u8>) {}
+    fn finish(&mut self, _out: &mut dyn ByteSink) {}
 }
 
 /// [`ChunkCursor`] over a DELTA+BP main part — the format's only decoder:

@@ -20,7 +20,9 @@
 //! `[key width: u8][packed keys: ceil(count * width / 8) bytes]`.
 
 use crate::bitpack;
-use crate::{ChunkCursor, Compressor, DecodeError, CACHE_BUFFER_ELEMENTS, CHUNK_DIRECTORY_TARGET};
+use crate::{
+    ByteSink, ChunkCursor, Compressor, DecodeError, CACHE_BUFFER_ELEMENTS, CHUNK_DIRECTORY_TARGET,
+};
 
 /// Streaming-interface compressor for the dictionary format (buffers all
 /// input internally; see the module documentation).
@@ -39,11 +41,11 @@ impl DictCompressor {
 }
 
 impl Compressor for DictCompressor {
-    fn append(&mut self, values: &[u64], _out: &mut Vec<u8>) {
+    fn append(&mut self, values: &[u64], _out: &mut dyn ByteSink) {
         self.buffered.extend_from_slice(values);
     }
 
-    fn finish(&mut self, out: &mut Vec<u8>) {
+    fn finish(&mut self, out: &mut dyn ByteSink) {
         encode_into(&self.buffered, out);
         self.buffered.clear();
     }
@@ -51,19 +53,17 @@ impl Compressor for DictCompressor {
 
 /// Encode `values` into the dictionary layout described in the module docs.
 /// An empty input produces an empty encoding.
-pub fn encode_into(values: &[u64], out: &mut Vec<u8>) {
+pub fn encode_into(values: &[u64], out: &mut dyn ByteSink) {
     if values.is_empty() {
         return;
     }
     let mut dictionary: Vec<u64> = values.to_vec();
     dictionary.sort_unstable();
     dictionary.dedup();
-    out.extend_from_slice(&(dictionary.len() as u64).to_le_bytes());
-    for &value in &dictionary {
-        out.extend_from_slice(&value.to_le_bytes());
-    }
+    out.put_words(&[dictionary.len() as u64]);
+    out.put_words(&dictionary);
     let width = bitpack::bit_width_of(dictionary.len().saturating_sub(1) as u64);
-    out.push(width);
+    out.put(&[width]);
     // Every value is present by construction (the dictionary is the sorted
     // dedup of `values`), so the first index with a value `>= v` *is* the
     // key — `partition_point` makes the lookup total with no panic path.
@@ -71,7 +71,7 @@ pub fn encode_into(values: &[u64], out: &mut Vec<u8>) {
         .iter()
         .map(|v| dictionary.partition_point(|&entry| entry < *v) as u64)
         .collect();
-    bitpack::pack_into(&keys, width, out);
+    out.pack(&keys, width);
 }
 
 /// Decode the embedded dictionary of a non-empty encoding: the sorted
@@ -213,15 +213,6 @@ impl ChunkCursor for DictCursor<'_> {
     }
 }
 
-/// Exact encoded size of `values` in the dictionary format.
-pub fn encoded_size(values: &[u64]) -> usize {
-    let mut distinct: Vec<u64> = values.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let width = bitpack::bit_width_of(distinct.len().saturating_sub(1) as u64);
-    8 + distinct.len() * 8 + 1 + bitpack::packed_size_bytes(values.len(), width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +239,6 @@ mod tests {
         let uncompressed = values.len() * 8;
         // 4-bit keys + tiny dictionary => ~1/16 of the uncompressed size.
         assert!(size * 10 < uncompressed, "dict size {size}");
-        assert_eq!(size, encoded_size(&values));
     }
 
     #[test]

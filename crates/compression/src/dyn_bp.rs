@@ -13,14 +13,14 @@
 //! Layout per block: `[width: u8][packed values: 64 * width bytes]`.
 
 use crate::bitpack;
-use crate::{ChunkCursor, ChunkEntry, Compressor, DecodeError, DYN_BP_BLOCK};
+use crate::{ByteSink, ChunkCursor, ChunkEntry, Compressor, DecodeError, DYN_BP_BLOCK};
 
 /// Streaming compressor for dynamic bit packing.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DynBpCompressor;
 
 impl Compressor for DynBpCompressor {
-    fn append(&mut self, values: &[u64], out: &mut Vec<u8>) {
+    fn append(&mut self, values: &[u64], out: &mut dyn ByteSink) {
         assert_eq!(
             values.len() % DYN_BP_BLOCK,
             0,
@@ -31,15 +31,15 @@ impl Compressor for DynBpCompressor {
         }
     }
 
-    fn finish(&mut self, _out: &mut Vec<u8>) {}
+    fn finish(&mut self, _out: &mut dyn ByteSink) {}
 }
 
 /// Encode one block of exactly [`DYN_BP_BLOCK`] values.
-pub fn encode_block(block: &[u64], out: &mut Vec<u8>) {
+pub fn encode_block(block: &[u64], out: &mut dyn ByteSink) {
     debug_assert_eq!(block.len(), DYN_BP_BLOCK);
     let width = bitpack::bit_width_of_max(block);
-    out.push(width);
-    bitpack::pack_into(block, width, out);
+    out.put(&[width]);
+    out.pack(block, width);
 }
 
 /// Byte size of one encoded block with the given `width`.

@@ -11,7 +11,7 @@
 
 use crate::bitpack;
 use crate::delta::checked_cascade_header;
-use crate::{ChunkCursor, ChunkEntry, Compressor, DecodeError, DYN_BP_BLOCK};
+use crate::{ByteSink, ChunkCursor, ChunkEntry, Compressor, DecodeError, DYN_BP_BLOCK};
 
 /// Streaming compressor for FOR + dynamic BP.  The reference is chosen per
 /// block, so the compressor itself is stateless.
@@ -19,7 +19,7 @@ use crate::{ChunkCursor, ChunkEntry, Compressor, DecodeError, DYN_BP_BLOCK};
 pub struct ForDynBpCompressor;
 
 impl Compressor for ForDynBpCompressor {
-    fn append(&mut self, values: &[u64], out: &mut Vec<u8>) {
+    fn append(&mut self, values: &[u64], out: &mut dyn ByteSink) {
         assert_eq!(
             values.len() % DYN_BP_BLOCK,
             0,
@@ -30,16 +30,16 @@ impl Compressor for ForDynBpCompressor {
             // `chunks_exact` never yields an empty block; the fold makes
             // the reference total without a panicking path.
             let reference = block.iter().copied().fold(u64::MAX, u64::min);
-            out.extend_from_slice(&reference.to_le_bytes());
+            out.put(&reference.to_le_bytes());
             offsets.clear();
             offsets.extend(block.iter().map(|&v| v - reference));
             let width = bitpack::bit_width_of_max(&offsets);
-            out.push(width);
-            bitpack::pack_into(&offsets, width, out);
+            out.put(&[width]);
+            out.pack(&offsets, width);
         }
     }
 
-    fn finish(&mut self, _out: &mut Vec<u8>) {}
+    fn finish(&mut self, _out: &mut dyn ByteSink) {}
 }
 
 /// [`ChunkCursor`] over a FOR+BP main part — the format's only decoder: one

@@ -15,7 +15,9 @@
 //!   plus run-length encoding and dictionary encoding as extensions,
 //! * whole-buffer and *streaming* compression ([`Compressor`]) used by the
 //!   output side of the on-the-fly de/re-compression wrapper (the
-//!   L1-cache-resident buffer layer of Figure 4),
+//!   L1-cache-resident buffer layer of Figure 4), writing through a
+//!   [`ByteSink`] that either stores the bytes or only counts them (exact
+//!   sizes without packing),
 //! * block-wise decompression through one pull decoder per format
 //!   ([`ChunkCursor`], [`cursor_for`]) used by the input side of that
 //!   wrapper, so operators never materialise a whole uncompressed column
@@ -237,6 +239,67 @@ impl std::str::FromStr for Format {
     }
 }
 
+/// Where a [`Compressor`] writes: every encoded byte goes through one of
+/// these three calls.
+///
+/// A `Vec<u8>` stores the bytes.  A [`ByteCount`] only adds up their
+/// number — `len` for a header write, 8 per word,
+/// [`bitpack::packed_size_bytes`] for a pack — so a compressor run into it
+/// makes every encoding decision (block
+/// widths, references, delta chains, runs, dictionaries) and every check
+/// exactly as it would when storing, and ends with the exact encoded size
+/// without packing a single value.
+pub trait ByteSink {
+    /// Append `bytes` verbatim (header fields, run pairs).
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Append `values` bit-packed with `width` bits each, in the
+    /// [`bitpack`] layout.
+    fn pack(&mut self, values: &[u64], width: u8);
+
+    /// Append `values` as little-endian 64-bit words (the uncompressed
+    /// layout).
+    fn put_words(&mut self, values: &[u64]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn pack(&mut self, values: &[u64], width: u8) {
+        bitpack::pack_into(values, width, self);
+    }
+
+    fn put_words(&mut self, values: &[u64]) {
+        self.reserve(values.len() * 8);
+        for &value in values {
+            self.extend_from_slice(&value.to_le_bytes());
+        }
+    }
+}
+
+/// A [`ByteSink`] that counts the bytes an encoder would write instead of
+/// storing them — the sizing sink behind
+/// [`compressed_size_bytes`] and the column builder's sizing mode.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl ByteSink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn pack(&mut self, values: &[u64], width: u8) {
+        assert!((1..=64).contains(&width), "bit width must be in 1..=64");
+        self.0 += bitpack::packed_size_bytes(values.len(), width);
+    }
+
+    fn put_words(&mut self, values: &[u64]) {
+        self.0 += values.len() * 8;
+    }
+}
+
 /// Streaming compressor used by the output-side buffer layer of the
 /// on-the-fly de/re-compression wrapper (Figure 4, steps 6–9).
 ///
@@ -244,13 +307,17 @@ impl std::str::FromStr for Format {
 /// multiple of the format's [`Format::block_size`]; the engine's sink
 /// guarantees this by flushing its cache-resident buffer in multiples of the
 /// block size and keeping the rest as the uncompressed remainder.
+///
+/// Each format has one compressor body, and it writes only through a
+/// [`ByteSink`]: into a `Vec<u8>` it encodes, into a [`ByteCount`] it
+/// *sizes* — same decisions, same checks, same byte count, no packing.
 pub trait Compressor {
     /// Compress `values` and append the encoded bytes to `out`.
-    fn append(&mut self, values: &[u64], out: &mut Vec<u8>);
+    fn append(&mut self, values: &[u64], out: &mut dyn ByteSink);
 
     /// Flush any internal state (pending runs, buffered dictionaries) to
     /// `out`.  Must be called exactly once, after the last `append`.
-    fn finish(&mut self, out: &mut Vec<u8>);
+    fn finish(&mut self, out: &mut dyn ByteSink);
 }
 
 /// Create a streaming [`Compressor`] for `format`.
@@ -689,10 +756,15 @@ pub fn get_element(format: &Format, bytes: &[u8], count: usize, idx: usize) -> O
 }
 
 /// Exact size in bytes of the compressed representation of `values` in
-/// `format` (main part plus the 8-byte-per-element uncompressed remainder).
+/// `format` (main part plus the 8-byte-per-element uncompressed remainder):
+/// the format's compressor run into a [`ByteCount`].
 pub fn compressed_size_bytes(format: &Format, values: &[u64]) -> usize {
-    let (bytes, main_len) = compress_main_part(format, values);
-    bytes.len() + (values.len() - main_len) * 8
+    let main_len = values.len() - values.len() % format.block_size();
+    let mut size = ByteCount::default();
+    let mut compressor = compressor_for(format);
+    compressor.append(&values[..main_len], &mut size);
+    compressor.finish(&mut size);
+    size.0 + (values.len() - main_len) * 8
 }
 
 pub use morph::morph_main_part as morph;
@@ -795,6 +867,21 @@ mod tests {
         assert_eq!(NsScheme::of(&Format::DeltaDynBp), Some(NsScheme::DynBp));
         assert_eq!(NsScheme::of(&Format::Uncompressed), None);
         assert_eq!(NsScheme::of(&Format::Rle), None);
+    }
+
+    #[test]
+    fn byte_count_equals_stored_length_for_every_format() {
+        let mut values: Vec<u64> = (0..5000u64).map(|i| (i * 31) % 509).collect();
+        values.extend(std::iter::repeat_n(7, 700));
+        for format in Format::all_formats(508) {
+            let (bytes, main_len) = compress_main_part(&format, &values);
+            let expected = bytes.len() + (values.len() - main_len) * 8;
+            assert_eq!(
+                compressed_size_bytes(&format, &values),
+                expected,
+                "{format}"
+            );
+        }
     }
 
     #[test]

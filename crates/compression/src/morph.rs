@@ -12,7 +12,7 @@
 
 use crate::{
     bitpack, compressor_for, dyn_bp, for_each_decompressed_block, rle, static_bp, ChunkCursor,
-    Format, CACHE_BUFFER_ELEMENTS, DYN_BP_BLOCK, STATIC_BP_BLOCK,
+    Format, CACHE_BUFFER_ELEMENTS, DYN_BP_BLOCK,
 };
 
 /// Morph a compressed main part of `count` elements from `src` format to
@@ -74,15 +74,18 @@ pub fn morph_main_part(src: &Format, dst: &Format, bytes: &[u8], count: usize) -
 
 /// Repack a static-BP bit stream to a different width without the
 /// logical-level decode step.
+///
+/// # Panics
+/// Panics if a value needs more than `dst_width` bits — in every build, as
+/// the static-BP compressor does: packing would silently truncate it.
 fn repack_static(bytes: &[u8], src_width: u8, dst_width: u8, count: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(bitpack::packed_size_bytes(count, dst_width));
     let mut cursor = static_bp::StaticBpCursor::new(bytes, src_width, count);
     while let Some(chunk) = cursor.next_chunk() {
-        debug_assert!(
-            chunk
-                .iter()
-                .all(|&v| v <= bitpack::max_value_for_width(dst_width)),
-            "value does not fit into the target static width"
+        let effective = bitpack::bit_width_of_max(chunk);
+        assert!(
+            effective <= dst_width,
+            "static BP width {dst_width} is too narrow: data requires {effective} bits"
         );
         bitpack::pack_into(chunk, dst_width, &mut out);
     }
@@ -116,13 +119,6 @@ pub fn static_width_from_dyn_bp(bytes: &[u8], count: usize) -> u8 {
         .into_iter()
         .max()
         .unwrap_or(1)
-}
-
-/// Pick a static-BP width for a static-BP encoded main part (identity helper
-/// for the engine's uniform handling of width discovery).
-pub fn static_width_from_static_bp(width: u8) -> u8 {
-    let _ = static_bp::encoded_size(STATIC_BP_BLOCK, width);
-    width
 }
 
 #[cfg(test)]
@@ -219,12 +215,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "too narrow")]
+    fn static_repack_rejects_a_too_narrow_target_in_every_build() {
+        let values: Vec<u64> = (0..256u64).map(|i| i % 200).collect();
+        let (bytes, main_len) = compress_main_part(&Format::StaticBp(8), &values);
+        morph_main_part(&Format::StaticBp(8), &Format::StaticBp(4), &bytes, main_len);
+    }
+
+    #[test]
     fn dyn_bp_headers_give_static_width() {
         let mut values = sample_values(2048);
         values[1999] = 1 << 40;
         let (bytes, main_len) = compress_main_part(&Format::DynBp, &values);
         assert_eq!(static_width_from_dyn_bp(&bytes, main_len), 41);
-        assert_eq!(static_width_from_static_bp(13), 13);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The format can represent any number of data elements (block size 1), so
 //! columns using it never have an uncompressed remainder.
 
-use crate::{ChunkCursor, ChunkEntry, Compressor, DecodeError};
+use crate::{ByteSink, ChunkCursor, ChunkEntry, Compressor, DecodeError};
 
 /// Maximum number of elements materialised at once when decompressing runs
 /// block-wise (long runs are split so the uncompressed chunks stay
@@ -32,9 +32,8 @@ impl RleCompressor {
         RleCompressor { pending: None }
     }
 
-    fn emit(pair: (u64, u64), out: &mut Vec<u8>) {
-        out.extend_from_slice(&pair.0.to_le_bytes());
-        out.extend_from_slice(&pair.1.to_le_bytes());
+    fn emit(pair: (u64, u64), out: &mut dyn ByteSink) {
+        out.put_words(&[pair.0, pair.1]);
     }
 }
 
@@ -45,7 +44,7 @@ impl Default for RleCompressor {
 }
 
 impl Compressor for RleCompressor {
-    fn append(&mut self, values: &[u64], out: &mut Vec<u8>) {
+    fn append(&mut self, values: &[u64], out: &mut dyn ByteSink) {
         for &value in values {
             match self.pending {
                 Some((run_value, run_len)) if run_value == value => {
@@ -62,7 +61,7 @@ impl Compressor for RleCompressor {
         }
     }
 
-    fn finish(&mut self, out: &mut Vec<u8>) {
+    fn finish(&mut self, out: &mut dyn ByteSink) {
         if let Some(pair) = self.pending.take() {
             Self::emit(pair, out);
         }

@@ -14,7 +14,7 @@
 
 use crate::bitpack;
 use crate::{
-    ChunkCursor, Compressor, DecodeError, CACHE_BUFFER_ELEMENTS, CHUNK_DIRECTORY_TARGET,
+    ByteSink, ChunkCursor, Compressor, DecodeError, CACHE_BUFFER_ELEMENTS, CHUNK_DIRECTORY_TARGET,
     STATIC_BP_BLOCK,
 };
 
@@ -36,7 +36,7 @@ impl StaticBpCompressor {
 }
 
 impl Compressor for StaticBpCompressor {
-    fn append(&mut self, values: &[u64], out: &mut Vec<u8>) {
+    fn append(&mut self, values: &[u64], out: &mut dyn ByteSink) {
         assert_eq!(
             values.len() % STATIC_BP_BLOCK,
             0,
@@ -53,16 +53,10 @@ impl Compressor for StaticBpCompressor {
             self.width,
             effective
         );
-        bitpack::pack_into(values, self.width, out);
+        out.pack(values, self.width);
     }
 
-    fn finish(&mut self, _out: &mut Vec<u8>) {}
-}
-
-/// Size in bytes of `count` elements packed with `width` bits (`count` must
-/// be a multiple of the block size).
-pub fn encoded_size(count: usize, width: u8) -> usize {
-    bitpack::packed_size_bytes(count, width)
+    fn finish(&mut self, _out: &mut dyn ByteSink) {}
 }
 
 /// [`ChunkCursor`] over a static-BP main part — the format's only decoder.
@@ -148,7 +142,7 @@ mod tests {
             let format = Format::StaticBp(width);
             let (bytes, main_len) = compress_main_part(&format, &values);
             assert_eq!(main_len, values.len());
-            assert_eq!(bytes.len(), encoded_size(values.len(), width));
+            assert_eq!(bytes.len(), bitpack::packed_size_bytes(values.len(), width));
             let mut decoded = Vec::new();
             decompress_into(&format, &bytes, main_len, &mut decoded);
             assert_eq!(decoded, values);

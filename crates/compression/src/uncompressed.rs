@@ -7,7 +7,9 @@
 //! best/worst combinations are explicitly "allowed to employ the
 //! uncompressed format", Section 5.2).
 
-use crate::{ChunkCursor, Compressor, DecodeError, CACHE_BUFFER_ELEMENTS, CHUNK_DIRECTORY_TARGET};
+use crate::{
+    ByteSink, ChunkCursor, Compressor, DecodeError, CACHE_BUFFER_ELEMENTS, CHUNK_DIRECTORY_TARGET,
+};
 
 /// Streaming "compressor" that simply serialises values as 8-byte
 /// little-endian words.
@@ -15,19 +17,11 @@ use crate::{ChunkCursor, Compressor, DecodeError, CACHE_BUFFER_ELEMENTS, CHUNK_D
 pub struct UncompressedCompressor;
 
 impl Compressor for UncompressedCompressor {
-    fn append(&mut self, values: &[u64], out: &mut Vec<u8>) {
-        encode_into(values, out);
+    fn append(&mut self, values: &[u64], out: &mut dyn ByteSink) {
+        out.put_words(values);
     }
 
-    fn finish(&mut self, _out: &mut Vec<u8>) {}
-}
-
-/// Serialise `values` as little-endian 64-bit words appended to `out`.
-pub fn encode_into(values: &[u64], out: &mut Vec<u8>) {
-    out.reserve(values.len() * 8);
-    for &value in values {
-        out.extend_from_slice(&value.to_le_bytes());
-    }
+    fn finish(&mut self, _out: &mut dyn ByteSink) {}
 }
 
 /// [`ChunkCursor`] over an uncompressed main part — the format's only
@@ -107,7 +101,7 @@ mod tests {
     fn random_access() {
         let values: Vec<u64> = vec![9, u64::MAX, 0, 123456789];
         let mut bytes = Vec::new();
-        encode_into(&values, &mut bytes);
+        bytes.put_words(&values);
         for (i, &expected) in values.iter().enumerate() {
             assert_eq!(get(&bytes, i), expected);
         }
@@ -159,7 +153,7 @@ mod tests {
     fn cursor_streams_and_seeks() {
         let values: Vec<u64> = (0..5000).collect();
         let mut bytes = Vec::new();
-        encode_into(&values, &mut bytes);
+        bytes.put_words(&values);
         let mut cursor = UncompressedCursor::new(&bytes, values.len());
         let mut collected = Vec::new();
         while let Some(chunk) = cursor.next_chunk() {

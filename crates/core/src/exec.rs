@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use morph_cache::QueryCache;
 use morph_compression::Format;
-use morph_storage::Column;
+use morph_storage::{Column, ColumnSize};
 use morph_vector::ProcessingStyle;
 
 /// The four degrees of integrating compression into query operators
@@ -352,17 +352,24 @@ impl NodeRecords {
         if let Err(detail) = column.check_chunk_directory() {
             panic!("column {name:?} has an inconsistent chunk directory: {detail}");
         }
-        crate::govern::charge_materialized(column.size_used_bytes());
-        self.records.push(ColumnRecord {
-            name: name.to_string(),
-            format: *column.format(),
-            len: column.logical_len(),
-            bytes: column.size_used_bytes(),
-            is_base: false,
-        });
+        self.record_size(name, column.size());
         if self.capture {
             self.captured.push((name.to_string(), column.clone()));
         }
+    }
+
+    /// Record an intermediate that was sized but never encoded — a fused
+    /// interior nothing reads.  Its record and budget charge are exactly
+    /// those of the encoded column.
+    pub(crate) fn record_size(&mut self, name: &str, size: ColumnSize) {
+        crate::govern::charge_materialized(size.bytes);
+        self.records.push(ColumnRecord {
+            name: name.to_string(),
+            format: size.format,
+            len: size.len,
+            bytes: size.bytes,
+            is_base: false,
+        });
     }
 
     /// Declare the stable plan-node index this recorder belongs to; every

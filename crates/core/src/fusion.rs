@@ -38,16 +38,26 @@
 //! Fused execution is observably identical to node-by-node execution:
 //! results, footprint records and timing-label sequences are all
 //! byte-identical.  Every stage runs the *same chunk step* as its unfused
-//! operator (see [`crate::ops`]), and interior columns **are** still encoded
-//! — incrementally, chunk by chunk, into the same [`ColumnBuilder`] the
-//! chunk-range kernels use, which is granularity-invariant (see
-//! [`partitioned`](crate::ops::partitioned)) — because the footprint
-//! records and plan-cache entries of interior nodes must not change.  What
-//! fusion *removes* is the decode half of every interior round-trip, the
-//! repeated driver passes, and the retention of interior columns: they are
-//! dropped as soon as their record is taken, never entering the slot
-//! table.  The per-query sum of dropped interior bytes is reported as
+//! operator (see [`crate::ops`]) and pushes its output, chunk by chunk, into
+//! a [`ColumnBuilder`] at the edge's format — granularity-invariant (see
+//! [`partitioned`](crate::ops::partitioned)), so the bytes are the unfused
+//! ones.  An interior's record needs only its format, length and size.
+//! When nothing can read the interior — its unit runs as **one part**, no
+//! plan cache is attached and capture is off — the builder runs in
+//! *sizing* mode ([`ColumnBuilder::sizing`]): the same compressor writes
+//! into a byte count, so the record and the budget charge are exact and no
+//! value is packed.  The root, every part of a fanned-out unit (part sizes
+//! do not add across the block grid or a DELTA seam) and cached or
+//! captured runs encode for real.  What fusion *removes* is the decode half
+//! of every interior round-trip, the repeated driver passes, the retention
+//! of interior columns (never entering the slot table) and, for sized
+//! interiors, their packing.  The per-query sum of interior bytes is
+//! reported as
 //! [`ExecutionContext::intermediate_bytes_avoided`](crate::ExecutionContext::intermediate_bytes_avoided).
+//!
+//! Each stage's recorded time covers what its unfused operator's timer
+//! covers: its chunk step, its sink push and finish (encode or size), and,
+//! for the first stage reading the driver, the driver's chunk decode.
 //!
 //! Fusion only applies under the `PurelyUncompressed` and
 //! `OnTheFlyDeRecompression` integration degrees: the `Specialized` and
@@ -72,7 +82,8 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use morph_cache::QueryCache;
-use morph_storage::{Column, ColumnBuilder};
+use morph_compression::ByteCount;
+use morph_storage::ColumnBuilder;
 use morph_vector::ProcessingStyle;
 
 use crate::exec::{ExecSettings, FormatConfig, IntegrationDegree};
@@ -555,6 +566,49 @@ fn grow_region(
     })
 }
 
+impl StageKind {
+    /// Whether the stage streams the region's driver.
+    fn reads_driver(&self) -> bool {
+        match *self {
+            StageKind::Select { src, .. }
+            | StageKind::SelectBetween { src, .. }
+            | StageKind::AggSum { src } => src == Src::Driver,
+            StageKind::Project { positions, .. } => positions == Src::Driver,
+            StageKind::Calc { lhs, rhs, .. } => lhs == Src::Driver || rhs == Src::Driver,
+        }
+    }
+}
+
+/// Where one stage's chunk outputs go.
+enum StageSink {
+    /// A column something may read: the root, a fanned-out part's partial
+    /// (it splices), or an interior the plan cache or capture keeps.
+    Encode(ColumnBuilder),
+    /// An interior nothing reads: the same compressor, run into a byte
+    /// count, yields its record without packing a value.
+    Size(ColumnBuilder<ByteCount>),
+    /// An aggregation, which folds into `StagePass::sums` instead.
+    Fold,
+}
+
+impl StageSink {
+    fn push(&mut self, values: &[u64]) {
+        match self {
+            StageSink::Encode(builder) => builder.push_slice(values),
+            StageSink::Size(builder) => builder.push_slice(values),
+            StageSink::Fold => {}
+        }
+    }
+
+    fn finish(self, sum: u64) -> Partial {
+        match self {
+            StageSink::Encode(builder) => Partial::Col(builder.finish()),
+            StageSink::Size(builder) => Partial::Sized(builder.finish()),
+            StageSink::Fold => Partial::Sum(sum),
+        }
+    }
+}
+
 /// Per-stage working state of one pass over (a range of) the driver.
 struct StagePass<'d> {
     /// Per stage, the project reader over the stage's data column (`None`
@@ -562,33 +616,17 @@ struct StagePass<'d> {
     gathers: Vec<Option<Gather<'d>>>,
     /// Per stage, the values produced from the current driver chunk.
     bufs: Vec<Vec<u64>>,
+    /// Per stage, where its values go.
+    sinks: Vec<StageSink>,
     /// Per stage, the total values emitted *before* the current chunk —
     /// the position base of selects over derived streams.
     emitted: Vec<u64>,
     /// Per stage, the running wrapping sum (aggregation stages only).
     sums: Vec<u64>,
-    /// Per stage, accumulated compute time.
+    /// Per stage, accumulated time: its compute and sink push per chunk,
+    /// its sink's finish, and — for the first stage reading the driver —
+    /// every driver chunk pull.
     elapsed: Vec<Duration>,
-}
-
-impl<'d> StagePass<'d> {
-    fn new(region: &FusedRegion, col: impl Fn(ColRef) -> &'d Column) -> StagePass<'d> {
-        let n = region.stages.len();
-        StagePass {
-            gathers: region
-                .stages
-                .iter()
-                .map(|stage| match stage.kind {
-                    StageKind::Project { data, .. } => Some(Gather::new(col(data))),
-                    _ => None,
-                })
-                .collect(),
-            bufs: vec![Vec::new(); n],
-            emitted: vec![0; n],
-            sums: vec![0; n],
-            elapsed: vec![Duration::ZERO; n],
-        }
-    }
 }
 
 /// Resolve a stage's streamed input within the current driver chunk.
@@ -608,18 +646,23 @@ fn src_base(emitted: &[u64], driver_base: u64, src: Src) -> u64 {
 }
 
 /// Drive one driver chunk through all stages of the region, filling every
-/// stage's chunk buffer (and advancing the aggregation sums).  Fires one
-/// governance chunk checkpoint before touching the data.
+/// stage's chunk buffer, pushing it into the stage's sink (and advancing
+/// the aggregation sums).  Fires one governance chunk checkpoint before
+/// touching the data.
+///
+/// Stage timings chain: each stage is charged from `clock` (the previous
+/// stage's end, or the chunk's arrival) to its own end — one clock read
+/// per stage.  Returns the last stage's end.
 fn run_chunk(
     region: &FusedRegion,
     style: ProcessingStyle,
     pass: &mut StagePass<'_>,
     driver_base: u64,
     chunk: &[u64],
-) {
+    mut clock: Instant,
+) -> Instant {
     crate::govern::checkpoint_chunk();
     for (i, stage) in region.stages.iter().enumerate() {
-        let started = Instant::now();
         let (prev, rest) = pass.bufs.split_at_mut(i);
         let emitted = &pass.emitted;
         match &stage.kind {
@@ -666,17 +709,25 @@ fn run_chunk(
                     pass.sums[i].wrapping_add(sum_chunk(style, src_vals(prev, chunk, *src)));
             }
         }
-        pass.elapsed[i] += started.elapsed();
+        pass.sinks[i].push(&rest[0]);
+        let now = Instant::now();
+        pass.elapsed[i] += now - clock;
+        clock = now;
     }
     for i in 0..region.stages.len() {
         pass.emitted[i] += pass.bufs[i].len() as u64;
     }
+    clock
 }
 
 /// Run one pass of a fused region over the driver chunk range `chunks`,
-/// producing one partial — built at the effective output format, like every
-/// chunk-range kernel, so a range-order splice reconstructs the whole-range
-/// byte stream — and the accumulated compute time per stage.
+/// producing one partial per stage — built at the effective output format,
+/// like every chunk-range kernel, so a range-order splice reconstructs the
+/// whole-range byte stream — and the accumulated time per stage.
+///
+/// With `size_interiors`, every stage but the root only *sizes* its output
+/// ([`Partial::Sized`]): the caller guarantees the pass is the unit's only
+/// part and that nothing — no plan cache, no capture — reads an interior.
 ///
 /// A range that does not start at the driver's first chunk is only valid
 /// for `prefix_independent` regions: every select reads the driver, whose
@@ -688,6 +739,7 @@ pub(crate) fn run_region_part<'a, 's, F>(
     slots: &F,
     settings: &ExecSettings,
     formats: &FormatConfig,
+    size_interiors: bool,
 ) -> (Vec<Partial>, Vec<Duration>)
 where
     'a: 's,
@@ -699,33 +751,52 @@ where
     );
     let col = |r: ColRef| slots(r.node).column(r.port);
     let driver = col(region.driver);
-    let mut pass = StagePass::new(region, col);
-    let mut sinks: Vec<Option<ColumnBuilder>> = region
+    let n = region.stages.len();
+    let sink = |stage: &FusedStage| {
+        let format = || plan.part_format(stage.node, settings, formats);
+        match stage.kind {
+            StageKind::AggSum { .. } => StageSink::Fold,
+            _ if size_interiors && stage.node != region.root => {
+                StageSink::Size(ColumnBuilder::sizing(format()))
+            }
+            _ => StageSink::Encode(ColumnBuilder::new(format())),
+        }
+    };
+    let mut pass = StagePass {
+        gathers: region
+            .stages
+            .iter()
+            .map(|stage| match stage.kind {
+                StageKind::Project { data, .. } => Some(Gather::new(col(data))),
+                _ => None,
+            })
+            .collect(),
+        bufs: vec![Vec::new(); n],
+        sinks: region.stages.iter().map(sink).collect(),
+        emitted: vec![0; n],
+        sums: vec![0; n],
+        elapsed: vec![Duration::ZERO; n],
+    };
+    // The driver pull is the decode half of the first driver-reading
+    // stage, as in its unfused operator.
+    let puller = region
         .stages
         .iter()
-        .map(|stage| match stage.kind {
-            StageKind::AggSum { .. } => None,
-            _ => Some(ColumnBuilder::new(
-                plan.part_format(stage.node, settings, formats),
-            )),
-        })
-        .collect();
+        .position(|stage| stage.kind.reads_driver())
+        .unwrap_or(0);
+    let mut clock = Instant::now();
     driver.for_each_chunk_in(chunks, &mut |start, chunk| {
-        run_chunk(region, settings.style, &mut pass, start, chunk);
-        for (i, sink) in sinks.iter_mut().enumerate() {
-            if let Some(builder) = sink {
-                builder.push_slice(&pass.bufs[i]);
-            }
-        }
+        let arrived = Instant::now();
+        pass.elapsed[puller] += arrived - clock;
+        clock = run_chunk(region, settings.style, &mut pass, start, chunk, arrived);
     });
-    let partials = sinks
-        .into_iter()
-        .enumerate()
-        .map(|(i, sink)| match sink {
-            Some(builder) => Partial::Col(builder.finish()),
-            None => Partial::Sum(pass.sums[i]),
-        })
-        .collect();
+    let mut partials = Vec::with_capacity(n);
+    for (i, sink) in pass.sinks.into_iter().enumerate() {
+        partials.push(sink.finish(pass.sums[i]));
+        let now = Instant::now();
+        pass.elapsed[i] += now - clock;
+        clock = now;
+    }
     (partials, pass.elapsed)
 }
 
@@ -735,6 +806,7 @@ mod tests {
     use crate::exec::{ColumnRecord, ExecutionContext};
     use crate::plan::{PlanBuilder, PlanOutput};
     use morph_compression::Format;
+    use morph_storage::Column;
     use std::collections::HashMap;
     use std::sync::Arc;
 

@@ -303,8 +303,8 @@ pub(crate) fn run_plan<'a>(
             .into_inner()
             .expect("every node completed before the loop ended");
         ctx.merge_node_records(result.records);
-        if let Slot::Fused(bytes) = result.slot {
-            bytes_avoided += bytes;
+        if let Slot::Fused(size) = result.slot {
+            bytes_avoided += size.bytes as u64;
         }
         slots.push(result.slot);
     }
@@ -380,6 +380,9 @@ impl<'a> Run<'_, 'a> {
                 let region = self.fusion.region(index);
                 let chunks = 0..self.column(region.driver).chunk_count();
                 let slots = |i: usize| self.slot(i);
+                // A one-part run sizes the interiors nothing reads: no plan
+                // cache keeps them and no capture copies them.
+                let size_interiors = !self.capture && self.settings.cache.is_none();
                 let (partials, elapsed) = run_region_part(
                     self.plan,
                     region,
@@ -387,6 +390,7 @@ impl<'a> Run<'_, 'a> {
                     &slots,
                     self.settings,
                     self.formats,
+                    size_interiors,
                 );
                 self.complete_unit(root, partials.into_iter().zip(elapsed));
             }
@@ -479,7 +483,8 @@ impl<'a> Run<'_, 'a> {
         let partials = match self.fusion.region_of(root) {
             Some(index) => {
                 let region = self.fusion.region(index);
-                run_region_part(self.plan, region, chunks, &slots, settings, formats).0
+                // Parts encode every stage: their partials splice.
+                run_region_part(self.plan, region, chunks, &slots, settings, formats, false).0
             }
             None => {
                 let keys = job.keys.as_ref();
@@ -504,13 +509,13 @@ impl<'a> Run<'_, 'a> {
             let value = if matches!(self.plan.nodes[member].op, PlanOp::AggSum { .. }) {
                 let sums = parts.iter().map(|part| match part[stage] {
                     Partial::Sum(sum) => sum,
-                    Partial::Col(_) => unreachable!("sum stage with a column partial"),
+                    _ => unreachable!("sum stage with a column partial"),
                 });
                 Partial::Sum(sums.fold(0, u64::wrapping_add))
             } else {
                 let columns = parts.iter().map(|part| match &part[stage] {
                     Partial::Col(column) => column,
-                    Partial::Sum(_) => unreachable!("column stage with a sum partial"),
+                    _ => unreachable!("column stage without a column partial"),
                 });
                 let format = self.plan.part_format(member, settings, formats);
                 Partial::Col(partitioned::concat_partials(&format, columns))
@@ -558,6 +563,7 @@ impl<'a> Run<'_, 'a> {
             let slot = match value {
                 Partial::Col(column) => Slot::Col(Arc::new(column)),
                 Partial::Sum(total) => Slot::Scalar(total),
+                Partial::Sized(size) => Slot::Fused(size),
             };
             let mut records = self.records(member);
             let slot = self.finish(member, slot, elapsed, &mut records);
@@ -569,8 +575,9 @@ impl<'a> Run<'_, 'a> {
     /// Complete node `idx` from its output — the one completion path of a
     /// whole-column node, a merged fan-out and every fused member: push the
     /// timing, record the output, insert it into the plan cache (its
-    /// runtime is the eviction benefit) and decide the slot.  A fused
-    /// interior is recorded and cached, then dropped.
+    /// runtime is the eviction benefit) and decide the slot.  An encoded
+    /// fused interior is recorded and cached, then dropped; a sized one is
+    /// recorded from its size.
     fn finish(
         &self,
         idx: usize,
@@ -582,6 +589,7 @@ impl<'a> Run<'_, 'a> {
         let full = self.plan.node_full_name(idx);
         match &slot {
             Slot::Col(column) => records.record_intermediate(&full, column),
+            Slot::Fused(size) => records.record_size(&full, *size),
             Slot::Group(group) => {
                 records.record_intermediate(&full, &group.group_ids);
                 records.record_intermediate(&format!("{full}_reps"), &group.representatives);
@@ -594,9 +602,7 @@ impl<'a> Run<'_, 'a> {
             }
         }
         match slot {
-            Slot::Col(column) if self.graph.members[idx].is_empty() => {
-                Slot::Fused(column.size_used_bytes() as u64)
-            }
+            Slot::Col(column) if self.graph.members[idx].is_empty() => Slot::Fused(column.size()),
             slot => slot,
         }
     }

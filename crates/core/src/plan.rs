@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use morph_cache::{CacheKey, CachedValue, Fingerprint, QueryCache};
 use morph_compression::Format;
-use morph_storage::Column;
+use morph_storage::{Column, ColumnSize};
 use morph_vector::keys::KeySet;
 
 use crate::exec::{ExecSettings, ExecutionContext, FormatConfig, NodeRecords};
@@ -1264,9 +1264,9 @@ pub(crate) enum Slot<'a> {
     Scalar(u64),
     /// Interior of an executed fused region: the column was recorded (and
     /// possibly cached) but deliberately *not retained* — fusion's whole
-    /// point — and this is its physical size in bytes.  Region validation
+    /// point — or only ever sized; this is its size.  Region validation
     /// guarantees no node ever reads this slot.
-    Fused(u64),
+    Fused(ColumnSize),
 }
 
 impl Slot<'_> {
@@ -1296,11 +1296,14 @@ impl Slot<'_> {
 }
 
 /// The output of one chunk-range part of one node: a partial column, or
-/// the partial wrapping sum of an `agg_sum`.  A unit's partials splice (or
-/// fold) back into its nodes' outputs in range order.
+/// the partial wrapping sum of an `agg_sum` — or, for a fused interior
+/// that nothing reads and that runs as one part, only the column's size.
+/// A unit's partials splice (or fold) back into its nodes' outputs in
+/// range order.
 pub(crate) enum Partial {
     Col(Column),
     Sum(u64),
+    Sized(ColumnSize),
 }
 
 /// Runs a [`QueryPlan`] against a [`ColumnSource`] on the calling thread,

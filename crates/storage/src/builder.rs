@@ -11,22 +11,37 @@
 //! whatever whole blocks remain are compressed and the rest is stored as the
 //! uncompressed remainder — steps 6–9 of Figure 4.
 
-use morph_compression::{compressor_for, uncompressed, Compressor, Format, CACHE_BUFFER_ELEMENTS};
+use morph_compression::{
+    compressor_for, ByteCount, ByteSink, Compressor, Format, CACHE_BUFFER_ELEMENTS,
+};
 
-use crate::Column;
+use crate::{Column, ColumnSize};
 
 /// Incrementally builds a [`Column`] in a chosen format from a stream of
-/// uncompressed values.
-pub struct ColumnBuilder {
+/// uncompressed values — or, in *sizing mode*, only the column's
+/// [`ColumnSize`].
+///
+/// The compressor writes through the builder's [`ByteSink`] `S`.  A
+/// `ColumnBuilder` ([`ColumnBuilder::new`]) stores the bytes and finishes
+/// into a [`Column`].  A `ColumnBuilder<ByteCount>`
+/// ([`ColumnBuilder::sizing`]) counts them and finishes into the
+/// [`ColumnSize`] that [`Column::size`] of the encoded column would report:
+/// both run the same buffer, flush, compressor and remainder logic, so the
+/// size is exact by construction, and nothing is packed.
+pub struct ColumnBuilder<S = Vec<u8>> {
     format: Format,
     buffer: Vec<u64>,
     compressor: Box<dyn Compressor>,
-    data: Vec<u8>,
+    sink: S,
     main_len: usize,
     total_len: usize,
+    /// Sizing mode in debug builds: a real encoder fed the same values, so
+    /// every sized column is checked against its encoding.
+    #[cfg(debug_assertions)]
+    shadow: Option<Box<ColumnBuilder>>,
 }
 
-impl std::fmt::Debug for ColumnBuilder {
+impl<S> std::fmt::Debug for ColumnBuilder<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ColumnBuilder")
             .field("format", &self.format)
@@ -39,76 +54,7 @@ impl std::fmt::Debug for ColumnBuilder {
 impl ColumnBuilder {
     /// Create a builder producing a column in `format`.
     pub fn new(format: Format) -> ColumnBuilder {
-        ColumnBuilder {
-            format,
-            buffer: Vec::with_capacity(CACHE_BUFFER_ELEMENTS),
-            compressor: compressor_for(&format),
-            data: Vec::new(),
-            main_len: 0,
-            total_len: 0,
-        }
-    }
-
-    /// The output format of this builder.
-    pub fn format(&self) -> &Format {
-        &self.format
-    }
-
-    /// Number of values pushed so far.
-    pub fn len(&self) -> usize {
-        self.total_len
-    }
-
-    /// Whether no values have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.total_len == 0
-    }
-
-    /// Append a single value.
-    #[inline]
-    pub fn push(&mut self, value: u64) {
-        self.buffer.push(value);
-        self.total_len += 1;
-        if self.buffer.len() == CACHE_BUFFER_ELEMENTS {
-            self.flush_full_buffer();
-        }
-    }
-
-    /// Append a slice of values.
-    pub fn push_slice(&mut self, values: &[u64]) {
-        let mut rest = values;
-        self.total_len += values.len();
-        while !rest.is_empty() {
-            let space = CACHE_BUFFER_ELEMENTS - self.buffer.len();
-            let take = space.min(rest.len());
-            self.buffer.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.buffer.len() == CACHE_BUFFER_ELEMENTS {
-                self.flush_full_buffer();
-            }
-        }
-    }
-
-    /// Append the consecutive positions `start..start + len` without any
-    /// caller-side scratch buffer: the run is written straight into the
-    /// internal cache-resident buffer, one buffer-full at a time.
-    ///
-    /// This is the sink of the specialized RLE select kernel, whose matching
-    /// runs can be arbitrarily long — materialising them in a caller-owned
-    /// `Vec` first would grow that allocation to the longest run.
-    pub fn push_run(&mut self, start: u64, len: u64) {
-        let mut next = start;
-        let end = start + len;
-        self.total_len += len as usize;
-        while next < end {
-            let space = (CACHE_BUFFER_ELEMENTS - self.buffer.len()) as u64;
-            let take = space.min(end - next);
-            self.buffer.extend(next..next + take);
-            next += take;
-            if self.buffer.len() == CACHE_BUFFER_ELEMENTS {
-                self.flush_full_buffer();
-            }
-        }
+        ColumnBuilder::with_sink(format, Vec::new())
     }
 
     /// Append the entire logical content of `column`, exactly as if every
@@ -135,7 +81,7 @@ impl ColumnBuilder {
         // the block size (it only ever grows by whole blocks), so the
         // incoming block grid lines up with the global one.
         if splice_safe && self.buffer.is_empty() && column.format() == &self.format {
-            self.data.extend_from_slice(column.main_part_bytes());
+            self.sink.extend_from_slice(column.main_part_bytes());
             self.main_len += column.main_part_len();
             self.total_len += column.main_part_len();
             self.push_slice(&column.remainder_values());
@@ -144,36 +90,167 @@ impl ColumnBuilder {
         column.for_each_chunk(&mut |chunk| self.push_slice(chunk));
     }
 
-    /// Compress the full cache-resident buffer.  The buffer size is a
-    /// multiple of every format's block size, so the whole buffer can be
-    /// handed to the compressor.
-    fn flush_full_buffer(&mut self) {
-        debug_assert_eq!(self.buffer.len(), CACHE_BUFFER_ELEMENTS);
-        self.compressor.append(&self.buffer, &mut self.data);
-        self.main_len += self.buffer.len();
-        self.buffer.clear();
-    }
-
     /// Finish the column: compress the remaining whole blocks, then append
     /// the rest as the uncompressed remainder.
     pub fn finish(mut self) -> Column {
-        let block = self.format.block_size();
-        let compressible = self.buffer.len() - self.buffer.len() % block;
-        if compressible > 0 {
-            self.compressor
-                .append(&self.buffer[..compressible], &mut self.data);
-            self.main_len += compressible;
-        }
-        self.compressor.finish(&mut self.data);
-        let main_bytes = self.data.len();
-        uncompressed::encode_into(&self.buffer[compressible..], &mut self.data);
+        self.seal();
+        let main_bytes = self.sink.len() - (self.total_len - self.main_len) * 8;
         Column::from_parts(
             self.format,
             self.total_len,
             self.main_len,
             main_bytes,
-            self.data,
+            self.sink,
         )
+    }
+}
+
+impl ColumnBuilder<ByteCount> {
+    /// Create a builder that sizes a column in `format` without encoding
+    /// it: the compressor makes every decision it makes when encoding, but
+    /// writes into a [`ByteCount`].
+    pub fn sizing(format: Format) -> ColumnBuilder<ByteCount> {
+        ColumnBuilder {
+            #[cfg(debug_assertions)]
+            shadow: Some(Box::new(ColumnBuilder::new(format))),
+            ..ColumnBuilder::with_sink(format, ByteCount::default())
+        }
+    }
+
+    /// Finish sizing: the [`ColumnSize`] of the column a
+    /// [`ColumnBuilder::new`] fed the same values would have produced.
+    pub fn finish(mut self) -> ColumnSize {
+        self.seal();
+        let size = ColumnSize {
+            format: self.format,
+            len: self.total_len,
+            bytes: self.sink.0,
+        };
+        #[cfg(debug_assertions)]
+        if let Some(shadow) = self.shadow.take() {
+            assert_eq!(
+                shadow.finish().size(),
+                size,
+                "sized column differs from its encoding"
+            );
+        }
+        size
+    }
+}
+
+impl<S: ByteSink> ColumnBuilder<S> {
+    fn with_sink(format: Format, sink: S) -> ColumnBuilder<S> {
+        ColumnBuilder {
+            format,
+            buffer: Vec::with_capacity(CACHE_BUFFER_ELEMENTS),
+            compressor: compressor_for(&format),
+            sink,
+            main_len: 0,
+            total_len: 0,
+            #[cfg(debug_assertions)]
+            shadow: None,
+        }
+    }
+
+    /// Feed the debug-build shadow encoder of a sizing builder (a no-op
+    /// otherwise) — after the builder's own step, so a failing check fires
+    /// on the sizing path first.
+    #[inline]
+    fn mirror(&mut self, _feed: impl FnOnce(&mut ColumnBuilder)) {
+        #[cfg(debug_assertions)]
+        if let Some(shadow) = &mut self.shadow {
+            _feed(shadow);
+        }
+    }
+
+    /// The output format of this builder.
+    pub fn format(&self) -> &Format {
+        &self.format
+    }
+
+    /// Number of values pushed so far.
+    pub fn len(&self) -> usize {
+        self.total_len
+    }
+
+    /// Whether no values have been pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.total_len == 0
+    }
+
+    /// Append a single value.
+    #[inline]
+    pub fn push(&mut self, value: u64) {
+        self.buffer.push(value);
+        self.total_len += 1;
+        if self.buffer.len() == CACHE_BUFFER_ELEMENTS {
+            self.flush_full_buffer();
+        }
+        self.mirror(|shadow| shadow.push(value));
+    }
+
+    /// Append a slice of values.
+    pub fn push_slice(&mut self, values: &[u64]) {
+        let mut rest = values;
+        self.total_len += values.len();
+        while !rest.is_empty() {
+            let space = CACHE_BUFFER_ELEMENTS - self.buffer.len();
+            let take = space.min(rest.len());
+            self.buffer.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if self.buffer.len() == CACHE_BUFFER_ELEMENTS {
+                self.flush_full_buffer();
+            }
+        }
+        self.mirror(|shadow| shadow.push_slice(values));
+    }
+
+    /// Append the consecutive positions `start..start + len` without any
+    /// caller-side scratch buffer: the run is written straight into the
+    /// internal cache-resident buffer, one buffer-full at a time.
+    ///
+    /// This is the sink of the specialized RLE select kernel, whose matching
+    /// runs can be arbitrarily long — materialising them in a caller-owned
+    /// `Vec` first would grow that allocation to the longest run.
+    pub fn push_run(&mut self, start: u64, len: u64) {
+        let mut next = start;
+        let end = start + len;
+        self.total_len += len as usize;
+        while next < end {
+            let space = (CACHE_BUFFER_ELEMENTS - self.buffer.len()) as u64;
+            let take = space.min(end - next);
+            self.buffer.extend(next..next + take);
+            next += take;
+            if self.buffer.len() == CACHE_BUFFER_ELEMENTS {
+                self.flush_full_buffer();
+            }
+        }
+        self.mirror(|shadow| shadow.push_run(start, len));
+    }
+
+    /// Compress the full cache-resident buffer.  The buffer size is a
+    /// multiple of every format's block size, so the whole buffer can be
+    /// handed to the compressor.
+    fn flush_full_buffer(&mut self) {
+        debug_assert_eq!(self.buffer.len(), CACHE_BUFFER_ELEMENTS);
+        self.compressor.append(&self.buffer, &mut self.sink);
+        self.main_len += self.buffer.len();
+        self.buffer.clear();
+    }
+
+    /// Compress the remaining whole blocks, flush the compressor, then
+    /// write the rest as the uncompressed remainder — steps 8–9 of
+    /// Figure 4, shared by both finishes.
+    fn seal(&mut self) {
+        let block = self.format.block_size();
+        let compressible = self.buffer.len() - self.buffer.len() % block;
+        if compressible > 0 {
+            self.compressor
+                .append(&self.buffer[..compressible], &mut self.sink);
+            self.main_len += compressible;
+        }
+        self.compressor.finish(&mut self.sink);
+        self.sink.put_words(&self.buffer[compressible..]);
     }
 }
 

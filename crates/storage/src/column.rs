@@ -3,8 +3,8 @@
 use std::sync::{Arc, OnceLock};
 
 use morph_compression::{
-    chunk_directory, compress_main_part, cursor_for, get_element, morph, uncompressed, ChunkCursor,
-    ChunkEntry, DecodeError, Format,
+    chunk_directory, compress_main_part, cursor_for, get_element, morph, uncompressed, ByteSink,
+    ChunkCursor, ChunkEntry, DecodeError, Format,
 };
 
 use crate::builder::ColumnBuilder;
@@ -44,6 +44,19 @@ pub struct Column {
     stats: OnceLock<Arc<ColumnStats>>,
     /// Compute-once memo of [`Column::fingerprint`].
     content_hash: OnceLock<u64>,
+}
+
+/// What a footprint record needs of a column: its format, logical length
+/// and physical size.  [`Column::size`] reports it for an encoded column; a
+/// sizing [`ColumnBuilder`] reports it without encoding one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnSize {
+    /// The column's compression format.
+    pub format: Format,
+    /// Logical number of data elements.
+    pub len: usize,
+    /// Physical size in bytes ([`Column::size_used_bytes`]).
+    pub bytes: usize,
 }
 
 /// Byte identity of the stored representation: format, logical layout and
@@ -86,7 +99,7 @@ impl Column {
         let (main, main_len) = compress_main_part(format, values);
         let mut data = main;
         let main_bytes = data.len();
-        uncompressed::encode_into(&values[main_len..], &mut data);
+        data.put_words(&values[main_len..]);
         Column::from_parts(*format, values.len(), main_len, main_bytes, data)
     }
 
@@ -158,6 +171,15 @@ impl Column {
     /// used throughout the paper's evaluation.
     pub fn size_used_bytes(&self) -> usize {
         self.data.len()
+    }
+
+    /// The column's format, logical length and physical size.
+    pub fn size(&self) -> ColumnSize {
+        ColumnSize {
+            format: self.format,
+            len: self.len,
+            bytes: self.size_used_bytes(),
+        }
     }
 
     /// Decompress the whole column into a vector.

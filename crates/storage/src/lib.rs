@@ -19,6 +19,6 @@ pub mod datagen;
 mod stats;
 
 pub use builder::ColumnBuilder;
-pub use column::{Column, ColumnCursor};
+pub use column::{Column, ColumnCursor, ColumnSize};
 pub use morph_compression::ChunkCursor;
 pub use stats::ColumnStats;
