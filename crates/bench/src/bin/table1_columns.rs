@@ -4,6 +4,8 @@
 //! Regenerate with:
 //! `cargo run -p morph-bench --release --bin table1_columns [--elements N]`
 
+use std::collections::HashSet;
+
 use morph_bench::{fmt_mib, print_header, print_row, HarnessArgs};
 use morph_compression::{compressed_size_bytes, Format};
 use morph_storage::datagen::SyntheticColumn;
@@ -38,7 +40,7 @@ fn main() {
             description.to_string(),
             if stats.sorted { "yes" } else { "no" }.to_string(),
             stats.max_bit_width().to_string(),
-            stats.distinct.to_string(),
+            values.iter().collect::<HashSet<_>>().len().to_string(),
             stats.runs.to_string(),
         ]);
         generated.push((column, values, stats));

@@ -90,13 +90,19 @@ pub fn pack_into(values: &[u64], width: u8, out: &mut Vec<u8>) {
 
 /// Walk `count` values of `width` bits each from `bytes`, invoking
 /// `consumer` once per decoded value — the single copy of the bit-stream
-/// traversal that [`unpack_into`] and [`sum_packed`] specialise
-/// (monomorphised per consumer, so there is no per-value indirection).
+/// traversal that [`unpack_into`], [`sum_packed`] and the DELTA / FOR
+/// decoders specialise (monomorphised per consumer, so there is no
+/// per-value indirection).
 ///
 /// # Panics
 /// Panics if `bytes` is too short for `count` values of the given width.
 #[inline]
-fn for_each_packed_value(bytes: &[u8], width: u8, count: usize, consumer: &mut impl FnMut(u64)) {
+pub(crate) fn for_each_packed_value(
+    bytes: &[u8],
+    width: u8,
+    count: usize,
+    consumer: &mut impl FnMut(u64),
+) {
     assert!((1..=64).contains(&width), "bit width must be in 1..=64");
     let needed = packed_size_bytes(count, width);
     assert!(

@@ -12,7 +12,7 @@
 //! * the [`Format`] descriptor enumerating the supported formats — the five
 //!   formats of the paper's implementation (Section 4.1: uncompressed, static
 //!   bit packing, SIMD-BP-style dynamic bit packing, DELTA + BP, FOR + BP)
-//!   plus run-length encoding and dictionary encoding as extensions,
+//!   plus run-length encoding as an extension,
 //! * whole-buffer and *streaming* compression ([`Compressor`]) used by the
 //!   output side of the on-the-fly de/re-compression wrapper (the
 //!   L1-cache-resident buffer layer of Figure 4), writing through a
@@ -33,16 +33,15 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bitpack;
-pub mod delta;
-pub mod dict;
 pub mod dyn_bp;
-pub mod frame_of_ref;
 pub mod morph;
 pub mod rle;
 pub mod static_bp;
 pub mod uncompressed;
 
 use std::fmt;
+
+use dyn_bp::{Cascade, DynBpCompressor, DynBpCursor};
 
 /// Block size (in data elements) of the static bit-packing format.
 ///
@@ -83,9 +82,6 @@ pub enum Format {
     ForDynBp,
     /// Run-length encoding: (value, run length) pairs.
     Rle,
-    /// Dictionary encoding with an embedded, order-preserving dictionary and
-    /// bit-packed keys.
-    Dict,
 }
 
 impl Format {
@@ -128,7 +124,6 @@ impl Format {
     pub fn all_formats(max_value: u64) -> Vec<Format> {
         let mut formats = Self::paper_formats(max_value);
         formats.push(Format::Rle);
-        formats.push(Format::Dict);
         formats
     }
 
@@ -141,7 +136,6 @@ impl Format {
             Format::StaticBp(_) => STATIC_BP_BLOCK,
             Format::DynBp | Format::DeltaDynBp | Format::ForDynBp => DYN_BP_BLOCK,
             Format::Rle => 1,
-            Format::Dict => 1,
         }
     }
 
@@ -157,11 +151,16 @@ impl Format {
         matches!(self, Format::Uncompressed | Format::StaticBp(_))
     }
 
-    /// Whether the streaming compressor can emit output incrementally
-    /// (cache-resident blocks).  Formats that need to see the whole column
-    /// first (dictionary encoding) buffer internally instead.
-    pub fn supports_streaming(&self) -> bool {
-        !matches!(self, Format::Dict)
+    /// Whether a block's bytes depend only on its own values: the encoder
+    /// carries no state from one block to the next, so the main parts of
+    /// two columns encoded separately concatenate, block-aligned, to the
+    /// bytes of one column encoded from both.  DELTA's running predecessor
+    /// and RLE's pending run are such state.
+    pub fn blocks_are_independent(&self) -> bool {
+        matches!(
+            self,
+            Format::Uncompressed | Format::StaticBp(_) | Format::DynBp | Format::ForDynBp
+        )
     }
 
     /// Short human-readable label (matches the terminology of the paper's
@@ -183,7 +182,6 @@ impl fmt::Display for Format {
             Format::DeltaDynBp => f.write_str("DELTA+SIMD-BP"),
             Format::ForDynBp => f.write_str("FOR+SIMD-BP"),
             Format::Rle => f.write_str("RLE"),
-            Format::Dict => f.write_str("DICT"),
         }
     }
 }
@@ -199,7 +197,7 @@ impl fmt::Display for ParseFormatError {
         write!(
             f,
             "unknown compression format {:?} (expected one of: uncompr, staticBP(<bits>), \
-             SIMD-BP, DELTA+SIMD-BP, FOR+SIMD-BP, RLE, DICT)",
+             SIMD-BP, DELTA+SIMD-BP, FOR+SIMD-BP, RLE)",
             self.input
         )
     }
@@ -220,7 +218,6 @@ impl std::str::FromStr for Format {
             "DELTA+SIMD-BP" => return Ok(Format::DeltaDynBp),
             "FOR+SIMD-BP" => return Ok(Format::ForDynBp),
             "RLE" => return Ok(Format::Rle),
-            "DICT" => return Ok(Format::Dict),
             _ => {}
         }
         if let Some(width) = s
@@ -245,10 +242,9 @@ impl std::str::FromStr for Format {
 /// A `Vec<u8>` stores the bytes.  A [`ByteCount`] only adds up their
 /// number — `len` for a header write, 8 per word,
 /// [`bitpack::packed_size_bytes`] for a pack — so a compressor run into it
-/// makes every encoding decision (block
-/// widths, references, delta chains, runs, dictionaries) and every check
-/// exactly as it would when storing, and ends with the exact encoded size
-/// without packing a single value.
+/// makes every encoding decision (block widths, references, delta chains,
+/// runs) and every check exactly as it would when storing, and ends with
+/// the exact encoded size without packing a single value.
 pub trait ByteSink {
     /// Append `bytes` verbatim (header fields, run pairs).
     fn put(&mut self, bytes: &[u8]);
@@ -315,8 +311,8 @@ pub trait Compressor {
     /// Compress `values` and append the encoded bytes to `out`.
     fn append(&mut self, values: &[u64], out: &mut dyn ByteSink);
 
-    /// Flush any internal state (pending runs, buffered dictionaries) to
-    /// `out`.  Must be called exactly once, after the last `append`.
+    /// Flush any internal state (pending runs) to `out`.  Must be called
+    /// exactly once, after the last `append`.
     fn finish(&mut self, out: &mut dyn ByteSink);
 }
 
@@ -325,11 +321,10 @@ pub fn compressor_for(format: &Format) -> Box<dyn Compressor> {
     match format {
         Format::Uncompressed => Box::new(uncompressed::UncompressedCompressor),
         Format::StaticBp(width) => Box::new(static_bp::StaticBpCompressor::new(*width)),
-        Format::DynBp => Box::new(dyn_bp::DynBpCompressor),
-        Format::DeltaDynBp => Box::new(delta::DeltaDynBpCompressor::new()),
-        Format::ForDynBp => Box::new(frame_of_ref::ForDynBpCompressor),
+        Format::DynBp => Box::new(DynBpCompressor::new(Cascade::Plain)),
+        Format::DeltaDynBp => Box::new(DynBpCompressor::new(Cascade::Delta)),
+        Format::ForDynBp => Box::new(DynBpCompressor::new(Cascade::For)),
         Format::Rle => Box::new(rle::RleCompressor::new()),
-        Format::Dict => Box::new(dict::DictCompressor::new()),
     }
 }
 
@@ -548,14 +543,11 @@ pub const CHUNK_DIRECTORY_TARGET: usize = CACHE_BUFFER_ELEMENTS;
 /// * uncompressed and static BP have fixed strides, so entries are pure
 ///   arithmetic (one per [`CHUNK_DIRECTORY_TARGET`] elements),
 /// * the dynamic BP family ([`Format::DynBp`], [`Format::DeltaDynBp`],
-///   [`Format::ForDynBp`]) walks the per-block headers, yielding one entry
-///   per 512-element block (DELTA blocks carry their reference value, so
-///   every block is self-contained),
+///   [`Format::ForDynBp`]) walks the per-block width bytes, yielding one
+///   entry per 512-element block (cascade blocks carry their reference
+///   value, so every block is self-contained),
 /// * RLE walks the run headers, starting a new chunk at the first run
-///   boundary after [`CHUNK_DIRECTORY_TARGET`] logical elements,
-/// * DICT seeks into the packed key stream behind the embedded dictionary
-///   (entries at [`CHUNK_DIRECTORY_TARGET`] strides, which are byte-aligned
-///   for every key width).
+///   boundary after [`CHUNK_DIRECTORY_TARGET`] logical elements.
 pub fn chunk_directory(format: &Format, bytes: &[u8], count: usize) -> Vec<ChunkEntry> {
     if count == 0 {
         return Vec::new();
@@ -574,32 +566,9 @@ pub fn chunk_directory(format: &Format, bytes: &[u8], count: usize) -> Vec<Chunk
         // CHUNK_DIRECTORY_TARGET is a multiple of 8 elements, so every
         // stride boundary of a `width`-bit stream falls on a whole byte.
         Format::StaticBp(width) => stride_entries(*width as usize, 8),
-        Format::DynBp => {
-            let mut entries = Vec::with_capacity(count / DYN_BP_BLOCK);
-            let mut byte_offset = 0usize;
-            for block in 0..count / DYN_BP_BLOCK {
-                entries.push(ChunkEntry {
-                    byte_offset,
-                    logical_start: block * DYN_BP_BLOCK,
-                });
-                byte_offset += dyn_bp::block_encoded_size(bytes[byte_offset]);
-            }
-            entries
-        }
-        Format::DeltaDynBp | Format::ForDynBp => {
-            let mut entries = Vec::with_capacity(count / DYN_BP_BLOCK);
-            let mut byte_offset = 0usize;
-            for block in 0..count / DYN_BP_BLOCK {
-                entries.push(ChunkEntry {
-                    byte_offset,
-                    logical_start: block * DYN_BP_BLOCK,
-                });
-                // [reference: u64][width: u8][packed values]
-                let width = bytes[byte_offset + 8];
-                byte_offset += 9 + bitpack::packed_size_bytes(DYN_BP_BLOCK, width);
-            }
-            entries
-        }
+        Format::DynBp => dyn_bp::chunk_directory(Cascade::Plain, bytes, count),
+        Format::DeltaDynBp => dyn_bp::chunk_directory(Cascade::Delta, bytes, count),
+        Format::ForDynBp => dyn_bp::chunk_directory(Cascade::For, bytes, count),
         Format::Rle => {
             let mut entries = Vec::new();
             let mut logical = 0usize;
@@ -618,16 +587,6 @@ pub fn chunk_directory(format: &Format, bytes: &[u8], count: usize) -> Vec<Chunk
                 run_idx += 1;
             });
             entries
-        }
-        Format::Dict => {
-            let (keys_offset, width) = dict::header_layout(bytes);
-            (0..count)
-                .step_by(CHUNK_DIRECTORY_TARGET)
-                .map(|logical_start| ChunkEntry {
-                    byte_offset: keys_offset + logical_start * width as usize / 8,
-                    logical_start,
-                })
-                .collect()
         }
     }
 }
@@ -733,11 +692,10 @@ pub fn cursor_for<'a>(
     match format {
         Format::Uncompressed => Box::new(uncompressed::UncompressedCursor::new(bytes, count)),
         Format::StaticBp(width) => Box::new(static_bp::StaticBpCursor::new(bytes, *width, count)),
-        Format::DynBp => Box::new(dyn_bp::DynBpCursor::new(bytes, count, directory)),
-        Format::DeltaDynBp => Box::new(delta::DeltaCursor::new(bytes, count, directory)),
-        Format::ForDynBp => Box::new(frame_of_ref::ForCursor::new(bytes, count, directory)),
+        Format::DynBp => Box::new(DynBpCursor::new(Cascade::Plain, bytes, count, directory)),
+        Format::DeltaDynBp => Box::new(DynBpCursor::new(Cascade::Delta, bytes, count, directory)),
+        Format::ForDynBp => Box::new(DynBpCursor::new(Cascade::For, bytes, count, directory)),
         Format::Rle => Box::new(rle::RleCursor::new(bytes, count, directory)),
-        Format::Dict => Box::new(dict::DictCursor::new(bytes, count)),
     }
 }
 
@@ -769,31 +727,6 @@ pub fn compressed_size_bytes(format: &Format, values: &[u64]) -> usize {
 
 pub use morph::morph_main_part as morph;
 
-/// The NS (null suppression) scheme used at the physical level of a cascade.
-///
-/// Retained as a standalone type because the cost model reasons about the
-/// physical level separately from the logical level (Section 2.1 of the
-/// paper distinguishes logical-level techniques — FOR, DELTA, DICT, RLE —
-/// from the physical-level NS technique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NsScheme {
-    /// One fixed bit width for all elements.
-    StaticBp(u8),
-    /// Per-block bit widths (SIMD-BP style).
-    DynBp,
-}
-
-impl NsScheme {
-    /// The physical-level scheme of `format`, if the format has one.
-    pub fn of(format: &Format) -> Option<NsScheme> {
-        match format {
-            Format::StaticBp(w) => Some(NsScheme::StaticBp(*w)),
-            Format::DynBp | Format::DeltaDynBp | Format::ForDynBp => Some(NsScheme::DynBp),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,7 +739,6 @@ mod tests {
         assert_eq!(Format::DeltaDynBp.block_size(), 512);
         assert_eq!(Format::ForDynBp.block_size(), 512);
         assert_eq!(Format::Rle.block_size(), 1);
-        assert_eq!(Format::Dict.block_size(), 1);
     }
 
     #[test]
@@ -823,7 +755,7 @@ mod tests {
         let formats = Format::paper_formats(1000);
         assert_eq!(formats.len(), 5);
         assert!(formats.contains(&Format::StaticBp(10)));
-        assert_eq!(Format::all_formats(1000).len(), 7);
+        assert_eq!(Format::all_formats(1000).len(), 6);
     }
 
     #[test]
@@ -855,18 +787,6 @@ mod tests {
         assert_eq!(Format::static_bp_for_max(63), Format::StaticBp(6));
         assert_eq!(Format::static_bp_for_max(64), Format::StaticBp(7));
         assert_eq!(Format::static_bp_for_max(u64::MAX), Format::StaticBp(64));
-    }
-
-    #[test]
-    fn ns_scheme_extraction() {
-        assert_eq!(
-            NsScheme::of(&Format::StaticBp(9)),
-            Some(NsScheme::StaticBp(9))
-        );
-        assert_eq!(NsScheme::of(&Format::DynBp), Some(NsScheme::DynBp));
-        assert_eq!(NsScheme::of(&Format::DeltaDynBp), Some(NsScheme::DynBp));
-        assert_eq!(NsScheme::of(&Format::Uncompressed), None);
-        assert_eq!(NsScheme::of(&Format::Rle), None);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! to what an operator expects.  Following [18] (Damme et al., ADBIS 2015),
 //! a direct morph avoids the full uncompressed materialisation of the column:
 //! the source format is decoded block by block into a cache-resident buffer
-//! that is immediately re-encoded into the target format, and a handful of
-//! format pairs have specialised shortcuts that skip even that.
+//! that is immediately re-encoded into the target format, and two cases
+//! have shortcuts that skip even that.
 
 use crate::{
-    bitpack, compressor_for, dyn_bp, for_each_decompressed_block, rle, static_bp, ChunkCursor,
-    Format, CACHE_BUFFER_ELEMENTS, DYN_BP_BLOCK,
+    bitpack, compressor_for, for_each_decompressed_block, static_bp, ChunkCursor, Format,
+    CACHE_BUFFER_ELEMENTS, DYN_BP_BLOCK,
 };
 
 /// Morph a compressed main part of `count` elements from `src` format to
@@ -24,14 +24,11 @@ use crate::{
 ///
 /// The generic path streams cache-resident blocks from the source decoder
 /// into the target encoder, so at no point is the whole column materialised
-/// uncompressed (DP3).  Specialised shortcuts exist for:
+/// uncompressed (DP3).  Shortcuts exist for:
 ///
 /// * identical source and target formats (bytes are copied verbatim),
 /// * static BP → static BP with a different width (repacking without
-///   interpreting values),
-/// * RLE → anything (runs are expanded lazily),
-/// * dynamic BP → static BP (the target width is taken from the per-block
-///   headers without a decode pass when it is already known).
+///   interpreting values).
 pub fn morph_main_part(src: &Format, dst: &Format, bytes: &[u8], count: usize) -> Vec<u8> {
     assert_eq!(
         count % src.block_size(),
@@ -92,35 +89,6 @@ fn repack_static(bytes: &[u8], src_width: u8, dst_width: u8, count: usize) -> Ve
     out
 }
 
-/// Estimate of the work (in decoded elements) a morph has to perform; used by
-/// the engine to decide whether a morph is worthwhile compared to on-the-fly
-/// de/re-compression.
-pub fn morph_cost_elements(src: &Format, dst: &Format, count: usize, bytes: &[u8]) -> usize {
-    if src == dst {
-        return 0;
-    }
-    match (src, dst) {
-        // RLE sources only touch one pair per run.
-        (Format::Rle, _) => rle::run_count(bytes, count) * 2,
-        _ => count,
-    }
-}
-
-/// Convenience helper: the number of whole blocks representable for a column
-/// of `len` elements when stored in `format`.
-pub fn main_part_len(format: &Format, len: usize) -> usize {
-    len - len % format.block_size()
-}
-
-/// Pick a static-BP width that can hold every value of a dynamic-BP encoded
-/// main part by inspecting only the per-block headers.
-pub fn static_width_from_dyn_bp(bytes: &[u8], count: usize) -> u8 {
-    dyn_bp::block_widths(bytes, count)
-        .into_iter()
-        .max()
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,12 +135,7 @@ mod tests {
     fn morph_involving_rle_and_dict() {
         let mut values = vec![42u64; 2048];
         values.extend(sample_values(2048));
-        let formats = [
-            Format::Rle,
-            Format::Dict,
-            Format::DynBp,
-            Format::Uncompressed,
-        ];
+        let formats = [Format::Rle, Format::DynBp, Format::Uncompressed];
         for src in &formats {
             for dst in &formats {
                 roundtrip_via_morph(*src, *dst, &values);
@@ -186,10 +149,6 @@ mod tests {
         let (bytes, main_len) = compress_main_part(&Format::DynBp, &values);
         let morphed = morph_main_part(&Format::DynBp, &Format::DynBp, &bytes, main_len);
         assert_eq!(morphed, bytes);
-        assert_eq!(
-            morph_cost_elements(&Format::DynBp, &Format::DynBp, main_len, &bytes),
-            0
-        );
     }
 
     #[test]
@@ -220,28 +179,6 @@ mod tests {
         let values: Vec<u64> = (0..256u64).map(|i| i % 200).collect();
         let (bytes, main_len) = compress_main_part(&Format::StaticBp(8), &values);
         morph_main_part(&Format::StaticBp(8), &Format::StaticBp(4), &bytes, main_len);
-    }
-
-    #[test]
-    fn dyn_bp_headers_give_static_width() {
-        let mut values = sample_values(2048);
-        values[1999] = 1 << 40;
-        let (bytes, main_len) = compress_main_part(&Format::DynBp, &values);
-        assert_eq!(static_width_from_dyn_bp(&bytes, main_len), 41);
-    }
-
-    #[test]
-    fn morph_cost_is_cheap_for_rle_sources() {
-        let values = vec![9u64; 100_000];
-        let (bytes, main_len) = compress_main_part(&Format::Rle, &values);
-        assert_eq!(
-            morph_cost_elements(&Format::Rle, &Format::DynBp, main_len, &bytes),
-            2
-        );
-        assert_eq!(
-            morph_cost_elements(&Format::DynBp, &Format::Rle, main_len, &bytes),
-            main_len
-        );
     }
 
     #[test]

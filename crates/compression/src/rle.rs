@@ -116,13 +116,6 @@ pub fn try_for_each_run(
     Ok(())
 }
 
-/// Number of runs in an RLE-encoded main part.
-pub fn run_count(bytes: &[u8], count: usize) -> usize {
-    let mut runs = 0usize;
-    for_each_run(bytes, count, &mut |_, _| runs += 1);
-    runs
-}
-
 /// [`ChunkCursor`] over an RLE main part — the format's only run-expanding
 /// decoder.  Chunks hold at most [`RLE_CHUNK`] values (long runs are split);
 /// every run header is validated before it is expanded.  Run offsets are
@@ -248,7 +241,6 @@ mod tests {
         let mut runs = Vec::new();
         for_each_run(&bytes, main_len, &mut |value, len| runs.push((value, len)));
         assert_eq!(runs, vec![(7, 500), (9, 300), (7, 200)]);
-        assert_eq!(run_count(&bytes, main_len), 3);
     }
 
     #[test]

@@ -92,11 +92,7 @@ proptest! {
             // increase and stay in bounds.
             if main_len > 0 {
                 prop_assert_eq!(directory[0].logical_start, 0, "format {}", format);
-                // DICT's first seek point sits behind the embedded
-                // dictionary; every other format starts at byte 0.
-                if format != Format::Dict {
-                    prop_assert_eq!(directory[0].byte_offset, 0, "format {}", format);
-                }
+                prop_assert_eq!(directory[0].byte_offset, 0, "format {}", format);
             }
             for pair in directory.windows(2) {
                 prop_assert!(pair[0].logical_start < pair[1].logical_start);

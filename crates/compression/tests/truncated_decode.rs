@@ -12,7 +12,7 @@
 //! panic.
 
 use morph_compression::{
-    chunk_directory, compress_main_part, cursor_for, decompress_into, dict, rle,
+    chunk_directory, compress_main_part, cursor_for, decompress_into, dyn_bp::Cascade, rle,
     try_for_each_decompressed_block, ChunkEntry, DecodeError, Format,
 };
 
@@ -134,11 +134,14 @@ fn truncation_errors_are_structured_and_printable() {
 #[test]
 fn corrupt_width_bytes_are_rejected() {
     let values = sample_values();
-    for format in [Format::DynBp, Format::DeltaDynBp, Format::ForDynBp] {
+    for (format, cascade) in [
+        (Format::DynBp, Cascade::Plain),
+        (Format::DeltaDynBp, Cascade::Delta),
+        (Format::ForDynBp, Cascade::For),
+    ] {
         let (mut bytes, main_len) = compress_main_part(&format, &values);
-        // The width byte of the first block: offset 0 for DynBp, 8 for the
-        // cascades ([reference: u64][width: u8]).
-        let width_offset = if format == Format::DynBp { 0 } else { 8 };
+        // The width byte of the first block.
+        let width_offset = cascade.width_offset();
         let directory = chunk_directory(&format, &bytes, main_len);
         for bad_width in [0u8, 65, 255] {
             bytes[width_offset] = bad_width;
@@ -186,49 +189,6 @@ fn rle_overlong_run_is_rejected() {
     bytes.extend_from_slice(&100u64.to_le_bytes());
     let err = try_decode(&Format::Rle, &bytes, 10).unwrap_err();
     assert!(matches!(err, DecodeError::CorruptHeader { .. }), "{err}");
-}
-
-#[test]
-fn dict_header_corruptions_are_rejected() {
-    let values: Vec<u64> = (0..1000u64).map(|i| i % 17 + 5).collect();
-    let (bytes, main_len) = compress_main_part(&Format::Dict, &values);
-
-    // Truncations inside the header: mid-count, mid-dictionary, and just
-    // before the width byte.
-    for cut in [0usize, 4, 8, 12, 8 + 17 * 8] {
-        let err = try_decode(&Format::Dict, &bytes[..cut], main_len).unwrap_err();
-        assert!(
-            matches!(err, DecodeError::Truncated { .. }),
-            "cut {cut}: {err}"
-        );
-        // The header parse itself must also fail structurally, since the
-        // chunk directory uses it without decoding any values.
-        assert!(dict::try_header_layout(&bytes[..cut]).is_err(), "cut {cut}");
-    }
-
-    // A hostile distinct-value count far beyond the buffer (and beyond
-    // usize multiplication on the dictionary size).
-    let mut huge_count = bytes.clone();
-    huge_count[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(try_decode(&Format::Dict, &huge_count, main_len).is_err());
-    assert!(dict::try_header_layout(&huge_count).is_err());
-
-    // A corrupt key width.
-    let width_offset = 8 + 17 * 8;
-    for bad_width in [0u8, 65] {
-        let mut corrupt = bytes.clone();
-        corrupt[width_offset] = bad_width;
-        let err = try_decode(&Format::Dict, &corrupt, main_len).unwrap_err();
-        assert!(matches!(err, DecodeError::CorruptHeader { .. }), "{err}");
-    }
-
-    // A key stream whose keys point past the dictionary: shrink the
-    // declared dictionary so previously valid keys go out of range.
-    let mut shrunk = bytes.clone();
-    shrunk[..8].copy_from_slice(&2u64.to_le_bytes());
-    // (Layout shifts make several failure modes possible — truncation or
-    // out-of-range keys — but none of them may panic.)
-    assert!(try_decode(&Format::Dict, &shrunk, main_len).is_err());
 }
 
 #[test]

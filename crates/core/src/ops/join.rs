@@ -183,7 +183,7 @@ mod tests {
             .filter(|(_, v)| build_set.contains(v))
             .map(|(i, _)| i as u64)
             .collect();
-        for probe_format in [Format::Uncompressed, Format::DynBp, Format::Dict] {
+        for probe_format in [Format::Uncompressed, Format::DynBp] {
             let probe = Column::compress(&probe_values, &probe_format);
             let build = Column::compress(&build_values, &Format::StaticBp(10));
             let out = semi_join(

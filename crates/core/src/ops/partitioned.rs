@@ -240,8 +240,7 @@ pub fn intersect_sorted_part(
         let Some(&first) = chunk.first() else {
             return;
         };
-        // One cursor per part, constructed lazily (DICT decodes its
-        // embedded dictionary at construction) and positioned once by
+        // One cursor per part, constructed lazily and positioned once by
         // value-seek; the same cursor then serves the whole merge-walk.
         let pulled = pulled.get_or_insert_with(|| {
             let mut cursor = b.cursor();
@@ -345,7 +344,7 @@ mod tests {
         let expected = positions_where(&values, |v| v < 300);
         for in_format in Format::all_formats(999) {
             let input = Column::compress(&values, &in_format);
-            for out_format in [Format::DeltaDynBp, Format::DynBp, Format::Rle, Format::Dict] {
+            for out_format in [Format::DeltaDynBp, Format::DynBp, Format::Rle] {
                 let what = format!("{in_format} -> {out_format}");
                 assert_splices_to(&input, &expected, &out_format, &what, |r| {
                     let style = ProcessingStyle::Vectorized;

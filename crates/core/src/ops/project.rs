@@ -368,7 +368,7 @@ mod tests {
         );
     }
 
-    /// Values with runs, so RLE and DICT columns are exercised with
+    /// Values with runs, so RLE columns are exercised with
     /// several pieces per directory chunk as well as short runs.
     fn runny(n: usize) -> Vec<u64> {
         (0..n as u64)

@@ -13,10 +13,13 @@
 //!   of the consecutive differences (plus headroom for the in-block maximum),
 //! * **FOR + BP** — the per-block width is bounded by the bit width of
 //!   `max - min`,
-//! * **RLE** — 16 bytes per run,
-//! * **DICT** — the dictionary itself plus `ceil(log2(distinct))` bits per
-//!   element.
+//! * **RLE** — 16 bytes per run.
+//!
+//! The three dynamic-BP formats share one size expression — whole blocks of
+//! the codec's per-block header plus 512 packed values, and an uncompressed
+//! remainder — and differ only in their width estimate.
 
+use morph_compression::dyn_bp::Cascade;
 use morph_compression::{compressed_size_bytes, Format, DYN_BP_BLOCK, STATIC_BP_BLOCK};
 use morph_storage::{Column, ColumnStats};
 
@@ -35,44 +38,45 @@ pub fn estimate_compressed_bytes(format: &Format, stats: &ColumnStats) -> f64 {
             let remainder = len - main;
             main * width / 8.0 + remainder * 8.0
         }
-        Format::DynBp => {
-            let blocks = (stats.len / DYN_BP_BLOCK) as f64;
-            let remainder = (stats.len % DYN_BP_BLOCK) as f64;
-            let width = expected_block_max_width(stats, DYN_BP_BLOCK);
-            blocks * (1.0 + DYN_BP_BLOCK as f64 * width / 8.0) + remainder * 8.0
-        }
-        Format::DeltaDynBp => {
-            let blocks = (stats.len / DYN_BP_BLOCK) as f64;
-            let remainder = (stats.len % DYN_BP_BLOCK) as f64;
-            // Sorted data: deltas are small, the block maximum sits a little
-            // above the average delta width.  Unsorted data: any decrease
-            // produces a wrapping (near-full-width) difference, so whole
-            // blocks end up at 64 bits.
-            let width = if stats.sorted {
+        Format::DynBp => dyn_bp_bytes(
+            Cascade::Plain,
+            stats,
+            expected_block_max_width(stats, DYN_BP_BLOCK),
+        ),
+        // Sorted data: deltas are small, the block maximum sits a little
+        // above the average delta width.  Unsorted data: any decrease
+        // produces a wrapping (near-full-width) difference, so whole blocks
+        // end up at 64 bits.
+        Format::DeltaDynBp => dyn_bp_bytes(
+            Cascade::Delta,
+            stats,
+            if stats.sorted {
                 (stats.avg_delta_bit_width + 3.0).min(64.0)
             } else {
                 64.0
-            };
-            blocks * (9.0 + DYN_BP_BLOCK as f64 * width / 8.0) + remainder * 8.0
-        }
-        Format::ForDynBp => {
-            let blocks = (stats.len / DYN_BP_BLOCK) as f64;
-            let remainder = (stats.len % DYN_BP_BLOCK) as f64;
-            // The per-block offset width is bounded both by the global range
-            // (narrow-range columns like C3) and by the expected in-block
-            // maximum (outlier columns like C2, where most blocks never see
-            // the outliers that blow up the global range).
-            let width =
-                (stats.range_bit_width as f64).min(expected_block_max_width(stats, DYN_BP_BLOCK));
-            blocks * (9.0 + DYN_BP_BLOCK as f64 * width / 8.0) + remainder * 8.0
-        }
+            },
+        ),
+        // The per-block offset width is bounded both by the global range
+        // (narrow-range columns like C3) and by the expected in-block maximum
+        // (outlier columns like C2, where most blocks never see the outliers
+        // that blow up the global range).
+        Format::ForDynBp => dyn_bp_bytes(
+            Cascade::For,
+            stats,
+            (stats.range_bit_width as f64).min(expected_block_max_width(stats, DYN_BP_BLOCK)),
+        ),
         Format::Rle => stats.runs as f64 * 16.0,
-        Format::Dict => {
-            let distinct = stats.distinct.max(1) as f64;
-            let key_width = (distinct.log2().ceil()).max(1.0);
-            8.0 + distinct * 8.0 + 1.0 + len * key_width / 8.0
-        }
     }
+}
+
+/// Size of a dynamic-BP family column whose blocks pack `width` bits per
+/// value: whole blocks behind the codec's per-block header, plus the
+/// uncompressed remainder.
+fn dyn_bp_bytes(cascade: Cascade, stats: &ColumnStats, width: f64) -> f64 {
+    let blocks = (stats.len / DYN_BP_BLOCK) as f64;
+    let remainder = (stats.len % DYN_BP_BLOCK) as f64;
+    let header = cascade.header_bytes() as f64;
+    blocks * (header + DYN_BP_BLOCK as f64 * width / 8.0) + remainder * 8.0
 }
 
 /// Expected maximum bit width within a block of `block_size` values drawn

@@ -332,15 +332,6 @@ pub fn assignable_edge_names(plan: &QueryPlan) -> Vec<String> {
     plan.edges().into_iter().map(|edge| edge.name).collect()
 }
 
-/// The candidate formats for a column with the given maximum value: the five
-/// formats of the paper plus RLE (DICT is excluded from automatic selection
-/// because dictionary-encoded base data is already the input of the engine).
-pub fn candidate_formats(max_value: u64) -> Vec<Format> {
-    let mut formats = Format::paper_formats(max_value);
-    formats.push(Format::Rle);
-    formats
-}
-
 /// Static BP with each column's own maximum bit width.
 pub fn static_bp_config(columns: &HashMap<String, Column>) -> FormatConfig {
     let mut config = FormatConfig::with_default(Format::StaticBp(64));
@@ -367,7 +358,7 @@ pub fn cost_based_config(
 
 /// Cost-based selection for a single column.
 pub fn cost_based_format(stats: &ColumnStats, objective: SelectionObjective) -> Format {
-    let mut candidates = candidate_formats(stats.max);
+    let mut candidates = Format::all_formats(stats.max);
     if objective == SelectionObjective::Runtime {
         // RLE only pays off at runtime when runs are long enough to shortcut
         // whole vectors of work; otherwise prefer bit-packed formats.
@@ -388,7 +379,7 @@ pub fn exhaustive_config(columns: &HashMap<String, Column>, best: bool) -> Forma
     let mut config = FormatConfig::with_default(Format::Uncompressed);
     for (name, column) in columns {
         let stats = ColumnStats::from_column(column);
-        let chosen = candidate_formats(stats.max)
+        let chosen = Format::all_formats(stats.max)
             .into_iter()
             .map(|format| (exact_compressed_bytes(&format, column), format))
             .reduce(|acc, item| {
@@ -424,7 +415,7 @@ pub fn greedy_runtime_search(
     let mut config = FormatConfig::with_default(Format::Uncompressed);
     for (name, max_value) in columns {
         let mut best: Option<(Duration, Format)> = None;
-        for format in candidate_formats(*max_value) {
+        for format in Format::all_formats(*max_value) {
             let mut trial = config.clone();
             trial.insert(name, format);
             let runtime = measure(&trial);
@@ -778,14 +769,5 @@ mod tests {
         cached_config_for_plan(&cache, strategy, &plan, &columns);
         assert_eq!(cache.stats().insertions, 2);
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn candidate_formats_exclude_dict_and_contain_paper_formats() {
-        let candidates = candidate_formats(63);
-        assert_eq!(candidates.len(), 6);
-        assert!(!candidates.contains(&Format::Dict));
-        assert!(candidates.contains(&Format::StaticBp(6)));
-        assert!(candidates.contains(&Format::Rle));
     }
 }

@@ -24,7 +24,6 @@ fn format_configs() -> Vec<(&'static str, FormatConfig)> {
         ("delta", FormatConfig::with_default(Format::DeltaDynBp)),
         ("for", FormatConfig::with_default(Format::ForDynBp)),
         ("rle", FormatConfig::with_default(Format::Rle)),
-        ("dict", FormatConfig::with_default(Format::Dict)),
     ]
 }
 

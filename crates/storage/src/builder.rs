@@ -62,20 +62,15 @@ impl ColumnBuilder {
     /// that merges the partial outputs of a chunk-partitioned operator back
     /// into one column.
     ///
-    /// For formats whose encoding is *position-independent* (uncompressed,
-    /// static BP, dynamic BP, FOR + BP: stateless compressors whose blocks
-    /// depend only on the block's own values), an aligned append splices the
+    /// For formats whose blocks depend only on their own values
+    /// ([`Format::blocks_are_independent`]), an aligned append splices the
     /// column's compressed main part byte-for-byte without re-encoding; only
-    /// the sub-block remainder is re-buffered.  Stateful formats (DELTA's
-    /// running reference, RLE's pending run, DICT's whole-column dictionary)
-    /// and unaligned appends re-push the values through the streaming
-    /// compressor instead.  Either way the resulting column is byte-identical
-    /// to a single builder fed the concatenated value sequence.
+    /// the sub-block remainder is re-buffered.  Other formats and unaligned
+    /// appends re-push the values through the streaming compressor instead.
+    /// Either way the resulting column is byte-identical to a single builder
+    /// fed the concatenated value sequence.
     pub fn append_column(&mut self, column: &Column) {
-        let splice_safe = matches!(
-            self.format,
-            Format::Uncompressed | Format::StaticBp(_) | Format::DynBp | Format::ForDynBp
-        );
+        let splice_safe = self.format.blocks_are_independent();
         // The spliced blocks must land where the serial builder would have
         // compressed them: with an empty buffer, `main_len` is a multiple of
         // the block size (it only ever grows by whole blocks), so the

@@ -4,11 +4,15 @@
 //! sort order".
 
 use morph_compression::bitpack;
-use morph_vector::keys::KeySet;
 
 use crate::Column;
 
 /// Data characteristics of a column, used by the cost model of `morph-cost`.
+///
+/// The paper also lists the number of distinct values.  It is not kept: of
+/// the size estimates only a dictionary format's reads it, no format here
+/// is one, and counting it on unsorted data took two more scans of the
+/// column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Number of data elements.
@@ -17,8 +21,6 @@ pub struct ColumnStats {
     pub min: u64,
     /// Largest value (0 for an empty column).
     pub max: u64,
-    /// Number of distinct values.
-    pub distinct: usize,
     /// Whether the values are in non-decreasing order.
     pub sorted: bool,
     /// Number of runs of equal adjacent values (`0` for an empty column).
@@ -39,12 +41,10 @@ impl ColumnStats {
         ColumnStats::from_chunks(|sink| sink(values))
     }
 
-    /// Compute statistics from a re-scannable chunk source: `scan` feeds
-    /// every chunk of the data to its sink, in order, and is called once
-    /// for sorted data and three times otherwise (distinct values of
-    /// unsorted data are counted through a [`KeySet`], which scans twice).
-    /// The data is never needed in one piece.
-    pub fn from_chunks(mut scan: impl FnMut(&mut dyn FnMut(&[u64]))) -> ColumnStats {
+    /// Compute statistics from a chunk source: `scan` feeds every chunk of
+    /// the data to its sink, in order, in one pass.  The data is never
+    /// needed in one piece.
+    pub fn from_chunks(scan: impl FnOnce(&mut dyn FnMut(&[u64]))) -> ColumnStats {
         let mut len = 0usize;
         let mut min = u64::MAX;
         let mut max = 0u64;
@@ -73,18 +73,10 @@ impl ColumnStats {
         if len == 0 {
             min = 0;
         }
-        // Equal values of sorted data are adjacent: every run is one
-        // distinct value.
-        let distinct = if sorted {
-            runs
-        } else {
-            KeySet::build(&mut scan, 0).len()
-        };
         ColumnStats {
             len,
             min,
             max,
-            distinct,
             sorted,
             runs,
             bit_width_histogram: histogram,
@@ -117,7 +109,6 @@ impl ColumnStats {
         mix(self.len as u64);
         mix(self.min);
         mix(self.max);
-        mix(self.distinct as u64);
         mix(self.sorted as u64);
         mix(self.runs as u64);
         for &count in &self.bit_width_histogram {
@@ -154,24 +145,15 @@ impl ColumnStats {
         }
         self.len as f64 / self.runs as f64
     }
-
-    /// Fraction of distinct values (`distinct / len`).
-    pub fn distinct_fraction(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        self.distinct as f64 / self.len as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use morph_compression::Format;
-    use std::collections::HashSet;
 
-    /// The pre-streaming implementation (whole slice, SipHash distinct
-    /// count), kept as the oracle the streaming one must equal bit for bit.
+    /// The pre-streaming implementation (whole slice), kept as the oracle
+    /// the streaming one must equal bit for bit.
     fn oracle(values: &[u64]) -> ColumnStats {
         let len = values.len();
         if len == 0 {
@@ -179,7 +161,6 @@ mod tests {
                 len: 0,
                 min: 0,
                 max: 0,
-                distinct: 0,
                 sorted: true,
                 runs: 0,
                 bit_width_histogram: [0; 64],
@@ -193,12 +174,10 @@ mod tests {
         let mut runs = 1usize;
         let mut histogram = [0usize; 64];
         let mut delta_bits_sum = 0f64;
-        let mut distinct_set: HashSet<u64> = HashSet::new();
         for (i, &value) in values.iter().enumerate() {
             min = min.min(value);
             max = max.max(value);
             histogram[(bitpack::bit_width_of(value) - 1) as usize] += 1;
-            distinct_set.insert(value);
             if i > 0 {
                 let prev = values[i - 1];
                 if value < prev {
@@ -220,7 +199,6 @@ mod tests {
             len,
             min,
             max,
-            distinct: distinct_set.len(),
             sorted,
             runs,
             bit_width_histogram: histogram,
@@ -267,13 +245,11 @@ mod tests {
         assert_eq!(stats.len, 7);
         assert_eq!(stats.min, 2);
         assert_eq!(stats.max, 1000);
-        assert_eq!(stats.distinct, 4);
         assert!(!stats.sorted);
         assert_eq!(stats.runs, 4);
         assert_eq!(stats.max_bit_width(), 10);
         assert_eq!(stats.range_bit_width, 10);
         assert!((stats.avg_run_length() - 7.0 / 4.0).abs() < 1e-9);
-        assert!((stats.distinct_fraction() - 4.0 / 7.0).abs() < 1e-9);
     }
 
     #[test]
@@ -313,7 +289,6 @@ mod tests {
         assert_eq!(single.len, 1);
         assert_eq!(single.min, 42);
         assert_eq!(single.max, 42);
-        assert_eq!(single.distinct, 1);
         assert_eq!(single.runs, 1);
         assert!(single.sorted);
     }
@@ -355,7 +330,6 @@ mod tests {
         let values = vec![7u64; 500];
         let stats = ColumnStats::from_values(&values);
         assert_eq!(stats.runs, 1);
-        assert_eq!(stats.distinct, 1);
         assert_eq!(stats.avg_run_length(), 500.0);
         assert!(stats.sorted);
     }

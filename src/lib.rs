@@ -10,7 +10,7 @@
 //!   (the analogue of the paper's Template Vector Library).
 //! * [`compression`] — lightweight integer compression formats (static bit
 //!   packing, SIMD-BP-style dynamic bit packing, DELTA and FOR cascades,
-//!   RLE, dictionary) and direct morphing between them.
+//!   RLE) and direct morphing between them.
 //! * [`storage`] — the column data structure (compressed main part +
 //!   uncompressed remainder), statistics and synthetic data generators.
 //! * [`engine`] — query operators and the four degrees of integrating
@@ -62,7 +62,7 @@ pub use morphstore_engine as engine;
 /// Convenience re-exports of the most frequently used items.
 pub mod prelude {
     pub use morph_cache::{CacheConfig, CacheKey, CacheStats, QueryCache};
-    pub use morph_compression::{Format, NsScheme};
+    pub use morph_compression::Format;
     pub use morph_cost::{DataCharacteristics, FormatSelectionStrategy, SelectionObjective};
     pub use morph_server::{
         PendingQuery, QueryResponse, Server, ServerConfig, ServerError, Session, SlowQuery,
