@@ -1,12 +1,13 @@
-//! Overhead of the plan layer: building a `QueryPlan` DAG must cost (far)
+//! Overhead of the plan layer: producing a `QueryPlan` DAG must cost (far)
 //! less than 1 % of executing it.
 //!
 //! Two measurements on SSB Q1.1:
 //!
-//! * `plan` — plan construction + `PlanExecutor` walk (`SsbQuery::execute`),
-//! * `plan_construction` — building the DAG alone (no execution), showing
-//!   the absolute cost of the abstraction (microseconds, versus
-//!   milliseconds of query work).
+//! * `plan` — SQL compilation + `PlanExecutor` walk (`SsbQuery::execute`),
+//! * `sql_compile` — producing the DAG alone (`SsbQuery::plan`: parse,
+//!   resolve against the SSB catalog and lower, no execution), showing the
+//!   absolute cost of the front-end (microseconds, versus milliseconds of
+//!   query work).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use morph_compression::Format;
@@ -32,7 +33,7 @@ fn bench_plan_overhead(c: &mut Criterion) {
             query.execute(&data, &mut ctx)
         })
     });
-    group.bench_function("plan_construction", |b| b.iter(|| query.plan()));
+    group.bench_function("sql_compile", |b| b.iter(|| query.plan()));
     group.finish();
 }
 

@@ -301,10 +301,13 @@ mod tests {
         let data = dbgen::generate(0.005, 3);
         let full = strategy_config(SsbQuery::Q1_1, &data, FormatSelectionStrategy::AllStaticBp);
         let base_only = base_only_config(SsbQuery::Q1_1, &full);
-        assert_eq!(
-            base_only.format_for("1.1/lo_pos", Format::Uncompressed),
-            Format::Uncompressed
-        );
+        for name in SsbQuery::Q1_1.plan().intermediate_names() {
+            assert_eq!(
+                base_only.format_for(&name, Format::Uncompressed),
+                Format::Uncompressed,
+                "{name}"
+            );
+        }
         assert_ne!(
             base_only.format_for("lo_discount", Format::Uncompressed),
             Format::Uncompressed

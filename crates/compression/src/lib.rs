@@ -24,7 +24,7 @@
 //!   (design principle DP3),
 //! * random read access for the formats that support it (uncompressed and
 //!   static BP, as in Section 4.2),
-//! * direct morphing between any two formats ([`morph`]).
+//! * direct morphing between any two formats ([`morph()`]).
 //!
 //! All uncompressed values are `u64`, the native word width, as in the paper.
 #![warn(missing_docs)]

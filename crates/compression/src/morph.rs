@@ -4,7 +4,7 @@
 //! Morphing is the key enabler of the *on-the-fly morphing* integration
 //! degree (Figure 2(d)) and of design principle DP2: the format of every
 //! intermediate can be chosen independently because it can always be adapted
-//! to what an operator expects.  Following [18] (Damme et al., ADBIS 2015),
+//! to what an operator expects.  Following \[18\] (Damme et al., ADBIS 2015),
 //! a direct morph avoids the full uncompressed materialisation of the column:
 //! the source format is decoded block by block into a cache-resident buffer
 //! that is immediately re-encoded into the target format, and two cases

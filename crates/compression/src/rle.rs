@@ -117,7 +117,7 @@ pub fn try_for_each_run(
 }
 
 /// [`ChunkCursor`] over an RLE main part — the format's only run-expanding
-/// decoder.  Chunks hold at most [`RLE_CHUNK`] values (long runs are split);
+/// decoder.  Chunks hold at most `RLE_CHUNK` values (long runs are split);
 /// every run header is validated before it is expanded.  Run offsets are
 /// data-dependent, so seeks go through the chunk directory, whose entries
 /// sit on run boundaries.

@@ -17,8 +17,8 @@
 //! pool.
 //!
 //! Memory accounting is **per query**: materialised intermediates are
-//! charged via [`charge_materialized`] as they are recorded, and the
-//! pairwise operators' transient carry buffers via [`charge_transient`]
+//! charged via `charge_materialized` as they are recorded, and the
+//! pairwise operators' transient carry buffers via `charge_transient`
 //! (routed through [`ops::transient`](crate::ops::transient), which keeps
 //! the process-global high-water mark for the bench harness alongside the
 //! governor-scoped one). The join operators charge their key tables

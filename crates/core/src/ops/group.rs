@@ -51,6 +51,14 @@ fn finish_outputs(
     }
 }
 
+/// Charge a grouping's working set to the current query's memory budget:
+/// the per-row identifier buffer, the representatives and the key table.
+fn charge_working_set<K>(ids: &[u64], reps: &[u64], mapping: &HashMap<K, u64>) {
+    let entry_bytes = std::mem::size_of::<(K, u64)>() + 1;
+    let bytes = (ids.len() + reps.len()) * 8 + mapping.capacity() * entry_bytes;
+    crate::govern::charge_transient(bytes);
+}
+
 /// Group the rows of `keys` by value.  Group identifiers are dense and
 /// assigned in order of first occurrence.
 ///
@@ -76,6 +84,7 @@ pub fn group_by(
             pos += 1;
         }
     });
+    charge_working_set(&ids, &reps, &mapping);
     finish_outputs(ids, reps, out_formats, settings)
 }
 
@@ -109,6 +118,7 @@ pub fn group_by_refine(
             }
         },
     );
+    charge_working_set(&ids, &reps, &mapping);
     finish_outputs(ids, reps, out_formats, settings)
 }
 

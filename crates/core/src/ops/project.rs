@@ -1,7 +1,7 @@
 //! The project operator: gather the values of a data column at a list of
 //! positions.
 //!
-//! Project "requires random read access to compressed data, because [it] is
+//! Project "requires random read access to compressed data, because \[it\] is
 //! used to transfer the result of a selection on one column to another
 //! column" (Section 4.2), and MorphStore restricts random access to
 //! uncompressed data and static bit packing.  The position lists a plan

@@ -20,15 +20,15 @@
 //! more chunk-range *parts*:
 //!
 //! * One part is the whole unit.  A node runs its whole-column operator
-//!   ([`run_node_op`], which keeps the `Specialized` / `OnTheFlyMorphing`
+//!   (`run_node_op`, which keeps the `Specialized` / `OnTheFlyMorphing`
 //!   kernel dispatch); a region runs one pass over its whole driver.
 //! * With [`ExecSettings::morsel_threshold`] set and more than one worker, a
-//!   unit whose partitioned input — a node's [`PlanOp::partitioned_input`],
+//!   unit whose partitioned input — a node's `PlanOp::partitioned_input`,
 //!   a prefix-independent region's driver — reaches the threshold splits
 //!   into k = min(workers, chunks, len / threshold) ≥ 2 contiguous chunk
 //!   ranges ([`Column::partition_chunks`]).  Shared state (a semi-join build
-//!   set) is built once, each part runs the chunk-range kernel ([`run_part`],
-//!   [`crate::fusion::run_region_part`]), and the worker finishing the last
+//!   set) is built once, each part runs the chunk-range kernel (`run_part`,
+//!   `fusion::run_region_part`), and the worker finishing the last
 //!   part splices every member's partials in range order
 //!   ([`partitioned::concat_partials`]; sums fold wrapping) — byte-identical
 //!   to the one-part run.  Chunk-range decoding never replays a prefix, so

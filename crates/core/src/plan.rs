@@ -25,8 +25,8 @@
 //!   evaluation requires — the bookkeeping every query used to copy-paste
 //!   by hand.
 //!
-//! This module also holds what a node computes — [`run_node_op`], the
-//! whole-column operator, and [`run_part`], its chunk-range kernel over one
+//! This module also holds what a node computes — `run_node_op`, the
+//! whole-column operator, and `run_part`, its chunk-range kernel over one
 //! part of the node's partitioned input.  *When* nodes run is the scheduler's
 //! business ([`crate::parallel`]): one ready-queue loop over the explicit
 //! dependency graph ([`QueryPlan::dependencies`]) behind both
@@ -500,7 +500,7 @@ impl QueryPlan {
     /// [`RegionInfo`](morph_telemetry::RegionInfo) per fused region of
     /// `fusion`.  The executors build this at trace begin from the
     /// *executed* fusion analysis, so the trace mirrors what actually ran
-    /// (pass [`crate::fusion::FusionPlan::empty`]-like analyses for unfused
+    /// (pass `FusionPlan::empty`-like analyses for unfused
     /// runs — [`crate::fusion::FusionPlan::analyze`] for tooling).
     pub fn topology(
         &self,

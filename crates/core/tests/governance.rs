@@ -280,6 +280,98 @@ fn join_key_tables_are_charged_to_the_memory_budget() {
     }
 }
 
+/// Rows of the grouping plans below.
+const GROUP_ROWS: usize = 20_000;
+
+/// `GROUP BY k` summing `v` — or, with `refine`, `GROUP BY c, k` through a
+/// coarse grouping on the three-valued `c`.  `k` holds a distinct value per
+/// row, so the final grouping's working set (an id and a representative per
+/// row, plus one key-table entry per row) dwarfs the bit-packed outputs.
+fn group_plan(refine: bool) -> QueryPlan {
+    let mut b = PlanBuilder::new("grp");
+    let k = b.scan("k");
+    let v = b.scan("v");
+    let group = if refine {
+        let c = b.scan("c");
+        let coarse = b.group_by("coarse", c);
+        b.group_by_refine("fine", coarse, k)
+    } else {
+        b.group_by("fine", k)
+    };
+    let sums = b.agg_sum_grouped("sums", group, v);
+    let keys = b.project("keys", k, group.representatives());
+    b.finish_grouped(vec![keys], sums)
+}
+
+fn group_source() -> HashMap<String, Column> {
+    let n = GROUP_ROWS as u64;
+    // 7919 is prime and coprime to n, so `k` is a permutation of 0..n.
+    let column = |f: &dyn Fn(u64) -> u64| Column::from_vec((0..n).map(f).collect());
+    HashMap::from([
+        ("c".to_string(), column(&|i| i % 3)),
+        ("k".to_string(), column(&|i| (i * 7919) % n)),
+        ("v".to_string(), column(&|i| i % 100)),
+    ])
+}
+
+/// The final grouping's working set is the query's transient peak, and a
+/// budget that covers every intermediate plus 16 bytes per row — more than
+/// the coarse grouping's working set or any pairwise carry, less than the
+/// final grouping's — trips on the serial and the parallel executor alike.
+fn assert_grouping_is_charged(refine: bool) {
+    let plan = group_plan(refine);
+    let source = group_source();
+    let run = |governor: &Arc<QueryGovernor>, executor: Option<&ParallelExecutor>| {
+        let mut settings = governed(governor);
+        if executor.is_some() {
+            settings = settings.with_morsel_threshold(1024);
+        }
+        let mut ctx = ExecutionContext::new(settings, formats());
+        match executor {
+            Some(executor) => executor.try_execute(&plan, &source, &mut ctx),
+            None => plan.try_execute(&source, &mut ctx),
+        }
+    };
+
+    let unlimited = Arc::new(QueryGovernor::new());
+    let reference = run(&unlimited, None).expect("unlimited run succeeds");
+    assert_eq!(reference.values.len(), GROUP_ROWS);
+    // Ids and representatives take 8 bytes a row each, and the key table
+    // holds at least one entry of at least 17 bytes per row.
+    let working_set = unlimited.transient_peak_bytes();
+    assert!(working_set >= 33 * GROUP_ROWS, "{working_set}");
+    let materialized = unlimited.used_bytes() - working_set;
+
+    let executor = ParallelExecutor::new(4);
+    for executor in [None, Some(&executor)] {
+        let budget = materialized + 16 * GROUP_ROWS;
+        let tight = Arc::new(QueryGovernor::new().with_memory_budget(budget));
+        match run(&tight, executor) {
+            Err(ExecError::MemoryExceeded {
+                used_bytes,
+                budget_bytes,
+            }) => {
+                assert_eq!(budget_bytes, budget);
+                assert!(used_bytes > budget_bytes);
+            }
+            other => panic!("expected memory violation, got {other:?}"),
+        }
+        let roomy = Arc::new(QueryGovernor::new().with_memory_budget(materialized + working_set));
+        assert_eq!(run(&roomy, executor), Ok(reference.clone()));
+        assert_eq!(roomy.transient_peak_bytes(), working_set);
+    }
+}
+
+#[test]
+fn group_by_working_sets_are_charged_to_the_memory_budget() {
+    assert_grouping_is_charged(false);
+}
+
+#[test]
+fn group_by_refine_working_sets_are_charged_to_the_memory_budget() {
+    assert_grouping_is_charged(true);
+}
+
 /// A project of a DELTA-compressed data column at a base-column position
 /// list, summed: `positions` names the sorted or the shuffled list.
 fn gather_plan(positions: &str) -> QueryPlan {

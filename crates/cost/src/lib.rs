@@ -11,7 +11,8 @@
 //! whose memory footprints are "virtually equal to the actual optimal ones"
 //! (Figure 10).  This crate provides:
 //!
-//! * [`model`] — per-format size estimation from [`ColumnStats`],
+//! * [`model`] — per-format size estimation from
+//!   [`ColumnStats`](morph_storage::ColumnStats),
 //! * [`strategy`] — selection strategies: uncompressed everywhere, static BP
 //!   everywhere, cost-based selection, exhaustive best/worst by exact size
 //!   and a greedy runtime search (the strategy used by the paper to find the

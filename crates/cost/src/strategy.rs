@@ -3,7 +3,7 @@
 //! intermediate of a query.
 //!
 //! These are the strategies the paper's evaluation compares (Figures 7–10):
-//! all-uncompressed, static BP everywhere, the cost-based selection of [19],
+//! all-uncompressed, static BP everywhere, the cost-based selection of \[19\],
 //! the exhaustive best/worst combination with respect to the memory
 //! footprint, and a greedy search that fixes one column at a time with
 //! respect to a measured objective (the paper uses this greedy strategy for
@@ -398,7 +398,7 @@ pub fn exhaustive_config(columns: &HashMap<String, Column>, best: bool) -> Forma
 
 /// Greedy search over per-column formats with respect to a *measured*
 /// objective, as the paper does for the best/worst runtime combinations:
-/// "starting at the base data, [consider] one column at a time by trying all
+/// "starting at the base data, \[consider\] one column at a time by trying all
 /// available formats for that column, measuring the resulting query runtimes
 /// and fixing the column's format to the one yielding the best runtime"
 /// (Section 5.2).

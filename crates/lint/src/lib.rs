@@ -1,7 +1,7 @@
 //! morph-lint: the engine's in-house static-analysis pass.
 //!
 //! Complements the *static plan verifier* (`morphstore_engine::verify`) at
-//! the source level: where the verifier proves every compiled [`QueryPlan`]
+//! the source level: where the verifier proves every compiled `QueryPlan`
 //! respects the engine's structural invariants, this linter proves the
 //! *source code* respects its safety and determinism conventions — SAFETY
 //! comments on `unsafe`, panic-free hot paths, confined atomic orderings,

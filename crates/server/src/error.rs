@@ -84,8 +84,8 @@ pub enum ServerError {
         /// The decode failure, when that is what brought execution down.
         decode: Option<DecodeError>,
     },
-    /// The query was cancelled — via [`PendingQuery::cancel`]
-    /// (crate::PendingQuery::cancel) while queued or executing.
+    /// The query was cancelled — via
+    /// [`PendingQuery::cancel`](crate::PendingQuery::cancel) while queued or executing.
     Cancelled,
     /// The query ran past its deadline (tenant limit), measured from
     /// admission so queue wait counts against it.

@@ -41,7 +41,7 @@
 //! Results are *deterministic*: the same SQL over the same data returns
 //! byte-identical [`PlanOutput`]s regardless of worker count, concurrency
 //! or cache state (the `server_determinism` test drives 1/2/4/8-client
-//! sessions against the serial hand-built SSB plans).
+//! sessions against serial, uncompressed `SsbQuery::execute`).
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 

@@ -1,9 +1,9 @@
 //! Serving determinism: the same SQL over the same data returns
 //! byte-identical results regardless of how many client threads hammer the
 //! server, how the round-robin scheduler interleaves tenants, or whether
-//! the per-tenant cache shards are cold or warm.  The reference is the
-//! serial, hand-built [`SsbQuery::plan`] execution — the same oracle the
-//! `morph-ssb` differential suite uses.
+//! the per-tenant cache shards are cold or warm.  The reference is serial
+//! [`SsbQuery::execute`] under scalar, uncompressed processing: the same
+//! SQL-compiled plans, run without the server, compression or concurrency.
 
 use std::sync::Arc;
 

@@ -38,21 +38,18 @@
 //!
 //! [`compile`] resolves names, classifies the `WHERE` conjuncts into
 //! equi-joins (one side a declared primary key — the dimension — and the
-//! other the fact foreign key) and single-table predicates, and emits the
-//! same star-join shape the hand-built SSB plans use: per restricted
-//! dimension a select → project-keys → semi-join chain, fact-local selects,
-//! one sorted intersection of all position lists, join-backs for the
-//! dimension group attributes, `group_by`/`group_by_refine` in `GROUP BY`
-//! order, and a grouped (or scalar) sum.  The differential suite in
-//! `morph-ssb` asserts the resulting execution is byte-identical to the
-//! hand-built [`SsbQuery::plan()`] counterparts.
+//! other the fact foreign key) and single-table predicates, and emits a
+//! MonetDB-style star join: per restricted dimension a select →
+//! project-keys → semi-join chain, fact-local selects, one sorted
+//! intersection of all position lists, join-backs for the dimension group
+//! attributes, `group_by`/`group_by_refine` in `GROUP BY` order, and a
+//! grouped (or scalar) sum.  This planner is the only producer of the SSB
+//! plans: `morph-ssb` compiles its 13 queries from their SQL text and checks
+//! every result against a row-at-a-time reference interpreter.
 //!
 //! `ORDER BY` is applied as a post-processing permutation of the decompressed
 //! result rows by [`CompiledQuery::execute`] — the engine's plans
-//! deliberately produce group-discovery order, exactly like the hand-built
-//! plans.
-//!
-//! [`SsbQuery::plan()`]: https://docs.rs/morph-ssb
+//! deliberately produce group-discovery order.
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 

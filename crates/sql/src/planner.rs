@@ -1,7 +1,7 @@
 //! Name resolution and lowering of parsed queries into [`QueryPlan`] DAGs.
 //!
-//! The lowering emits exactly the star-join shape the hand-built SSB plans
-//! use (see `morph-ssb`'s flight modules):
+//! The lowering emits a MonetDB-style star join, the shape of the paper's
+//! SSB plans (Section 5.2):
 //!
 //! 1. every `FROM` dimension with predicates is reduced to its qualifying
 //!    primary keys (select per conjunct, intersect, project) and the fact
@@ -13,15 +13,15 @@
 //! 3. `GROUP BY` attributes from dimensions are fetched per restricted fact
 //!    row by an N:1 join back over the projected foreign keys (assuming
 //!    foreign-key integrity, dimensions without predicates restrict
-//!    nothing — the same assumption the hand-built plans make);
+//!    nothing — SSB's foreign keys all hold);
 //! 4. grouping applies `group_by` / `group_by_refine` in `GROUP BY` order
 //!    and the single `SUM` aggregate becomes a `calc` tree over projected
 //!    fact measures feeding a (grouped) summation.
 //!
 //! Group keys are emitted in `GROUP BY` order and rows in group-discovery
-//! order, which is what makes SQL-compiled execution *byte-identical* to the
-//! hand-built plans; `ORDER BY` is applied by [`CompiledQuery::execute`] as
-//! a permutation of the finished rows.
+//! order, so execution is deterministic across executors; `ORDER BY` is
+//! applied by [`CompiledQuery::execute`] as a permutation of the finished
+//! rows.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -57,7 +57,7 @@ pub struct CompiledQuery {
 
 impl CompiledQuery {
     /// The lowered engine plan (rows in group-discovery order, group keys in
-    /// `GROUP BY` order — the same contract as the hand-built SSB plans).
+    /// `GROUP BY` order).
     pub fn plan(&self) -> &QueryPlan {
         &self.plan
     }
@@ -629,8 +629,8 @@ fn filter(
 }
 
 /// Project `column` at the restricted fact positions, sharing one projection
-/// per column (the hand-built plans share e.g. `orderdate_at_pos` the same
-/// way).
+/// per column (two group attributes of one dimension join back over the
+/// same projected foreign key).
 fn at_pos(
     p: &mut PlanBuilder,
     names: &mut Names,
@@ -663,7 +663,7 @@ fn lower(resolved: &Resolved<'_>, label: &str) -> CompiledQuery {
             .collect();
         if preds.is_empty() {
             // Unrestricted dimension: restricts nothing under foreign-key
-            // integrity (the hand-built plans skip the semi-join too).
+            // integrity, so no semi-join is emitted.
             continue;
         }
         let mut dim_pos: Option<ColRef> = None;

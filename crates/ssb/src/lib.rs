@@ -2,16 +2,16 @@
 //!
 //! The Star Schema Benchmark (SSB) for MorphStore-rs: schema, deterministic
 //! data generator, order-preserving dictionary encoding of the string
-//! attributes, and all 13 queries implemented operator-at-a-time against the
-//! engine.
+//! attributes, and all 13 queries as SQL text, compiled by `morph-sql` into
+//! operator-at-a-time plans against the engine.
 //!
 //! The paper evaluates MorphStore with SSB at scale factor 10 (Section 5.2),
 //! applying "an order-preserving dictionary encoding to all string columns in
 //! the schema to obtain integer columns", so that "all 13 queries can be
 //! executed on dictionary keys without looking up the string values".  This
 //! crate does the same: the generator directly produces dictionary keys
-//! (the [`dict`] module documents the mapping) and the query implementations
-//! translate the SSB predicate constants to keys.
+//! (the [`dict`] module documents the mapping) and the SQL catalog
+//! ([`ssb_catalog`]) translates the SSB predicate constants to keys.
 //!
 //! The QEPs of the queries "involve between 6 and 16 base columns and between
 //! 15 and 56 intermediates"; every query is a declarative

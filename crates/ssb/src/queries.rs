@@ -1,35 +1,26 @@
-//! The 13 SSB queries as declarative query plans against the engine.
+//! The 13 SSB queries and their plans.
 //!
-//! Every query follows the same star-join pattern MonetDB-style plans use
-//! (and which the paper's MorphStore plans imitate, Section 5.2):
-//!
-//! 1. each filtered dimension table is reduced to the set of its qualifying
-//!    primary keys (select + project),
-//! 2. the fact table is restricted by one semi-join per qualifying dimension
-//!    (producing sorted lineorder position lists) and the position lists are
-//!    intersected,
-//! 3. the group-by attributes are fetched by joining the restricted foreign
-//!    keys back to the dimensions and projecting the attribute columns,
-//! 4. grouping and grouped summation produce the result.
-//!
-//! Each flight module builds a [`QueryPlan`] via
-//! [`morphstore_engine::plan::PlanBuilder`]; [`SsbQuery::execute`] hands the
-//! plan to the [`PlanExecutor`], which resolves per-edge compression formats
-//! from the [`ExecutionContext`]'s format assignment, auto-generates the
-//! stable `"<query>/<step>"` intermediate names, and records every base
-//! column and intermediate — so the format-selection strategies can assign
-//! each one an individual format and the harness can account footprints
-//! exactly like the paper does.
+//! Each query's plan is what `morph-sql` compiles from its SQL text
+//! ([`SsbQuery::sql`]) against [`ssb_catalog`]: the MonetDB-style star
+//! join the paper's MorphStore plans imitate (Section 5.2).  Each
+//! restricted dimension is reduced to its qualifying keys and semi-joined
+//! into the fact table, the position lists are intersected, group
+//! attributes are joined back, and a grouped sum produces the result.
+//! [`SsbQuery::execute`] hands the plan to the [`PlanExecutor`], which
+//! resolves per-edge compression formats from the [`ExecutionContext`]'s
+//! format assignment and records every base column and every
+//! `"<query>/<step>"` intermediate, so the format-selection strategies can
+//! assign each one an individual format and the harness can account
+//! footprints exactly like the paper does.
 
-mod flight1;
-mod flight2;
-mod flight3;
-mod flight4;
+use std::sync::OnceLock;
 
-use morphstore_engine::plan::{ColRef, PlanBuilder, PlanExecutor, QueryPlan};
-use morphstore_engine::{CmpOp, ExecutionContext, ParallelExecutor};
+use morph_sql::Catalog;
+use morphstore_engine::plan::{PlanExecutor, QueryPlan};
+use morphstore_engine::{ExecutionContext, ParallelExecutor};
 
 use crate::data::SsbData;
+use crate::sql::ssb_catalog;
 
 /// Identifier of one of the 13 SSB queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,16 +70,18 @@ impl SsbQuery {
         }
     }
 
-    /// The query's logical operator DAG, labelled with the query label so
+    /// The query's logical operator DAG: its SQL text compiled by
+    /// [`morph_sql::compile_with_label`], labelled with the query label so
     /// every intermediate gets its stable `"<query>/<step>"` name.
     pub fn plan(&self) -> QueryPlan {
-        use SsbQuery::*;
-        match self {
-            Q1_1 | Q1_2 | Q1_3 => flight1::plan(*self),
-            Q2_1 | Q2_2 | Q2_3 => flight2::plan(*self),
-            Q3_1 | Q3_2 | Q3_3 | Q3_4 => flight3::plan(*self),
-            Q4_1 | Q4_2 | Q4_3 => flight4::plan(*self),
-        }
+        // Building the catalog's dictionaries costs several times more than
+        // compiling a query, and the catalog never changes.
+        static CATALOG: OnceLock<Catalog> = OnceLock::new();
+        let catalog = CATALOG.get_or_init(ssb_catalog);
+        morph_sql::compile_with_label(self.sql(), catalog, self.label())
+            .unwrap_or_else(|e| panic!("{self} does not compile: {e}"))
+            .plan()
+            .clone()
     }
 
     /// The base columns the query touches, derived from its plan (used by
@@ -98,7 +91,7 @@ impl SsbQuery {
         self.plan().base_columns()
     }
 
-    /// Execute the query on `data` by building its plan and walking it with
+    /// Execute the query on `data` by compiling its plan and walking it with
     /// the [`PlanExecutor`], recording footprints and timings in `ctx`.
     ///
     /// When the context's settings carry a plan-level cache handle
@@ -184,43 +177,6 @@ impl QueryResult {
         rows.sort_unstable();
         rows
     }
-}
-
-/// A filter predicate on a dimension column, as needed by the SSB queries.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Pred {
-    /// Equality with a constant.
-    Eq(u64),
-    /// Inclusive range.
-    Between(u64, u64),
-    /// Comparison with a constant.
-    Cmp(CmpOp, u64),
-    /// Equality with either of two constants (`IN (a, b)`).
-    In2(u64, u64),
-}
-
-/// Append a selection for `pred` over `input` to the plan.
-pub(crate) fn filter(p: &mut PlanBuilder, name: &str, input: ColRef, pred: Pred) -> ColRef {
-    match pred {
-        Pred::Eq(c) => p.select(name, input, CmpOp::Eq, c),
-        Pred::Cmp(op, c) => p.select(name, input, op, c),
-        Pred::Between(low, high) => p.select_between(name, input, low, high),
-        Pred::In2(a, b) => p.select_in2(name, input, a, b),
-    }
-}
-
-/// Shared tail of query flights 2–4: fetch a dimension attribute for every
-/// restricted fact row by joining the projected foreign keys with the
-/// dimension key column and projecting the attribute.
-pub(crate) fn attribute_per_row(
-    p: &mut PlanBuilder,
-    name: &str,
-    fact_fk_at_pos: ColRef,
-    dim_key: ColRef,
-    dim_attr: ColRef,
-) -> ColRef {
-    let dim_positions = p.join(&format!("{name}_dimpos"), fact_fk_at_pos, dim_key);
-    p.project(&format!("{name}_per_row"), dim_attr, dim_positions)
 }
 
 #[cfg(test)]

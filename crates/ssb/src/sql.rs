@@ -4,10 +4,9 @@
 //! The catalog declares the per-column order-preserving string dictionaries
 //! from [`crate::dict`], so SQL predicates over strings (`s_region =
 //! 'AMERICA'`, `p_brand1 BETWEEN 'MFGR#2221' AND 'MFGR#2228'`) compile to
-//! the exact integer-key selections the hand-built plans use.  The
-//! differential suite (`tests/sql_differential.rs`) asserts that compiling
-//! and executing [`SsbQuery::sql`] is byte-identical to executing
-//! [`SsbQuery::plan`].
+//! integer-key selections over the generated columns.  Compiling
+//! [`SsbQuery::sql`] against this catalog is how [`SsbQuery::plan`]
+//! produces every query's plan.
 
 use morph_sql::{Catalog, TableDef};
 
@@ -158,11 +157,9 @@ impl SsbQuery {
     /// The query as SQL text over the [`ssb_catalog`] schema.
     ///
     /// The texts state the benchmark's predicates over the original string
-    /// domains; compiling them with [`morph_sql::compile`] lowers each to
-    /// the same star-join plan shape as [`SsbQuery::plan`], and executing
-    /// the compiled plan is byte-identical (the differential suite checks
-    /// all 13).  `ORDER BY` is omitted, faithful to the hand-built plans,
-    /// which produce rows in group-discovery order.
+    /// domains; [`SsbQuery::plan`] compiles them into the query's star-join
+    /// plan.  `ORDER BY` is omitted: the plans produce rows in
+    /// group-discovery order, and the tests compare sorted rows.
     pub fn sql(&self) -> &'static str {
         match self {
             SsbQuery::Q1_1 => {

@@ -18,6 +18,9 @@
 //! must report the region and a positive `intermediate_bytes_avoided` —
 //! the bytes of the interior columns the fused pass never kept.
 
+mod common;
+
+use common::{per_edge_formats, MIXED};
 use morph_compression::Format;
 use morph_ssb::{dbgen, SsbData, SsbQuery};
 use morphstore_engine::exec::FormatConfig;
@@ -133,12 +136,7 @@ fn fusion_is_byte_identical_across_executors_and_formats() {
     // A heterogeneous assignment: formats resolved per plan edge, including
     // the stateful DELTA and RLE formats whose morsel merge re-pushes
     // values instead of splicing bytes.
-    let mixed = FormatConfig::with_default(Format::StaticBp(26))
-        .set("1.1/lo_pos", Format::DeltaDynBp)
-        .set("2.1/lo_pos", Format::Uncompressed)
-        .set("3.2/revenue_at_pos", Format::ForDynBp)
-        .set("4.1/group_year", Format::Rle)
-        .set("4.1/group_year_reps", Format::DeltaDynBp);
+    let mixed = per_edge_formats(Format::StaticBp(26), &MIXED);
     check_all_queries(
         &raw.with_narrow_static_bp(false),
         ExecSettings::vectorized_compressed(),

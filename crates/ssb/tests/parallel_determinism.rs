@@ -17,6 +17,9 @@
 //! worker runs whichever node (or part) whenever, the observable
 //! bookkeeping is that of the serial walk.
 
+mod common;
+
+use common::{per_edge_formats, MIXED};
 use morph_compression::Format;
 use morph_ssb::{dbgen, SsbData, SsbQuery};
 use morphstore_engine::exec::FormatConfig;
@@ -86,12 +89,7 @@ fn parallel_execution_is_deterministic_across_thread_counts() {
 
     // A heterogeneous assignment: formats resolved per plan edge (26 bits
     // cover the widest intermediate; projected datekeys need 25).
-    let mixed = FormatConfig::with_default(Format::StaticBp(26))
-        .set("1.1/lo_pos", Format::DeltaDynBp)
-        .set("2.1/lo_pos", Format::Uncompressed)
-        .set("3.2/revenue_at_pos", Format::ForDynBp)
-        .set("4.1/group_year", Format::Rle)
-        .set("4.1/group_year_reps", Format::DeltaDynBp);
+    let mixed = per_edge_formats(Format::StaticBp(26), &MIXED);
     check_all_queries(
         &raw.with_narrow_static_bp(false),
         ExecSettings::vectorized_compressed(),
@@ -123,11 +121,15 @@ fn parallel_execution_with_morsels_is_deterministic() {
         ExecSettings::scalar_uncompressed().with_morsel_threshold(TEST_MORSEL_THRESHOLD),
         &FormatConfig::uncompressed(),
     );
-    let mixed = FormatConfig::with_default(Format::StaticBp(26))
-        .set("1.1/lo_pos", Format::DeltaDynBp)
-        .set("1.2/lo_pos_discount", Format::Rle)
-        .set("2.1/lo_pos", Format::Uncompressed)
-        .set("3.2/revenue_at_pos", Format::ForDynBp);
+    let mixed = per_edge_formats(
+        Format::StaticBp(26),
+        &[
+            ("1.1/pos_2", Format::DeltaDynBp),
+            ("1.2/pos_lo_discount", Format::Rle),
+            ("2.1/pos", Format::Uncompressed),
+            ("3.2/lo_revenue_at_pos", Format::ForDynBp),
+        ],
+    );
     check_all_queries(
         &raw.with_narrow_static_bp(false),
         ExecSettings::vectorized_compressed().with_morsel_threshold(TEST_MORSEL_THRESHOLD),

@@ -1,10 +1,15 @@
 //! End-to-end correctness of the 13 SSB queries: the engine execution must
 //! produce exactly the same result as the row-wise reference interpreter,
 //! irrespective of the processing style, the degree of integration and the
-//! compression formats chosen for base columns and intermediates.
+//! compression formats chosen for base columns and intermediates.  Every
+//! query's plan is the one `morph-sql` compiles from its SQL text, so this
+//! suite is also the planner's end-to-end oracle.
 
+mod common;
+
+use common::{per_edge_formats, MIXED};
 use morph_compression::Format;
-use morph_ssb::{dbgen, reference, SsbData, SsbQuery};
+use morph_ssb::{dbgen, reference, ssb_catalog, SsbData, SsbQuery};
 use morphstore_engine::exec::FormatConfig;
 use morphstore_engine::{ExecSettings, ExecutionContext, IntegrationDegree, ProcessingStyle};
 use proptest::prelude::*;
@@ -70,9 +75,13 @@ fn results_are_independent_of_format_combinations() {
     let configs = [
         FormatConfig::with_default(Format::DeltaDynBp),
         FormatConfig::with_default(Format::Rle),
-        FormatConfig::with_default(Format::ForDynBp)
-            .set("1.1/lo_pos", Format::DeltaDynBp)
-            .set("2.1/lo_pos", Format::Uncompressed),
+        per_edge_formats(
+            Format::ForDynBp,
+            &[
+                ("1.1/pos_2", Format::DeltaDynBp),
+                ("2.1/pos", Format::Uncompressed),
+            ],
+        ),
     ];
     // A representative subset (one query per flight) across heterogeneous
     // format assignments; the full cross-product runs in the uncompressed and
@@ -149,6 +158,32 @@ fn compression_reduces_the_query_footprint() {
     }
 }
 
+#[test]
+fn sql_results_are_nonempty_at_test_scale() {
+    // Guard against the reference comparisons passing vacuously: at the
+    // test scale every query must select at least one row.
+    let data = dbgen::generate(SCALE_FACTOR, SEED);
+    let catalog = ssb_catalog();
+    for query in SsbQuery::all() {
+        let compiled =
+            morph_sql::compile(query.sql(), &catalog).unwrap_or_else(|e| panic!("{query}: {e}"));
+        let (output, _) = run_query(
+            query,
+            &data,
+            ExecSettings::scalar_uncompressed(),
+            FormatConfig::uncompressed(),
+        );
+        assert!(
+            !output.values.is_empty(),
+            "{query} produced no rows at the test scale"
+        );
+        if !compiled.is_scalar() {
+            assert_eq!(output.group_keys.len(), compiled.key_count(), "{query}");
+            assert!(output.values.len() > 1, "{query} found only one group");
+        }
+    }
+}
+
 fn check_all_queries_against_reference(
     data: &SsbData,
     raw: &SsbData,
@@ -190,12 +225,7 @@ proptest! {
         );
 
         // 26 bits cover the widest intermediate (projected datekeys need 25).
-        let mixed = FormatConfig::with_default(Format::StaticBp(26))
-            .set("1.1/lo_pos", Format::DeltaDynBp)
-            .set("2.1/lo_pos", Format::Uncompressed)
-            .set("3.2/revenue_at_pos", Format::ForDynBp)
-            .set("4.1/group_year", Format::Rle)
-            .set("4.1/group_year_reps", Format::DeltaDynBp);
+        let mixed = per_edge_formats(Format::StaticBp(26), &MIXED);
         check_all_queries_against_reference(
             &raw.with_narrow_static_bp(false),
             &raw,

@@ -1,12 +1,12 @@
 //! The scheduler's pop policy over the real SSB plans: one worker starts
-//! the units of every hand-built and SQL-compiled plan in node-list order.
+//! the units of every SSB plan in node-list order.
 //! Unfused, that is every node in order; fused, every fused region starts
 //! at its root's own index and its interiors are never started on their
 //! own.
 
 use std::collections::BTreeSet;
 
-use morph_ssb::{ssb_catalog, SsbQuery};
+use morph_ssb::SsbQuery;
 use morphstore_engine::exec::FormatConfig;
 use morphstore_engine::parallel::single_worker_order;
 use morphstore_engine::plan::QueryPlan;
@@ -31,13 +31,9 @@ fn assert_node_list_order(what: &str, plan: &QueryPlan) -> usize {
 
 #[test]
 fn one_worker_starts_every_ssb_plan_in_node_list_order() {
-    let catalog = ssb_catalog();
     let mut regions = 0;
     for query in SsbQuery::all() {
-        regions += assert_node_list_order(&format!("{query} hand-built"), &query.plan());
-        let compiled = morph_sql::compile_with_label(query.sql(), &catalog, query.label())
-            .unwrap_or_else(|e| panic!("{query}: {e}"));
-        regions += assert_node_list_order(&format!("{query} SQL"), compiled.plan());
+        regions += assert_node_list_order(&query.to_string(), &query.plan());
     }
     assert!(regions > 0, "the fused half checks at least one region");
 }

@@ -18,6 +18,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+mod common;
+
+use common::MIXED;
 use morph_compression::Format;
 use morph_ssb::{dbgen, SsbQuery};
 use morph_storage::Column;
@@ -159,12 +162,7 @@ fn sized_interiors_are_observably_identical_on_hand_built_plans() {
 #[test]
 fn sized_interiors_are_observably_identical_on_ssb_plans() {
     let raw = dbgen::generate(0.004, 7);
-    let per_edge = FormatConfig::with_default(Format::StaticBp(26))
-        .set("1.1/lo_pos", Format::DeltaDynBp)
-        .set("2.1/lo_pos", Format::Uncompressed)
-        .set("3.2/revenue_at_pos", Format::ForDynBp)
-        .set("4.1/group_year", Format::Rle)
-        .set("4.1/group_year_reps", Format::DeltaDynBp);
+    let per_edge = common::per_edge_formats(Format::StaticBp(26), &MIXED);
     let configs = [
         (
             raw.with_uniform_format(&Format::DynBp),
@@ -192,8 +190,8 @@ fn sized_interiors_are_observably_identical_on_ssb_plans() {
 
 /// A budget one byte short of the charges up to and including the first
 /// interior of the region trips on that interior's charge — with the same
-/// `MemoryExceeded` in all three runs, and no records merged.  (The
-/// hand-built plans have no node between a region's first member and its
+/// `MemoryExceeded` in all three runs, and no records merged.  (The two
+/// synthetic plans have no node between a region's first member and its
 /// root, so the charge sequence up to the interior is schedule-independent.)
 #[test]
 fn a_budget_tripping_on_an_interior_fails_identically() {

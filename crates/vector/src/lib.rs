@@ -4,7 +4,7 @@
 //!
 //! This crate is the Rust analogue of the *Template Vector Library* (TVL)
 //! used by the original MorphStore engine (Ungethüm et al., CIDR 2020,
-//! reference [63] of the paper).  The TVL lets a single operator
+//! reference \[63\] of the paper).  The TVL lets a single operator
 //! implementation be specialised to a scalar version or to a particular SIMD
 //! extension by passing a template parameter.  Here, the same idea is
 //! expressed with a trait, [`VectorExtension`], and zero-sized backend types
