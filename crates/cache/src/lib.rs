@@ -1,7 +1,7 @@
 //! # morph-cache
 //!
 //! The cross-query plan-level cache of MorphStore-rs: memoised subplan
-//! results and format decisions with a byte budget and cost-aware eviction.
+//! results with a byte budget and cost-aware eviction.
 //!
 //! The holistic processing model makes every intermediate a first-class
 //! *compressed* column with a stable plan-edge name (DP1/DP2 of the paper),
@@ -15,17 +15,10 @@
 //! Lin et al., "Data Compression for Analytics over Large-scale In-memory
 //! Column Databases").
 //!
-//! Two kinds of entries share one [`QueryCache`] and one byte budget:
-//!
-//! * **subplan results** ([`CachedValue::Column`], [`CachedValue::Pair`],
-//!   [`CachedValue::Scalar`]) — the materialised output of a plan node,
-//!   inserted by the executors on completion and returned on a hit so the
-//!   node never runs;
-//! * **format decisions** ([`CachedValue::Formats`]) — the per-edge
-//!   compression-format assignment a selection strategy chose for a plan,
-//!   keyed by the plan's structural fingerprint and a digest of the column
-//!   statistics the decision was derived from, so strategy search runs once
-//!   per plan shape.
+//! Every entry of a [`QueryCache`] is a **subplan result**
+//! ([`CachedValue::Column`], [`CachedValue::Pair`], [`CachedValue::Scalar`]):
+//! the materialised output of a plan node, inserted by the executor on
+//! completion and returned on a hit so the node never runs.
 //!
 //! ## Admission control
 //!
@@ -34,7 +27,7 @@
 //! runtime falls below `min_benefit_ns` or whose physical size falls below
 //! `min_bytes` are skipped on insert (counted as
 //! [`CacheStats::admission_skipped`]) instead of churning the eviction
-//! heap.  Format decisions are exempt — see [`CacheConfig`].
+//! heap.
 //!
 //! ## Eviction and invalidation
 //!
@@ -169,13 +162,6 @@ impl Default for Fingerprint {
 /// whose recorded runtime (`min_benefit_ns`) or physical size (`min_bytes`)
 /// falls below the threshold, so they stop churning the eviction heap.
 ///
-/// Admission control applies to **subplan results only**
-/// ([`CachedValue::Column`], [`CachedValue::Pair`], [`CachedValue::Scalar`]).
-/// Format and tuning decisions ([`CachedValue::Formats`],
-/// [`CachedValue::Tuning`]) are always admitted: they are a few dozen bytes
-/// each but stand for an entire strategy search, so their benefit is never
-/// proportional to their size.
-///
 /// The default (both thresholds zero) admits everything, preserving the
 /// pre-admission-control behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -198,30 +184,7 @@ impl CacheConfig {
     }
 }
 
-/// One per-edge format assignment of a memoised format decision: the
-/// engine-agnostic image of a `FormatConfig` (the cache crate sits below the
-/// engine, so it stores plain pairs instead of the engine type).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FormatDecision {
-    /// The decision's default format, if the strategy set one.
-    pub default: Option<Format>,
-    /// Explicit per-column assignments, sorted by column name (canonical
-    /// order, so equal decisions compare equal).
-    pub per_column: Vec<(String, Format)>,
-}
-
-impl FormatDecision {
-    /// Approximate physical footprint of the decision (for the byte budget).
-    fn cost_bytes(&self) -> usize {
-        16 + self
-            .per_column
-            .iter()
-            .map(|(name, _)| name.len() + 24)
-            .sum::<usize>()
-    }
-}
-
-/// A memoised value: the output of one plan node, or a format decision.
+/// A memoised value: the output of one plan node.
 #[derive(Debug, Clone)]
 pub enum CachedValue {
     /// A single materialised (compressed) column — the common case.
@@ -239,17 +202,6 @@ pub enum CachedValue {
     },
     /// A scalar (whole-column aggregation result).
     Scalar(u64),
-    /// A format decision of a selection strategy.
-    Formats(FormatDecision),
-    /// A joint fusion- and morsel-aware tuning decision: the per-edge
-    /// format assignment plus the fan-out threshold priced with it.
-    Tuning {
-        /// The per-edge format assignment.
-        formats: FormatDecision,
-        /// The morsel fan-out threshold the tuning chose (`None` leaves
-        /// fan-out off).
-        morsel_threshold: Option<u64>,
-    },
 }
 
 impl CachedValue {
@@ -261,8 +213,6 @@ impl CachedValue {
                 (a.size_used_bytes() + b.size_used_bytes() + 8).max(8)
             }
             CachedValue::Scalar(_) => 8,
-            CachedValue::Formats(decision) => decision.cost_bytes(),
-            CachedValue::Tuning { formats, .. } => formats.cost_bytes() + 16,
         }
     }
 }
@@ -376,8 +326,8 @@ impl CacheInner {
     }
 }
 
-/// The concurrency-safe cross-query cache: memoised subplan results and
-/// format decisions under one byte budget with cost-aware eviction.
+/// The concurrency-safe cross-query cache: memoised subplan results under
+/// one byte budget with cost-aware eviction.
 ///
 /// See the [module docs](self) for the key derivation and eviction policy.
 /// Executors share a cache through `Arc<QueryCache>` (it is the payload of
@@ -492,13 +442,9 @@ impl QueryCache {
     ) -> bool {
         let cost = value.cost_bytes();
         let mut inner = self.lock();
-        // Admission control: subplan results below the thresholds are not
-        // worth a slot; format and tuning decisions are always admitted
-        // (tiny entries standing for a whole strategy search).
-        if !matches!(value, CachedValue::Formats(_) | CachedValue::Tuning { .. })
-            && (benefit.as_nanos() < self.config.min_benefit_ns as u128
-                || cost < self.config.min_bytes)
-        {
+        // Admission control: results below the thresholds are not worth a
+        // slot.
+        if benefit.as_nanos() < self.config.min_benefit_ns as u128 || cost < self.config.min_bytes {
             inner.admission_skipped += 1;
             return false;
         }
@@ -761,43 +707,10 @@ mod tests {
     }
 
     #[test]
-    fn format_decisions_bypass_admission_thresholds() {
-        let cache = QueryCache::with_config(1 << 20, CacheConfig::new(u64::MAX, usize::MAX));
-        let decision = FormatDecision {
-            default: Some(Format::DynBp),
-            per_column: vec![],
-        };
-        assert!(cache.insert(key(1), CachedValue::Formats(decision), Duration::ZERO, &[]));
-        assert!(!cache.insert(key(2), column_value(512), Duration::from_secs(1), &[]));
-        let stats = cache.stats();
-        assert_eq!(stats.insertions, 1);
-        assert_eq!(stats.admission_skipped, 1);
-    }
-
-    #[test]
     fn default_config_admits_everything() {
         let cache = QueryCache::with_budget(1 << 20);
         assert_eq!(cache.config(), CacheConfig::default());
         assert!(cache.insert(key(1), CachedValue::Scalar(1), Duration::ZERO, &[]));
         assert_eq!(cache.stats().admission_skipped, 0);
-    }
-
-    #[test]
-    fn format_decision_round_trip() {
-        let cache = QueryCache::unbounded();
-        let decision = FormatDecision {
-            default: Some(Format::DynBp),
-            per_column: vec![("q/pos".to_string(), Format::DeltaDynBp)],
-        };
-        cache.insert(
-            key(9),
-            CachedValue::Formats(decision.clone()),
-            Duration::from_micros(50),
-            &[],
-        );
-        match cache.lookup(&key(9)) {
-            Some(CachedValue::Formats(found)) => assert_eq!(found, decision),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -308,12 +308,6 @@ pub struct ColumnRecord {
 pub struct NodeRecords {
     records: Vec<ColumnRecord>,
     timings: Vec<(String, Duration)>,
-    /// Stable node index of each timing record, aligned with `timings` —
-    /// the join key between timing labels and tracing spans, carried out of
-    /// band so the label *strings* (which the determinism suites compare
-    /// byte-for-byte) stay untouched.
-    timing_nodes: Vec<Option<u32>>,
-    node: Option<u32>,
     captured: Vec<(String, Column)>,
     capture: bool,
     cache_hits: usize,
@@ -372,19 +366,11 @@ impl NodeRecords {
         });
     }
 
-    /// Declare the stable plan-node index this recorder belongs to; every
-    /// timing pushed afterwards carries it (see
-    /// [`ExecutionContext::timing_node_ids`]).
-    pub fn set_node(&mut self, node: usize) {
-        self.node = Some(node as u32);
-    }
-
     /// Record a measured duration under `op_name`: an operator's run, a
     /// fanned-out unit's fan-out-to-merge wall clock, a fused stage's
     /// accumulated time, or a cache hit's lookup time.
     pub fn push_timing(&mut self, op_name: &str, elapsed: Duration) {
         self.timings.push((op_name.to_string(), elapsed));
-        self.timing_nodes.push(self.node);
     }
 
     /// The duration of the most recent timing record — the node's measured
@@ -443,7 +429,6 @@ pub struct ExecutionContext {
     pub formats: FormatConfig,
     records: Vec<ColumnRecord>,
     timings: Vec<(String, Duration)>,
-    timing_nodes: Vec<Option<u32>>,
     capture: bool,
     captured: HashMap<String, Column>,
     cache_hits: usize,
@@ -459,7 +444,6 @@ impl ExecutionContext {
             formats,
             records: Vec::new(),
             timings: Vec::new(),
-            timing_nodes: Vec::new(),
             capture: false,
             captured: HashMap::new(),
             cache_hits: 0,
@@ -514,7 +498,6 @@ impl ExecutionContext {
             self.records.push(record);
         }
         self.timings.extend(node.timings);
-        self.timing_nodes.extend(node.timing_nodes);
         if self.capture {
             self.captured.extend(node.captured);
         }
@@ -536,15 +519,6 @@ impl ExecutionContext {
     /// All recorded operator timings, in execution order.
     pub fn timings(&self) -> &[(String, Duration)] {
         &self.timings
-    }
-
-    /// The stable plan-node index of each timing record, aligned with
-    /// [`ExecutionContext::timings`] — `None` for timings pushed before
-    /// [`NodeRecords::set_node`].  Spans and timings join on this channel
-    /// instead of matching label strings (the label sequences themselves
-    /// are part of the byte-identity contract and never change).
-    pub fn timing_node_ids(&self) -> &[Option<u32>] {
-        &self.timing_nodes
     }
 
     /// Total physical size of all recorded columns (bytes).
@@ -687,7 +661,6 @@ mod tests {
     fn execution_context_times_operators() {
         let mut ctx = ExecutionContext::default();
         let mut node = NodeRecords::new(false);
-        node.set_node(3);
         node.push_timing("op1", Duration::from_millis(2));
         node.push_timing("op2", Duration::from_millis(1));
         assert_eq!(node.last_duration(), Duration::from_millis(1));
@@ -695,6 +668,5 @@ mod tests {
         assert_eq!(ctx.timings().len(), 2);
         assert_eq!(ctx.total_runtime(), Duration::from_millis(3));
         assert_eq!(ctx.timings()[0].0, "op1");
-        assert_eq!(ctx.timing_node_ids(), &[Some(3), Some(3)]);
     }
 }

@@ -530,7 +530,7 @@ impl<'a> Run<'_, 'a> {
     /// identical names and timing label (the lookup time as duration); a
     /// miss runs the operator and finishes the node.
     fn execute_node(&self, idx: usize, source: &'a dyn ColumnSource) -> (Slot<'a>, NodeRecords) {
-        let mut records = self.records(idx);
+        let mut records = NodeRecords::new(self.capture);
         if let PlanOp::Scan { column } = &self.plan.nodes[idx].op {
             let base = source.column(column);
             records.record_base(column, base);
@@ -565,7 +565,7 @@ impl<'a> Run<'_, 'a> {
                 Partial::Sum(total) => Slot::Scalar(total),
                 Partial::Sized(size) => Slot::Fused(size),
             };
-            let mut records = self.records(member);
+            let mut records = NodeRecords::new(self.capture);
             let slot = self.finish(member, slot, elapsed, &mut records);
             self.publish(member, slot, records);
         }
@@ -613,12 +613,6 @@ impl<'a> Run<'_, 'a> {
         let cache = self.settings.cache.as_deref()?;
         let info = &self.cache_info.as_ref()?[idx];
         Some((cache, info.key?, &info.deps))
-    }
-
-    fn records(&self, idx: usize) -> NodeRecords {
-        let mut records = NodeRecords::new(self.capture);
-        records.set_node(idx);
-        records
     }
 
     /// Publish node `idx`'s result for its consumers and the final merge,

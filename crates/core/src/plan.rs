@@ -705,10 +705,9 @@ impl QueryPlan {
     /// outputs — but no formats, no settings and no data.
     ///
     /// Two constructions of the same plan produce the same fingerprint; any
-    /// differing step, parameter or edge produces a different one.  This is
-    /// the "plan shape" component of memoised format decisions
-    /// (`morph_cost`): strategy search runs once per plan shape and
-    /// statistics digest.
+    /// differing step, parameter or edge produces a different one.  A trace's
+    /// [`PlanTopology`](morph_telemetry::PlanTopology) carries it, so
+    /// [`QueryPlan::explain_analyze`] can flag a trace of another plan.
     pub fn structural_fingerprint(&self) -> CacheKey {
         let mut fp = Fingerprint::with_tag("morph-plan");
         fp.write_str(&self.label);

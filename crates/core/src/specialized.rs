@@ -115,32 +115,6 @@ pub fn agg_sum_on_static_bp(input: &Column) -> u64 {
     total
 }
 
-/// Count of the elements of an RLE-compressed column satisfying a predicate,
-/// computed directly on the runs (used by ablation benchmarks).
-pub fn count_matches_on_rle(op: CmpOp, input: &Column, constant: u64) -> u64 {
-    assert_eq!(
-        input.format(),
-        &Format::Rle,
-        "count_matches_on_rle requires RLE"
-    );
-    let mut count = 0u64;
-    rle::for_each_run(
-        input.main_part_bytes(),
-        input.main_part_len(),
-        &mut |value, run_len| {
-            if op.eval(value, constant) {
-                count += run_len;
-            }
-        },
-    );
-    for value in input.remainder_values() {
-        if op.eval(value, constant) {
-            count += 1;
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,17 +155,6 @@ mod tests {
         let expected: u64 = values.iter().sum();
         assert_eq!(sum_on_rle(&rle), expected);
         assert_eq!(agg_sum(&rle, &ExecSettings::default()), expected);
-    }
-
-    #[test]
-    fn count_matches_on_rle_matches_filter_length() {
-        let values = runny_values(10_000);
-        let rle = Column::compress(&values, &Format::Rle);
-        let selected = select_on_rle(CmpOp::Lt, &rle, 4, &Format::Uncompressed);
-        assert_eq!(
-            count_matches_on_rle(CmpOp::Lt, &rle, 4),
-            selected.logical_len() as u64
-        );
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! The paper's evaluation (Section 5.2, "Determining a good format
 //! combination") shows that a *gray-box* cost model — explicit modelling of
 //! the functional properties of the compression algorithms, parameterised by
-//! basic data characteristics such as the number of (distinct) data elements,
-//! the bit-width histogram and the sort order — can select per-column formats
-//! whose memory footprints are "virtually equal to the actual optimal ones"
-//! (Figure 10).  This crate provides:
+//! basic data characteristics — the paper names the number of (distinct) data
+//! elements, the bit-width histogram and the sort order — can select
+//! per-column formats whose memory footprints are "virtually equal to the
+//! actual optimal ones" (Figure 10).  This model reads the element count, the
+//! minimum and maximum, the run count, the bit-width histogram, the average
+//! delta bit width and the sort order; it keeps no distinct count, since no
+//! format here is a dictionary.  This crate provides:
 //!
 //! * [`model`] — per-format size estimation from
 //!   [`ColumnStats`](morph_storage::ColumnStats),
@@ -25,9 +28,8 @@ pub mod strategy;
 
 pub use model::{estimate_compressed_bytes, exact_compressed_bytes};
 pub use strategy::{
-    assignable_edge_names, cached_config_for_plan, cached_tuning_for_plan, cost_based_config,
-    exhaustive_config, greedy_runtime_search, static_bp_config, FormatSelectionStrategy,
-    PlanTuning, SelectionObjective,
+    cost_based_config, exhaustive_config, greedy_runtime_search, static_bp_config,
+    FormatSelectionStrategy, PlanTuning, SelectionObjective,
 };
 
 /// The data characteristics consumed by the cost model (re-exported from the

@@ -10,9 +10,8 @@
 //! the best/worst *runtime* combinations).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use morph_cache::{CachedValue, Fingerprint, FormatDecision, QueryCache};
 use morph_compression::Format;
 use morph_storage::{Column, ColumnStats};
 use morphstore_engine::exec::FormatConfig;
@@ -118,43 +117,26 @@ impl FormatSelectionStrategy {
         self.build_config(&relevant)
     }
 
-    /// Build a joint format + fan-out tuning for `plan`: the base decision
-    /// comes from [`FormatSelectionStrategy::build_config_for_plan`], then
-    /// every *interior* edge of a fused region is re-priced for
-    /// decode-stream speed ([`SelectionObjective::Runtime`]) — under fusion
-    /// those edges cost zero retained bytes, so footprint is the wrong
-    /// objective there while the fused loop still decodes them once if the
-    /// region demotes — and a `morsel_threshold` is derived from the fused
-    /// drivers' (or the largest captured edge's) length and the host core
-    /// count, so large single-region plans fan out across the pool.
-    ///
-    /// Fusion boundaries (the driver and root edges) keep the strategy's
-    /// own choice: they are materialised whether or not the region fuses.
+    /// Build a format + fan-out tuning for `plan`: the formats are
+    /// [`FormatSelectionStrategy::build_config_for_plan`]'s, and a
+    /// `morsel_threshold` is derived from the fused drivers' (or the largest
+    /// captured edge's) length and the host core count, so large
+    /// single-region plans fan out across the pool.
     pub fn build_tuning_for_plan(
         &self,
         plan: &QueryPlan,
         columns: &HashMap<String, Column>,
     ) -> PlanTuning {
-        let mut formats = self.build_config_for_plan(plan, columns);
         let summaries = FusionPlan::analyze(plan).region_summaries(plan);
-        for summary in &summaries {
-            for edge in &summary.interior_edges {
-                if let Some(column) = columns.get(edge) {
-                    let stats = ColumnStats::from_column(column);
-                    formats.insert(edge, cost_based_format(&stats, SelectionObjective::Runtime));
-                }
-            }
-        }
         PlanTuning {
-            formats,
+            formats: self.build_config_for_plan(plan, columns),
             morsel_threshold: morsel_threshold_for(&summaries, columns),
         }
     }
 }
 
-/// A joint format + parallelism decision for one plan: the per-edge format
-/// assignment and the morsel fan-out threshold, priced together with the
-/// plan's fused regions (see
+/// A format + parallelism decision for one plan: the per-edge format
+/// assignment and the morsel fan-out threshold (see
 /// [`FormatSelectionStrategy::build_tuning_for_plan`]).
 #[derive(Debug, Clone)]
 pub struct PlanTuning {
@@ -190,146 +172,6 @@ fn morsel_threshold_for(
         .map(|n| n.get())
         .unwrap_or(1);
     Some((fan_out_len / (2 * cores)).max(MIN_MORSEL_ROWS))
-}
-
-/// Build the format configuration a strategy chooses for `plan`, memoised
-/// in the plan-level `cache`: the decision is keyed by the plan's
-/// *structural fingerprint* (operators, parameters, wiring — see
-/// [`QueryPlan::structural_fingerprint`]), the strategy and a digest of the
-/// per-edge [`ColumnStats`], so the strategy search runs **once per plan
-/// shape** and is replayed for every later query with the same shape and
-/// data characteristics.
-///
-/// The memoised decision shares the cache's byte budget with subplan
-/// results; its eviction benefit is the measured duration of the search it
-/// saves.  Data characteristics are read through the columns' compute-once
-/// stats memo, so even the digest computation scans each column at most
-/// once per column lifetime.
-pub fn cached_config_for_plan(
-    cache: &QueryCache,
-    strategy: FormatSelectionStrategy,
-    plan: &QueryPlan,
-    columns: &HashMap<String, Column>,
-) -> FormatConfig {
-    let key = decision_key("morph-format-decision", strategy, plan, columns);
-    if let Some(CachedValue::Formats(decision)) = cache.lookup(&key) {
-        return config_from_decision(&decision);
-    }
-    let started = Instant::now();
-    let config = strategy.build_config_for_plan(plan, columns);
-    let elapsed = started.elapsed();
-    cache.insert(
-        key,
-        CachedValue::Formats(decision_from_config(&config)),
-        elapsed,
-        &[],
-    );
-    config
-}
-
-/// Build the joint format + fan-out tuning a strategy chooses for `plan`,
-/// memoised in the plan-level `cache` exactly like
-/// [`cached_config_for_plan`] — same structural-fingerprint and stats-digest
-/// key scheme, under its own `"morph-fusion-decision"` tag, so a plan shape
-/// prices its edge formats, fusion boundaries and `morsel_threshold`
-/// **once** and replays the decision for every later query with the same
-/// shape and data characteristics.
-pub fn cached_tuning_for_plan(
-    cache: &QueryCache,
-    strategy: FormatSelectionStrategy,
-    plan: &QueryPlan,
-    columns: &HashMap<String, Column>,
-) -> PlanTuning {
-    let key = decision_key("morph-fusion-decision", strategy, plan, columns);
-    if let Some(CachedValue::Tuning {
-        formats,
-        morsel_threshold,
-    }) = cache.lookup(&key)
-    {
-        return PlanTuning {
-            formats: config_from_decision(&formats),
-            morsel_threshold: morsel_threshold.map(|t| t as usize),
-        };
-    }
-    let started = Instant::now();
-    let tuning = strategy.build_tuning_for_plan(plan, columns);
-    let elapsed = started.elapsed();
-    cache.insert(
-        key,
-        CachedValue::Tuning {
-            formats: decision_from_config(&tuning.formats),
-            morsel_threshold: tuning.morsel_threshold.map(|t| t as u64),
-        },
-        elapsed,
-        &[],
-    );
-    tuning
-}
-
-/// The memoisation key of a per-plan decision: a namespace tag, the plan's
-/// structural fingerprint, the strategy, and a digest of the per-edge
-/// column statistics.  Only the plan's edges influence a decision (the
-/// builders filter to them), so only their statistics belong in the key —
-/// foreign columns in the map must neither perturb the key nor be scanned
-/// for a digest.
-fn decision_key(
-    tag: &str,
-    strategy: FormatSelectionStrategy,
-    plan: &QueryPlan,
-    columns: &HashMap<String, Column>,
-) -> morph_cache::CacheKey {
-    let mut fp = Fingerprint::with_tag(tag);
-    fp.write_key(plan.structural_fingerprint());
-    fp.write_str(strategy.label());
-    let edge_names: std::collections::HashSet<String> =
-        plan.edges().into_iter().map(|edge| edge.name).collect();
-    let mut names: Vec<&String> = columns
-        .keys()
-        .filter(|name| edge_names.contains(*name))
-        .collect();
-    names.sort_unstable();
-    for name in names {
-        fp.write_str(name);
-        fp.write_u64(columns[name].stats().digest());
-    }
-    fp.finish()
-}
-
-/// Rehydrate a [`FormatConfig`] from its cached image.
-fn config_from_decision(decision: &FormatDecision) -> FormatConfig {
-    let mut config = match decision.default {
-        Some(format) => FormatConfig::with_default(format),
-        None => FormatConfig::default(),
-    };
-    for (name, format) in &decision.per_column {
-        config.insert(name, *format);
-    }
-    config
-}
-
-/// The cacheable image of a [`FormatConfig`] (canonically sorted).
-fn decision_from_config(config: &FormatConfig) -> FormatDecision {
-    let mut per_column: Vec<(String, Format)> = config
-        .explicit_columns()
-        .map(|name| {
-            (
-                name.to_string(),
-                config.format_for(name, Format::Uncompressed),
-            )
-        })
-        .collect();
-    per_column.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    FormatDecision {
-        default: config.default_format(),
-        per_column,
-    }
-}
-
-/// The names a selection strategy may assign a format to for `plan`: one per
-/// plan edge (base columns by their bare name, intermediates by their
-/// prefixed `"<label>/<step>"` name).
-pub fn assignable_edge_names(plan: &QueryPlan) -> Vec<String> {
-    plan.edges().into_iter().map(|edge| edge.name).collect()
 }
 
 /// Static BP with each column's own maximum bit width.
@@ -577,10 +419,8 @@ mod tests {
         let pos = p.select("pos", x, CmpOp::Lt, 100);
         let total = p.agg_sum("total", pos);
         let plan = p.finish_scalar(total);
-        assert_eq!(
-            assignable_edge_names(&plan),
-            vec!["x".to_string(), "q/pos".to_string()]
-        );
+        let edge_names: Vec<String> = plan.edges().into_iter().map(|edge| edge.name).collect();
+        assert_eq!(edge_names, vec!["x".to_string(), "q/pos".to_string()]);
         let mut columns = HashMap::new();
         columns.insert(
             "x".to_string(),
@@ -601,71 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_decision_replays_the_strategy_search() {
-        use morphstore_engine::plan::PlanBuilder;
-        use morphstore_engine::CmpOp;
-        let plan = {
-            let mut p = PlanBuilder::new("q");
-            let x = p.scan("x");
-            let pos = p.select("pos", x, CmpOp::Lt, 100);
-            let total = p.agg_sum("total", pos);
-            p.finish_scalar(total)
-        };
-        let mut columns = HashMap::new();
-        columns.insert(
-            "x".to_string(),
-            Column::from_slice(&(0..5000u64).collect::<Vec<_>>()),
-        );
-        columns.insert(
-            "q/pos".to_string(),
-            Column::from_slice(&(0..100u64).collect::<Vec<_>>()),
-        );
-        let cache = QueryCache::unbounded();
-        let strategy = FormatSelectionStrategy::CostBased;
-        let fresh = strategy.build_config_for_plan(&plan, &columns);
-        let cold = cached_config_for_plan(&cache, strategy, &plan, &columns);
-        assert_eq!(cache.stats().insertions, 1);
-        let warm = cached_config_for_plan(&cache, strategy, &plan, &columns);
-        assert_eq!(cache.stats().hits, 1);
-        for name in ["x", "q/pos", "unassigned"] {
-            assert_eq!(
-                warm.format_for(name, Format::Uncompressed),
-                cold.format_for(name, Format::Uncompressed),
-                "{name}"
-            );
-            assert_eq!(
-                warm.format_for(name, Format::Uncompressed),
-                fresh.format_for(name, Format::Uncompressed),
-                "{name}"
-            );
-        }
-        // Foreign (non-edge) columns in the map neither perturb the key
-        // nor trigger a new search.
-        columns.insert("unrelated".to_string(), Column::from_slice(&[1, 2, 3]));
-        cached_config_for_plan(&cache, strategy, &plan, &columns);
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.stats().insertions, 1);
-        columns.remove("unrelated");
-        // Different data characteristics produce a different key: the
-        // search runs again instead of replaying a stale decision.
-        columns.insert(
-            "q/pos".to_string(),
-            Column::from_slice(&(0..5000u64).map(|i| i * 1_000_000).collect::<Vec<_>>()),
-        );
-        cached_config_for_plan(&cache, strategy, &plan, &columns);
-        assert_eq!(cache.stats().insertions, 2);
-        // A different strategy misses as well.
-        cached_config_for_plan(
-            &cache,
-            FormatSelectionStrategy::AllStaticBp,
-            &plan,
-            &columns,
-        );
-        assert_eq!(cache.stats().insertions, 3);
-    }
-
-    #[test]
-    fn tuning_reprices_fused_interiors_for_decode_speed() {
+    fn tuning_keeps_the_strategy_formats_and_fans_out_large_drivers() {
         use morphstore_engine::plan::PlanBuilder;
         use morphstore_engine::CmpOp;
         // scan → select → agg: the select is the fused interior, the scan
@@ -686,28 +462,23 @@ mod tests {
             "q/pos".to_string(),
             Column::from_slice(&(0..2_000u64).map(|i| i * 10).collect::<Vec<_>>()),
         );
-        let strategy = FormatSelectionStrategy::AllUncompressed;
-        // The plain decision leaves every edge uncompressed...
-        let plain = strategy.build_config_for_plan(&plan, &columns);
-        assert_eq!(
-            plain.format_for("q/pos", Format::Uncompressed),
-            Format::Uncompressed
-        );
-        // ...but the tuning re-prices the interior edge for decode-stream
-        // speed (its retained footprint is zero under fusion), while the
-        // driver — a fusion boundary — keeps the strategy's own choice.
-        let tuning = strategy.build_tuning_for_plan(&plan, &columns);
-        let interior = tuning.formats.format_for("q/pos", Format::Uncompressed);
-        assert_ne!(interior, Format::Uncompressed);
-        assert_ne!(interior, Format::Rle, "runtime objective avoids RLE here");
-        assert_eq!(
-            tuning.formats.format_for("x", Format::Uncompressed),
-            Format::Uncompressed
-        );
-        // The 20k-row prefix-independent driver is big enough to fan out.
-        let threshold = tuning.morsel_threshold.expect("fan-out priced in");
-        assert!(threshold >= 4096);
-        assert!(threshold <= 20_000);
+        for strategy in FormatSelectionStrategy::all() {
+            let config = strategy.build_config_for_plan(&plan, &columns);
+            let tuning = strategy.build_tuning_for_plan(&plan, &columns);
+            for edge in plan.edges() {
+                assert_eq!(
+                    tuning.formats.format_for(&edge.name, Format::Uncompressed),
+                    config.format_for(&edge.name, Format::Uncompressed),
+                    "{} on {}",
+                    strategy.label(),
+                    edge.name
+                );
+            }
+            // The 20k-row prefix-independent driver is big enough to fan out.
+            let threshold = tuning.morsel_threshold.expect("fan-out priced in");
+            assert!(threshold >= 4096);
+            assert!(threshold <= 20_000);
+        }
     }
 
     #[test]
@@ -728,46 +499,5 @@ mod tests {
         );
         let tuning = FormatSelectionStrategy::CostBased.build_tuning_for_plan(&plan, &columns);
         assert_eq!(tuning.morsel_threshold, None);
-    }
-
-    #[test]
-    fn cached_tuning_replays_and_does_not_collide_with_format_decisions() {
-        use morphstore_engine::plan::PlanBuilder;
-        use morphstore_engine::CmpOp;
-        let plan = {
-            let mut p = PlanBuilder::new("q");
-            let x = p.scan("x");
-            let pos = p.select("pos", x, CmpOp::Lt, 100);
-            let total = p.agg_sum("total", pos);
-            p.finish_scalar(total)
-        };
-        let mut columns = HashMap::new();
-        columns.insert(
-            "x".to_string(),
-            Column::from_slice(&(0..20_000u64).map(|i| i % 977).collect::<Vec<_>>()),
-        );
-        columns.insert(
-            "q/pos".to_string(),
-            Column::from_slice(&(0..2_000u64).map(|i| i * 10).collect::<Vec<_>>()),
-        );
-        let cache = QueryCache::unbounded();
-        let strategy = FormatSelectionStrategy::CostBased;
-        let cold = cached_tuning_for_plan(&cache, strategy, &plan, &columns);
-        assert_eq!(cache.stats().insertions, 1);
-        let warm = cached_tuning_for_plan(&cache, strategy, &plan, &columns);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(warm.morsel_threshold, cold.morsel_threshold);
-        for name in ["x", "q/pos", "unassigned"] {
-            assert_eq!(
-                warm.formats.format_for(name, Format::Uncompressed),
-                cold.formats.format_for(name, Format::Uncompressed),
-                "{name}"
-            );
-        }
-        // The tuning tag and the plain format-decision tag never collide:
-        // the same plan/strategy/stats memoise as two separate entries.
-        cached_config_for_plan(&cache, strategy, &plan, &columns);
-        assert_eq!(cache.stats().insertions, 2);
-        assert_eq!(cache.stats().hits, 1);
     }
 }

@@ -1378,7 +1378,7 @@ mod tests {
         let stats = server.stats();
         let shard = &stats.tenants[0];
         // Impossible thresholds: every subplan result is skipped, so the
-        // warm rerun cannot hit (format decisions may still be cached).
+        // warm rerun cannot hit.
         assert!(
             shard.cache.admission_skipped > 0,
             "thresholds not applied: {shard:?}"

@@ -403,9 +403,9 @@ impl Column {
 
     /// The column's data characteristics, computed once and memoised.
     ///
-    /// Repeated cost-strategy and cache-digest calls on the same column
-    /// (the format-selection search touches every edge several times) hit
-    /// the memo instead of rescanning the data; the memo travels with
+    /// Repeated cost-strategy calls on the same column (the
+    /// format-selection search touches every edge several times) hit the
+    /// memo instead of rescanning the data; the memo travels with
     /// clones of the column.  The first call streams the column chunk by
     /// chunk — it is never decompressed as a whole (DP3).
     pub fn stats(&self) -> &ColumnStats {

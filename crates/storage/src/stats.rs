@@ -99,26 +99,6 @@ impl ColumnStats {
         column.stats().clone()
     }
 
-    /// A 64-bit digest of the statistics, used by the plan-level cache to
-    /// key memoised format decisions: two columns with equal statistics get
-    /// equal digests, and any differing field changes the digest.
-    pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x100000001B3;
-        let mut state: u64 = 0xCBF29CE484222325;
-        let mut mix = |word: u64| state = (state ^ word).wrapping_mul(PRIME);
-        mix(self.len as u64);
-        mix(self.min);
-        mix(self.max);
-        mix(self.sorted as u64);
-        mix(self.runs as u64);
-        for &count in &self.bit_width_histogram {
-            mix(count as u64);
-        }
-        mix(self.avg_delta_bit_width.to_bits());
-        mix(self.range_bit_width as u64);
-        state
-    }
-
     /// Effective bit width of the largest value.
     pub fn max_bit_width(&self) -> u8 {
         bitpack::bit_width_of(self.max)
@@ -233,7 +213,6 @@ mod tests {
                     streamed.avg_delta_bit_width.to_bits(),
                     expected.avg_delta_bit_width.to_bits()
                 );
-                assert_eq!(streamed.digest(), expected.digest(), "{format}");
             }
         }
     }
@@ -314,15 +293,6 @@ mod tests {
         let clone = column.clone();
         assert_eq!(clone.stats(), column.stats());
         assert_eq!(clone, column, "memo state must not affect equality");
-    }
-
-    #[test]
-    fn digest_distinguishes_differing_stats() {
-        let a = ColumnStats::from_values(&[1, 2, 3, 4]);
-        let b = ColumnStats::from_values(&[1, 2, 3, 5]);
-        let c = ColumnStats::from_values(&[1, 2, 3, 4]);
-        assert_eq!(a.digest(), c.digest());
-        assert_ne!(a.digest(), b.digest());
     }
 
     #[test]

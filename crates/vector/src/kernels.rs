@@ -1,5 +1,7 @@
-//! Generic vectorised kernels shared by compression routines and query
-//! operators.
+//! The generic vectorised kernels the engine's operators run: `select`
+//! filters with [`filter_positions`], `agg` reduces with [`sum`] and [`max`],
+//! and `calc` combines with [`binary_op`].  [`min`] completes the reductions;
+//! no operator calls it yet.
 //!
 //! Every kernel is generic over a [`VectorExtension`] backend, so each call
 //! site chooses between scalar and vectorised processing by a type parameter
@@ -46,35 +48,6 @@ pub fn max<V: VectorExtension>(data: &[u64]) -> u64 {
     result
 }
 
-/// Bitwise OR of all elements of `data`; `0` for an empty slice.
-///
-/// The OR of a block is enough to determine its effective bit width, which is
-/// what the bit-packing compressors need (`64 - or.leading_zeros()`).
-pub fn bit_or<V: VectorExtension>(data: &[u64]) -> u64 {
-    let lanes = V::LANES;
-    let chunks = data.len() / lanes;
-    let mut acc = V::set1(0);
-    for c in 0..chunks {
-        let reg = V::load(&data[c * lanes..]);
-        acc = V::or(acc, reg);
-    }
-    let mut result = V::hor(acc);
-    for &value in &data[chunks * lanes..] {
-        result |= value;
-    }
-    result
-}
-
-/// Effective bit width of the largest value in `data` (at least 1, at most 64).
-pub fn effective_bit_width<V: VectorExtension>(data: &[u64]) -> u8 {
-    let or = bit_or::<V>(data);
-    if or == 0 {
-        1
-    } else {
-        (64 - or.leading_zeros()) as u8
-    }
-}
-
 /// Scan `data` with `op(value, constant)` and append the positions of the
 /// matching elements (offset by `base_pos`) to `out`.
 ///
@@ -111,23 +84,6 @@ pub fn filter_positions<V: VectorExtension>(
             out.push(base_pos + (chunks * lanes + offset) as u64);
         }
     }
-}
-
-/// Count how many elements of `data` satisfy `op(value, constant)`.
-pub fn count_matches<V: VectorExtension>(op: VecCmp, data: &[u64], constant: u64) -> usize {
-    let lanes = V::LANES;
-    let chunks = data.len() / lanes;
-    let constant_reg = V::set1(constant);
-    let mut count = 0usize;
-    for c in 0..chunks {
-        let reg = V::load(&data[c * lanes..]);
-        let mask = V::cmp(op, reg, constant_reg);
-        count += V::mask_count(mask);
-    }
-    for &value in &data[chunks * lanes..] {
-        count += op.eval(value, constant) as usize;
-    }
-    count
 }
 
 /// Element-wise binary operation applied to two equally long slices.
@@ -183,70 +139,6 @@ pub fn binary_op<V: VectorExtension>(op: BinaryOp, lhs: &[u64], rhs: &[u64], out
             BinaryOp::Mul => lhs[i].wrapping_mul(rhs[i]),
         };
         out.push(value);
-    }
-}
-
-/// Compute the deltas `data[i] - data[i-1]` (the first delta is relative to
-/// `previous`), appending them to `out`.  Used by the DELTA compression.
-pub fn delta_encode<V: VectorExtension>(data: &[u64], previous: u64, out: &mut Vec<u64>) {
-    out.reserve(data.len());
-    let mut prev = previous;
-    // Delta encoding carries a loop dependency, so the vector backends cannot
-    // beat a scalar loop here without a shuffle network; we keep a plain loop
-    // which the compiler unrolls.  The backend parameter is retained for
-    // interface symmetry with `delta_decode`.
-    let _ = V::LANES;
-    for &value in data {
-        out.push(value.wrapping_sub(prev));
-        prev = value;
-    }
-}
-
-/// Invert [`delta_encode`]: compute the prefix sums of `deltas` starting from
-/// `previous`, appending the reconstructed values to `out`.  Returns the last
-/// reconstructed value (the new `previous`).
-pub fn delta_decode<V: VectorExtension>(deltas: &[u64], previous: u64, out: &mut Vec<u64>) -> u64 {
-    out.reserve(deltas.len());
-    let mut prev = previous;
-    let _ = V::LANES;
-    for &delta in deltas {
-        prev = prev.wrapping_add(delta);
-        out.push(prev);
-    }
-    prev
-}
-
-/// Subtract `reference` from every element (frame-of-reference encoding).
-pub fn for_encode<V: VectorExtension>(data: &[u64], reference: u64, out: &mut Vec<u64>) {
-    let lanes = V::LANES;
-    let chunks = data.len() / lanes;
-    out.reserve(data.len());
-    let reference_reg = V::set1(reference);
-    let mut scratch = vec![0u64; lanes];
-    for c in 0..chunks {
-        let reg = V::load(&data[c * lanes..]);
-        V::store(&mut scratch, V::sub(reg, reference_reg));
-        out.extend_from_slice(&scratch);
-    }
-    for &value in &data[chunks * lanes..] {
-        out.push(value.wrapping_sub(reference));
-    }
-}
-
-/// Add `reference` to every element (frame-of-reference decoding).
-pub fn for_decode<V: VectorExtension>(data: &[u64], reference: u64, out: &mut Vec<u64>) {
-    let lanes = V::LANES;
-    let chunks = data.len() / lanes;
-    out.reserve(data.len());
-    let reference_reg = V::set1(reference);
-    let mut scratch = vec![0u64; lanes];
-    for c in 0..chunks {
-        let reg = V::load(&data[c * lanes..]);
-        V::store(&mut scratch, V::add(reg, reference_reg));
-        out.extend_from_slice(&scratch);
-    }
-    for &value in &data[chunks * lanes..] {
-        out.push(value.wrapping_add(reference));
     }
 }
 
@@ -318,16 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_bit_width_examples() {
-        assert_eq!(effective_bit_width::<Scalar>(&[]), 1);
-        assert_eq!(effective_bit_width::<Scalar>(&[0, 0, 0]), 1);
-        assert_eq!(effective_bit_width::<V512>(&[1, 2, 3]), 2);
-        assert_eq!(effective_bit_width::<V512>(&[255; 100]), 8);
-        assert_eq!(effective_bit_width::<V512>(&[u64::MAX]), 64);
-        assert_eq!(effective_bit_width::<V256>(&[0, 0, 1 << 47]), 48);
-    }
-
-    #[test]
     fn filter_positions_matches_reference_for_all_ops_and_backends() {
         let data = test_data(517);
         let constant = 5000;
@@ -351,17 +233,6 @@ mod tests {
             let mut wide_out = Vec::new();
             filter_positions::<V512>(op, &data, constant, 100, &mut wide_out);
             assert_eq!(wide_out, reference, "v512 {op:?}");
-        }
-    }
-
-    #[test]
-    fn count_matches_agrees_with_filter() {
-        let data = test_data(777);
-        for op in [VecCmp::Lt, VecCmp::Eq, VecCmp::Ge] {
-            let mut positions = Vec::new();
-            filter_positions::<V512>(op, &data, 4000, 0, &mut positions);
-            assert_eq!(count_matches::<V512>(op, &data, 4000), positions.len());
-            assert_eq!(count_matches::<Scalar>(op, &data, 4000), positions.len());
         }
     }
 
@@ -391,37 +262,5 @@ mod tests {
     fn binary_op_rejects_length_mismatch() {
         let mut out = Vec::new();
         binary_op::<Scalar>(BinaryOp::Add, &[1, 2, 3], &[1, 2], &mut out);
-    }
-
-    #[test]
-    fn delta_roundtrip() {
-        let data: Vec<u64> = (0..500).map(|i| i * 3 + (i % 7)).collect();
-        let mut deltas = Vec::new();
-        delta_encode::<V512>(&data, 0, &mut deltas);
-        let mut restored = Vec::new();
-        let last = delta_decode::<V512>(&deltas, 0, &mut restored);
-        assert_eq!(restored, data);
-        assert_eq!(last, *data.last().unwrap());
-    }
-
-    #[test]
-    fn delta_handles_unsorted_data_via_wrapping() {
-        let data = vec![10, 3, 900, 0, u64::MAX, 17];
-        let mut deltas = Vec::new();
-        delta_encode::<Scalar>(&data, 0, &mut deltas);
-        let mut restored = Vec::new();
-        delta_decode::<Scalar>(&deltas, 0, &mut restored);
-        assert_eq!(restored, data);
-    }
-
-    #[test]
-    fn for_roundtrip() {
-        let data: Vec<u64> = (0..300).map(|i| 1_000_000 + i * 13).collect();
-        let mut encoded = Vec::new();
-        for_encode::<V256>(&data, 1_000_000, &mut encoded);
-        assert!(encoded.iter().all(|&v| v < 4000));
-        let mut decoded = Vec::new();
-        for_decode::<V256>(&encoded, 1_000_000, &mut decoded);
-        assert_eq!(decoded, data);
     }
 }

@@ -21,9 +21,9 @@
 //!   run time via feature detection, used by a few hot loops (comparison
 //!   scans, horizontal sums).  All of them have portable fallbacks.
 //!
-//! Generic kernels that operators and compression routines share (filtering a
-//! slice into a position list, horizontal sums, delta encoding, …) live in
-//! [`kernels`] and are generic over the backend.  The integer key tables the
+//! The kernels the engine's operators run (filtering a slice into a position
+//! list, sums and maxima, element-wise arithmetic) live in [`kernels`] and
+//! are generic over the backend.  The integer key tables the
 //! join operators build and probe ([`keys::KeySet`], [`keys::KeyIndex`]) live
 //! in [`keys`].
 //!
@@ -154,21 +154,6 @@ pub trait VectorExtension: Copy + Default + 'static {
     /// Lane-wise wrapping multiplication.
     fn mul(a: Self::Reg, b: Self::Reg) -> Self::Reg;
 
-    /// Lane-wise bitwise and.
-    fn and(a: Self::Reg, b: Self::Reg) -> Self::Reg;
-
-    /// Lane-wise bitwise or.
-    fn or(a: Self::Reg, b: Self::Reg) -> Self::Reg;
-
-    /// Lane-wise bitwise xor.
-    fn xor(a: Self::Reg, b: Self::Reg) -> Self::Reg;
-
-    /// Lane-wise logical shift left by a per-call constant amount.
-    fn shl(a: Self::Reg, amount: u32) -> Self::Reg;
-
-    /// Lane-wise logical shift right by a per-call constant amount.
-    fn shr(a: Self::Reg, amount: u32) -> Self::Reg;
-
     /// Lane-wise minimum.
     fn min(a: Self::Reg, b: Self::Reg) -> Self::Reg;
 
@@ -185,10 +170,6 @@ pub trait VectorExtension: Copy + Default + 'static {
     /// Horizontal maximum of all lanes.
     fn hmax(a: Self::Reg) -> u64;
 
-    /// Horizontal bitwise or of all lanes (useful for computing effective bit
-    /// widths of a block in one pass).
-    fn hor(a: Self::Reg) -> u64;
-
     /// Store only the lanes whose mask bit is set, compacted to the front of
     /// `dst`.  Returns the number of lanes written.  `dst` must have room for
     /// [`Self::LANES`] values.
@@ -196,17 +177,6 @@ pub trait VectorExtension: Copy + Default + 'static {
 
     /// Extract lane `idx`.
     fn extract(reg: Self::Reg, idx: usize) -> u64;
-
-    /// Number of mask bits set among the low [`Self::LANES`] bits.
-    #[inline(always)]
-    fn mask_count(mask: u64) -> usize {
-        let lane_mask = if Self::LANES >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << Self::LANES) - 1
-        };
-        (mask & lane_mask).count_ones() as usize
-    }
 }
 
 #[cfg(test)]

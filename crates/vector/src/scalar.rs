@@ -52,39 +52,6 @@ impl VectorExtension for Scalar {
     }
 
     #[inline(always)]
-    fn and(a: u64, b: u64) -> u64 {
-        a & b
-    }
-
-    #[inline(always)]
-    fn or(a: u64, b: u64) -> u64 {
-        a | b
-    }
-
-    #[inline(always)]
-    fn xor(a: u64, b: u64) -> u64 {
-        a ^ b
-    }
-
-    #[inline(always)]
-    fn shl(a: u64, amount: u32) -> u64 {
-        if amount >= 64 {
-            0
-        } else {
-            a << amount
-        }
-    }
-
-    #[inline(always)]
-    fn shr(a: u64, amount: u32) -> u64 {
-        if amount >= 64 {
-            0
-        } else {
-            a >> amount
-        }
-    }
-
-    #[inline(always)]
     fn min(a: u64, b: u64) -> u64 {
         a.min(b)
     }
@@ -106,11 +73,6 @@ impl VectorExtension for Scalar {
 
     #[inline(always)]
     fn hmax(a: u64) -> u64 {
-        a
-    }
-
-    #[inline(always)]
-    fn hor(a: u64) -> u64 {
         a
     }
 
@@ -140,19 +102,8 @@ mod tests {
         assert_eq!(Scalar::add(3, 4), 7);
         assert_eq!(Scalar::sub(3, 4), u64::MAX);
         assert_eq!(Scalar::mul(3, 4), 12);
-        assert_eq!(Scalar::and(0b1100, 0b1010), 0b1000);
-        assert_eq!(Scalar::or(0b1100, 0b1010), 0b1110);
-        assert_eq!(Scalar::xor(0b1100, 0b1010), 0b0110);
         assert_eq!(Scalar::min(3, 4), 3);
         assert_eq!(Scalar::max(3, 4), 4);
-    }
-
-    #[test]
-    fn scalar_shifts_saturate_at_width() {
-        assert_eq!(Scalar::shl(1, 3), 8);
-        assert_eq!(Scalar::shl(1, 64), 0);
-        assert_eq!(Scalar::shr(8, 3), 1);
-        assert_eq!(Scalar::shr(8, 64), 0);
     }
 
     #[test]
@@ -160,15 +111,12 @@ mod tests {
         assert_eq!(Scalar::cmp(VecCmp::Eq, 5, 5), 1);
         assert_eq!(Scalar::cmp(VecCmp::Eq, 5, 6), 0);
         assert_eq!(Scalar::cmp(VecCmp::Lt, 5, 6), 1);
-        assert_eq!(Scalar::mask_count(1), 1);
-        assert_eq!(Scalar::mask_count(0), 0);
     }
 
     #[test]
     fn scalar_horizontal_ops_are_identity() {
         assert_eq!(Scalar::hadd(42), 42);
         assert_eq!(Scalar::hmax(42), 42);
-        assert_eq!(Scalar::hor(42), 42);
         assert_eq!(Scalar::extract(42, 0), 42);
     }
 

@@ -1,4 +1,4 @@
-//! Overflow-edge property tests for the `calc` arithmetic kernels.
+//! Overflow-edge property tests for the kernels the engine runs.
 //!
 //! The [`morph_vector::kernels::BinaryOp`] contract is wrapping (mod 2^64)
 //! arithmetic on *every* backend — scalar, the emulated wide registers and
@@ -6,31 +6,57 @@
 //! that used plain `+`/`*` would debug-panic (or, worse, diverge) exactly
 //! on the overflow edges, so the generator here deliberately concentrates
 //! values around `u64::MAX`, `2^63` and other carry boundaries.
+//!
+//! The comparisons are unsigned on every backend; the AVX2 filter gets
+//! there by biasing both sides into a signed compare, which only values at
+//! or above `2^63` can tell apart from a plain signed compare.
 
 use morph_vector::emu::{V128, V256, V512};
 use morph_vector::kernels::{self, BinaryOp};
 use morph_vector::scalar::Scalar;
+use morph_vector::{VecCmp, VectorExtension};
 use proptest::prelude::*;
 
-/// Values clustered on the overflow edges: all-ones, the sign boundary,
+/// A value clustered on the overflow edges: all-ones, the sign boundary,
 /// single-bit values and small offsets from each.
+fn edge_value() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(1u64),
+        Just(u64::MAX),
+        Just(u64::MAX - 1),
+        Just(1u64 << 63),
+        Just((1u64 << 63) - 1),
+        Just(1u64 << 32),
+        Just((1u64 << 32) - 1),
+        any::<u64>(),
+        (0u64..16).prop_map(|d| u64::MAX - d),
+        (0u64..16).prop_map(|d| (1u64 << 63).wrapping_add(d)),
+    ]
+}
+
 fn edge_values(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(
-        prop_oneof![
-            Just(0u64),
-            Just(1u64),
-            Just(u64::MAX),
-            Just(u64::MAX - 1),
-            Just(1u64 << 63),
-            Just((1u64 << 63) - 1),
-            Just(1u64 << 32),
-            Just((1u64 << 32) - 1),
-            any::<u64>(),
-            (0u64..16).prop_map(|d| u64::MAX - d),
-            (0u64..16).prop_map(|d| (1u64 << 63).wrapping_add(d)),
-        ],
-        len,
-    )
+    prop::collection::vec(edge_value(), len)
+}
+
+const CMP_OPS: [VecCmp; 6] = [
+    VecCmp::Eq,
+    VecCmp::Ne,
+    VecCmp::Lt,
+    VecCmp::Le,
+    VecCmp::Gt,
+    VecCmp::Ge,
+];
+
+fn filter_with<V: VectorExtension>(
+    op: VecCmp,
+    values: &[u64],
+    constant: u64,
+    base_pos: u64,
+) -> Vec<u64> {
+    let mut out = Vec::new();
+    kernels::filter_positions::<V>(op, values, constant, base_pos, &mut out);
+    out
 }
 
 fn reference(op: BinaryOp, lhs: &[u64], rhs: &[u64]) -> Vec<u64> {
@@ -86,6 +112,43 @@ proptest! {
         prop_assert_eq!(kernels::sum::<V128>(&values), expected);
         prop_assert_eq!(kernels::sum::<V256>(&values), expected);
         prop_assert_eq!(kernels::sum::<V512>(&values), expected);
+    }
+
+    #[test]
+    fn comparisons_and_reductions_agree_on_every_backend(
+        values in edge_values(0..300),
+        constant in edge_value(),
+        // At most 300 positions follow `base_pos`, so none overflows.
+        base_pos in edge_value().prop_map(|v| v.min(u64::MAX - 300)),
+    ) {
+        for op in CMP_OPS {
+            let expected: Vec<u64> = values
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| op.eval(v, constant))
+                .map(|(i, _)| base_pos + i as u64)
+                .collect();
+            // V256/V512 take the AVX2 filter when the host supports it.
+            let scalar = filter_with::<Scalar>(op, &values, constant, base_pos);
+            prop_assert_eq!(&scalar, &expected, "scalar {:?}", op);
+            let v128 = filter_with::<V128>(op, &values, constant, base_pos);
+            prop_assert_eq!(&v128, &expected, "v128 {:?}", op);
+            let v256 = filter_with::<V256>(op, &values, constant, base_pos);
+            prop_assert_eq!(&v256, &expected, "v256 {:?}", op);
+            let v512 = filter_with::<V512>(op, &values, constant, base_pos);
+            prop_assert_eq!(&v512, &expected, "v512 {:?}", op);
+        }
+        // `sum` on this distribution is `sums_wrap_identically_on_every_backend`.
+        let max = values.iter().copied().max().unwrap_or(0);
+        prop_assert_eq!(kernels::max::<Scalar>(&values), max);
+        prop_assert_eq!(kernels::max::<V128>(&values), max);
+        prop_assert_eq!(kernels::max::<V256>(&values), max);
+        prop_assert_eq!(kernels::max::<V512>(&values), max);
+        let min = values.iter().copied().min().unwrap_or(u64::MAX);
+        prop_assert_eq!(kernels::min::<Scalar>(&values), min);
+        prop_assert_eq!(kernels::min::<V128>(&values), min);
+        prop_assert_eq!(kernels::min::<V256>(&values), min);
+        prop_assert_eq!(kernels::min::<V512>(&values), min);
     }
 }
 
