@@ -10,6 +10,13 @@
 //! `b % 8` of byte `b / 8`.  When the number of packed values is a multiple
 //! of 64 the stream is a whole number of 64-bit words, which is how the
 //! formats use it (their block sizes are multiples of 64).
+//!
+//! [`unpack_into`], the decode under every bit-packed cursor, runs in two
+//! steps: the AVX2 kernel of `morph_vector::x86` unpacks the longest prefix
+//! of whole 8-value groups whose 8-byte reads stay inside the payload
+//! (widths up to 57, where the CPU has AVX2), and the scalar bit walker
+//! decodes the rest from the byte-aligned offset where the prefix stopped.
+//! Packing is scalar.
 
 /// Number of bytes needed to pack `count` values of `width` bits.
 #[inline]
@@ -89,20 +96,15 @@ pub fn pack_into(values: &[u64], width: u8, out: &mut Vec<u8>) {
 }
 
 /// Walk `count` values of `width` bits each from `bytes`, invoking
-/// `consumer` once per decoded value — the single copy of the bit-stream
-/// traversal that [`unpack_into`], [`sum_packed`] and the DELTA / FOR
-/// decoders specialise (monomorphised per consumer, so there is no
-/// per-value indirection).
+/// `consumer` once per decoded value — the single copy of the scalar
+/// bit-stream traversal, behind [`sum_packed`] and the tail of
+/// [`unpack_into`] (monomorphised per consumer, so there is no per-value
+/// indirection).
 ///
 /// # Panics
 /// Panics if `bytes` is too short for `count` values of the given width.
 #[inline]
-pub(crate) fn for_each_packed_value(
-    bytes: &[u8],
-    width: u8,
-    count: usize,
-    consumer: &mut impl FnMut(u64),
-) {
+fn for_each_packed_value(bytes: &[u8], width: u8, count: usize, consumer: &mut impl FnMut(u64)) {
     assert!((1..=64).contains(&width), "bit width must be in 1..=64");
     let needed = packed_size_bytes(count, width);
     assert!(
@@ -147,13 +149,18 @@ pub(crate) fn for_each_packed_value(
 }
 
 /// Unpack `count` values of `width` bits each from `bytes`, appending them to
-/// `out`.
+/// `out`: a vectorised prefix of whole 8-value groups
+/// ([`morph_vector::x86::try_unpack`]), then the scalar walker from the
+/// byte where the prefix ended.
 ///
 /// # Panics
 /// Panics if `bytes` is too short for `count` values of the given width.
 pub fn unpack_into(bytes: &[u8], width: u8, count: usize, out: &mut Vec<u64>) {
     out.reserve(count);
-    for_each_packed_value(bytes, width, count, &mut |value| out.push(value));
+    let done = morph_vector::x86::try_unpack(bytes, width, count, out);
+    // `done` is a multiple of 8, so the prefix ends on a byte boundary.
+    let rest = &bytes[done / 8 * width as usize..];
+    for_each_packed_value(rest, width, count - done, &mut |value| out.push(value));
 }
 
 /// Wrapping sum of `count` values of `width` bits each, read directly from
@@ -352,6 +359,37 @@ mod tests {
             for idx in (0..count).filter(|&i| i * width as usize / 8 >= tail_start) {
                 proptest::prop_assert_eq!(get_packed_window(&packed, width, idx), values[idx]);
                 proptest::prop_assert_eq!(get_packed(&packed, width, idx), values[idx]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        // The vectorised prefix of `unpack_into` plus its scalar tail
+        // decode exactly what the scalar walker alone decodes, for every
+        // width (the AVX2 kernel takes 1..=57, the walker the rest) and for
+        // counts around the 8-value group and the block sizes, with the
+        // payload cut at its packed size so the prefix's last 8-byte reads
+        // sit right at the slice's end.
+        #[test]
+        fn unpack_into_equals_the_scalar_walker(seed in proptest::any::<u64>()) {
+            for width in 1..=64u8 {
+                let mask = max_value_for_width(width);
+                for count in [0usize, 1, 7, 8, 9, 511, 512, 2047, 2048, 2049] {
+                    let values: Vec<u64> = (0..count as u64)
+                        .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+                        .collect();
+                    let mut packed = Vec::new();
+                    pack_into(&values, width, &mut packed);
+                    let payload = &packed[..packed_size_bytes(count, width)];
+                    let mut walked = vec![u64::MAX];
+                    for_each_packed_value(payload, width, count, &mut |v| walked.push(v));
+                    let mut unpacked = vec![u64::MAX];
+                    unpack_into(payload, width, count, &mut unpacked);
+                    proptest::prop_assert_eq!(&unpacked, &walked, "width {}, count {}", width, count);
+                    proptest::prop_assert_eq!(&unpacked[1..], &values[..]);
+                }
             }
         }
     }

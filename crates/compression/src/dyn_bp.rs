@@ -159,7 +159,8 @@ pub(crate) fn chunk_directory(cascade: Cascade, bytes: &[u8], count: usize) -> V
 
 /// [`ChunkCursor`] over a dynamic-BP family main part — the family's only
 /// decoder: one 512-element block per chunk, its header validated before
-/// the payload is unpacked, the logical step undone inside the unpack pass.
+/// the payload is unpacked, the logical step undone in a second pass over
+/// the unpacked block while it is cache-resident.
 /// Block offsets are data-dependent, so seeks go through the chunk
 /// directory (one entry per block).
 #[derive(Debug)]
@@ -218,20 +219,22 @@ impl ChunkCursor for DynBpCursor<'_> {
         let payload = &self.bytes[offset + header..offset + header + packed];
         let buffer = &mut self.buffer;
         buffer.clear();
+        bitpack::unpack_into(payload, width, DYN_BP_BLOCK, buffer);
+        // The cascade's step, in a second pass over the L1-resident block.
         match self.cascade {
-            Cascade::Plain => bitpack::unpack_into(payload, width, DYN_BP_BLOCK, buffer),
+            Cascade::Plain => {}
             Cascade::Delta => {
                 let mut previous = crate::read_u64_le(self.bytes, offset);
-                bitpack::for_each_packed_value(payload, width, DYN_BP_BLOCK, &mut |delta| {
-                    previous = previous.wrapping_add(delta);
-                    buffer.push(previous);
-                });
+                for value in buffer.iter_mut() {
+                    previous = previous.wrapping_add(*value);
+                    *value = previous;
+                }
             }
             Cascade::For => {
                 let reference = crate::read_u64_le(self.bytes, offset);
-                bitpack::for_each_packed_value(payload, width, DYN_BP_BLOCK, &mut |value| {
-                    buffer.push(reference.wrapping_add(value))
-                });
+                for value in buffer.iter_mut() {
+                    *value = reference.wrapping_add(*value);
+                }
             }
         }
         self.byte_offset = offset + header + packed;

@@ -13,6 +13,10 @@
 //! its data column through one reader, `Gather`:
 //!
 //! * **(a)** random-access formats are read per value with [`Column::get`],
+//!   except a *dense* non-decreasing chunk over static BP (`last − first <
+//!   2 × len`), which goes to (b): unpacking the covered chunks beats one
+//!   packed-word read per position there, and per-value reads win from
+//!   density 1/10 down,
 //! * **(b)** any other format is read *forward* through the column's chunk
 //!   cursor while a chunk of positions is non-decreasing — skipping whole
 //!   directory chunks by seeking, never re-encoding,
@@ -60,9 +64,14 @@ impl<'d> Gather<'d> {
     pub(crate) fn gather_chunk(&mut self, positions: &[u64], out: &mut Vec<u64>) {
         out.reserve(positions.len());
         let data = self.data;
-        if data.supports_random_access() {
-            gather_random(data, positions, out);
-        } else if positions.is_sorted() {
+        let forward = if data.supports_random_access() {
+            matches!(data.format(), Format::StaticBp(_))
+                && is_dense(positions)
+                && positions.is_sorted()
+        } else {
+            positions.is_sorted()
+        };
+        if forward {
             // Ascending: the last position is the largest, and the first
             // out-of-bounds one is found by binary search.
             let in_bounds = positions.partition_point(|&p| (p as usize) < data.logical_len());
@@ -72,10 +81,22 @@ impl<'d> Gather<'d> {
             self.forward
                 .get_or_insert_with(|| Forward::new(data))
                 .gather(data, positions, out);
+        } else if data.supports_random_access() {
+            gather_random(data, positions, out);
         } else {
             let morphed = self.morphed.get_or_insert_with(|| random_access_copy(data));
             gather_random(morphed, positions, out);
         }
+    }
+}
+
+/// Whether a chunk's positions span less than twice their number
+/// (`last − first < 2 × len`) — the density from which rule (a) reads static
+/// BP forward rather than per value.  Only the endpoints are looked at.
+fn is_dense(positions: &[u64]) -> bool {
+    match (positions.first(), positions.last()) {
+        (Some(&first), Some(&last)) => last >= first && last - first < 2 * positions.len() as u64,
+        _ => false,
     }
 }
 
@@ -386,8 +407,16 @@ mod tests {
         let tail = main_len..len;
         let ascending: Vec<u64> = (0..len).step_by(3).collect();
         let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        let straddle = main_len.saturating_sub(700)..len;
         vec![
             ("dense ascending", vec![dense]),
+            ("every position", vec![(0..len).collect()]),
+            (
+                "straddling the main part and the remainder",
+                vec![straddle.clone().step_by(2).collect(), straddle.collect()],
+            ),
+            ("density 1/2", vec![(0..len).step_by(2).collect()]),
+            ("density 1/3", vec![(0..len).step_by(3).collect()]),
             ("sparse ascending, stride 2500", vec![sparse]),
             ("duplicates", vec![dupes]),
             ("all in the remainder", vec![tail.collect()]),
@@ -440,6 +469,30 @@ mod tests {
             assert_eq!(gather.morphed.is_some(), needs_copy, "{format}");
             assert_eq!(gather.forward.is_some(), needs_copy, "{format}");
         }
+    }
+
+    #[test]
+    fn static_bp_reads_dense_ascending_chunks_forward() {
+        let values = runny(6000);
+        let data = Column::compress(&values, &Format::StaticBp(10));
+        let half: Vec<u64> = (0..6000).step_by(2).collect();
+        let third: Vec<u64> = (0..6000).step_by(3).collect();
+        let dense_unsorted: Vec<u64> = (0..100).rev().collect();
+        let mut gather = Gather::new(&data);
+        for chunk in [&third, &dense_unsorted] {
+            gather.gather_chunk(chunk, &mut Vec::new());
+        }
+        assert!(
+            gather.forward.is_none(),
+            "density 1/3 and unsorted: per value"
+        );
+        gather.gather_chunk(&half, &mut Vec::new());
+        assert!(gather.forward.is_some(), "density 1/2: forward");
+        assert!(gather.morphed.is_none(), "static BP is never copied");
+        let plain = Column::from_slice(&values);
+        let mut gather = Gather::new(&plain);
+        gather.gather_chunk(&half, &mut Vec::new());
+        assert!(gather.forward.is_none(), "uncompressed: always per value");
     }
 
     #[test]

@@ -41,16 +41,12 @@ pub(crate) fn filter_chunk(
 }
 
 /// The chunk step of the range select: append the positions (offset by
-/// `base`) of the values of `chunk` lying in `[low, high]`.  SQL semantics:
-/// an inverted range (`low > high`) contains no value, so it selects
-/// nothing.
+/// `base`) of the values of `chunk` lying in `[low, high]`, compacted
+/// branch-free.  SQL semantics: an inverted range (`low > high`) contains
+/// no value, so it selects nothing.
 #[inline]
 pub(crate) fn between_chunk(chunk: &[u64], low: u64, high: u64, base: u64, out: &mut Vec<u64>) {
-    for (i, &value) in chunk.iter().enumerate() {
-        if value >= low && value <= high {
-            out.push(base + i as u64);
-        }
-    }
+    kernels::compact_positions(chunk, base, out, |value| (value >= low) & (value <= high));
 }
 
 /// Select the positions of `input` whose value satisfies `op` against
@@ -298,6 +294,35 @@ mod tests {
         assert_eq!(positions.format(), &Format::DeltaDynBp);
         for other in &outcomes[1..] {
             assert_eq!(other, &outcomes[0], "byte-identical on every path");
+        }
+    }
+
+    #[test]
+    fn between_chunk_appends_the_naive_positions() {
+        let lens = (0..=9).chain([2048]);
+        for len in lens {
+            for selectivity in [0u64, 10, 50, 90, 100] {
+                // In-range hits at both bounds and inside; misses just
+                // outside the bounds and at the extremes.
+                let chunk: Vec<u64> = (0..len as u64)
+                    .map(|i| match (i * 37 + 11) % 100 < selectivity {
+                        true => [100, 150, 200][i as usize % 3],
+                        false => [0, 99, 201, u64::MAX][i as usize % 4],
+                    })
+                    .collect();
+                for (low, high) in [(100, 200), (200, 100)] {
+                    let mut out = vec![8, 8, 8];
+                    between_chunk(&chunk, low, high, 40, &mut out);
+                    let hits =
+                        (0..len as u64).filter(|&i| (low..=high).contains(&chunk[i as usize]));
+                    let expected: Vec<u64> =
+                        [8, 8, 8].into_iter().chain(hits.map(|i| 40 + i)).collect();
+                    assert_eq!(out, expected, "len {len}, {selectivity} %, [{low}, {high}]");
+                    if low > high {
+                        assert_eq!(out.len(), 3, "an inverted range selects nothing");
+                    }
+                }
+            }
         }
     }
 

@@ -37,15 +37,6 @@ impl<const L: usize> VectorExtension for Wide<L> {
     }
 
     #[inline(always)]
-    fn set_sequence(start: u64, step: u64) -> [u64; L] {
-        let mut reg = [0u64; L];
-        for (i, lane) in reg.iter_mut().enumerate() {
-            *lane = start.wrapping_add(step.wrapping_mul(i as u64));
-        }
-        reg
-    }
-
-    #[inline(always)]
     fn load(src: &[u64]) -> [u64; L] {
         let mut reg = [0u64; L];
         reg.copy_from_slice(&src[..L]);
@@ -130,18 +121,6 @@ impl<const L: usize> VectorExtension for Wide<L> {
     }
 
     #[inline(always)]
-    fn compress_store(dst: &mut [u64], mask: u64, reg: [u64; L]) -> usize {
-        let mut written = 0usize;
-        for (i, lane) in reg.iter().enumerate() {
-            if (mask >> i) & 1 == 1 {
-                dst[written] = *lane;
-                written += 1;
-            }
-        }
-        written
-    }
-
-    #[inline(always)]
     fn extract(reg: [u64; L], idx: usize) -> u64 {
         reg[idx]
     }
@@ -152,7 +131,7 @@ mod tests {
     use super::*;
 
     fn seq<const L: usize>() -> [u64; L] {
-        Wide::<L>::set_sequence(0, 1)
+        std::array::from_fn(|i| i as u64)
     }
 
     #[test]
@@ -163,10 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn set_sequence_and_extract() {
-        let reg = V512::set_sequence(10, 3);
+    fn extract_reads_each_lane() {
+        let reg = seq::<8>();
         for i in 0..8 {
-            assert_eq!(V512::extract(reg, i), 10 + 3 * i as u64);
+            assert_eq!(V512::extract(reg, i), i as u64);
         }
     }
 
@@ -215,14 +194,5 @@ mod tests {
         let a = seq::<8>();
         assert_eq!(V512::hadd(a), 28);
         assert_eq!(V512::hmax(a), 7);
-    }
-
-    #[test]
-    fn compress_store_compacts_selected_lanes() {
-        let a = seq::<8>();
-        let mut out = vec![0u64; 8];
-        let n = V512::compress_store(&mut out, 0b1010_1010, a);
-        assert_eq!(n, 4);
-        assert_eq!(&out[..4], &[1, 3, 5, 7]);
     }
 }

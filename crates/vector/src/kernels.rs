@@ -8,6 +8,13 @@
 //! — exactly the way the paper's operators are specialised through the TVL.
 //! The kernels process the bulk of a slice in full registers and fall back to
 //! a scalar tail loop for the remaining `len % LANES` elements.
+//!
+//! Every kernel that turns a predicate into a position list — the select
+//! filters, the range select and the semi-join probe
+//! ([`crate::keys::KeySet::probe_positions`]) — compacts through one
+//! branch-free primitive, [`compact_positions`]; on AVX2 the comparison
+//! filter of the wide backends compacts in registers instead
+//! ([`crate::x86::try_filter_positions`]).
 
 use crate::{x86, VecCmp, VectorExtension};
 
@@ -48,10 +55,43 @@ pub fn max<V: VectorExtension>(data: &[u64]) -> u64 {
     result
 }
 
+/// Append `base_pos + i` to `out` for every `i` with `keep(data[i])`, in
+/// ascending order — the position compaction under every filter kernel.
+///
+/// The loop has no data-dependent branch: every candidate position is
+/// written to the next free output element and the output length advances
+/// by the predicate's bit, so selectivity costs no mispredictions.  The
+/// output grows by one block of candidates at a time, so the slots written
+/// ahead stay cache-resident however long `data` is.
+#[inline(always)]
+pub fn compact_positions(
+    data: &[u64],
+    base_pos: u64,
+    out: &mut Vec<u64>,
+    keep: impl Fn(u64) -> bool,
+) {
+    const BLOCK: usize = 256;
+    let mut position = base_pos;
+    for block in data.chunks(BLOCK) {
+        let start = out.len();
+        out.resize(start + block.len(), 0);
+        let candidates = &mut out[start..];
+        let mut kept = 0usize;
+        for &value in block {
+            candidates[kept] = position;
+            position += 1;
+            kept += keep(value) as usize;
+        }
+        out.truncate(start + kept);
+    }
+}
+
 /// Scan `data` with `op(value, constant)` and append the positions of the
 /// matching elements (offset by `base_pos`) to `out`.
 ///
-/// This is the vector-register-layer core of the `select` operator.
+/// This is the vector-register-layer core of the `select` operator.  The
+/// wide backends take the AVX2 kernel where the CPU has it; every other
+/// case is one [`compact_positions`] pass, monomorphised per predicate.
 pub fn filter_positions<V: VectorExtension>(
     op: VecCmp,
     data: &[u64],
@@ -59,30 +99,16 @@ pub fn filter_positions<V: VectorExtension>(
     base_pos: u64,
     out: &mut Vec<u64>,
 ) {
-    let lanes = V::LANES;
-    if lanes >= 4 && x86::try_filter_positions(op, data, constant, base_pos, out) {
+    if V::LANES >= 4 && x86::try_filter_positions(op, data, constant, base_pos, out) {
         return;
     }
-    let chunks = data.len() / lanes;
-    let constant_reg = V::set1(constant);
-    // Worst case: every element matches.
-    out.reserve(data.len());
-    let mut scratch = vec![0u64; lanes];
-    for c in 0..chunks {
-        let offset = c * lanes;
-        let reg = V::load(&data[offset..]);
-        let mask = V::cmp(op, reg, constant_reg);
-        if mask == 0 {
-            continue;
-        }
-        let positions = V::set_sequence(base_pos + offset as u64, 1);
-        let written = V::compress_store(&mut scratch, mask, positions);
-        out.extend_from_slice(&scratch[..written]);
-    }
-    for (offset, &value) in data[chunks * lanes..].iter().enumerate() {
-        if op.eval(value, constant) {
-            out.push(base_pos + (chunks * lanes + offset) as u64);
-        }
+    match op {
+        VecCmp::Eq => compact_positions(data, base_pos, out, |v| v == constant),
+        VecCmp::Ne => compact_positions(data, base_pos, out, |v| v != constant),
+        VecCmp::Lt => compact_positions(data, base_pos, out, |v| v < constant),
+        VecCmp::Le => compact_positions(data, base_pos, out, |v| v <= constant),
+        VecCmp::Gt => compact_positions(data, base_pos, out, |v| v > constant),
+        VecCmp::Ge => compact_positions(data, base_pos, out, |v| v >= constant),
     }
 }
 
@@ -165,7 +191,7 @@ pub fn min<V: VectorExtension>(data: &[u64]) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::emu::{V128, V256, V512};
     use crate::scalar::Scalar;
@@ -234,6 +260,100 @@ mod tests {
             filter_positions::<V512>(op, &data, constant, 100, &mut wide_out);
             assert_eq!(wide_out, reference, "v512 {op:?}");
         }
+    }
+
+    /// Selectivities (in %) and chunk lengths every position kernel is
+    /// checked at.
+    pub(crate) const SELECTIVITIES: [u64; 5] = [0, 10, 50, 90, 100];
+    pub(crate) const CHUNK_LENS: [usize; 11] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2048];
+
+    /// Whether position `i` of a test chunk should be a hit at
+    /// `selectivity` %: a scrambled, exactly proportional hit pattern.
+    pub(crate) fn is_hit(i: usize, selectivity: u64) -> bool {
+        (i as u64).wrapping_mul(37).wrapping_add(11) % 100 < selectivity
+    }
+
+    /// Naive reference: `prefix`, then `base + i` for every `keep(data[i])`.
+    pub(crate) fn naive(
+        prefix: &[u64],
+        data: &[u64],
+        base: u64,
+        keep: impl Fn(u64) -> bool,
+    ) -> Vec<u64> {
+        let hits = (0..data.len() as u64).filter(|&i| keep(data[i as usize]));
+        prefix
+            .iter()
+            .copied()
+            .chain(hits.map(|i| base + i))
+            .collect()
+    }
+
+    #[test]
+    fn compact_positions_appends_the_naive_positions() {
+        for len in CHUNK_LENS {
+            for selectivity in SELECTIVITIES {
+                let data: Vec<u64> = (0..len).map(|i| is_hit(i, selectivity) as u64).collect();
+                let mut out = vec![3, 1, 4];
+                compact_positions(&data, 1000, &mut out, |v| v == 1);
+                let expected = naive(&[3, 1, 4], &data, 1000, |v| v == 1);
+                assert_eq!(out, expected, "len {len}, {selectivity} %");
+                let hits = (0..len).filter(|&i| is_hit(i, selectivity)).count();
+                assert_eq!(out.len() - 3, hits, "len {len}, {selectivity} %");
+            }
+        }
+    }
+
+    const PIVOT: u64 = 50;
+
+    /// A chunk of `len` values hitting `op` against [`PIVOT`] exactly at
+    /// the positions [`is_hit`] picks, cycling through the hitting and the
+    /// missing values of {0, 49, 50, 51, u64::MAX}.
+    fn chunk_for(op: VecCmp, len: usize, selectivity: u64) -> Vec<u64> {
+        let pool = [0, PIVOT - 1, PIVOT, PIVOT + 1, u64::MAX];
+        let hits: Vec<u64> = pool.into_iter().filter(|&v| op.eval(v, PIVOT)).collect();
+        let misses: Vec<u64> = pool.into_iter().filter(|&v| !op.eval(v, PIVOT)).collect();
+        (0..len)
+            .map(|i| {
+                let side = if is_hit(i, selectivity) {
+                    &hits
+                } else {
+                    &misses
+                };
+                side[i % side.len()]
+            })
+            .collect()
+    }
+
+    fn filter_matches_naive<V: VectorExtension>() {
+        for op in [
+            VecCmp::Eq,
+            VecCmp::Ne,
+            VecCmp::Lt,
+            VecCmp::Le,
+            VecCmp::Gt,
+            VecCmp::Ge,
+        ] {
+            for len in CHUNK_LENS {
+                for selectivity in SELECTIVITIES {
+                    let data = chunk_for(op, len, selectivity);
+                    let mut out = vec![9, 9];
+                    filter_positions::<V>(op, &data, PIVOT, 77, &mut out);
+                    let expected = naive(&[9, 9], &data, 77, |v| op.eval(v, PIVOT));
+                    let label = format!("{} lanes, {op:?}, len {len}, {selectivity} %", V::LANES);
+                    assert_eq!(out, expected, "{label}");
+                    let hits = (0..len).filter(|&i| is_hit(i, selectivity)).count();
+                    assert_eq!(out.len() - 2, hits, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_positions_appends_the_naive_positions_on_every_backend() {
+        filter_matches_naive::<Scalar>();
+        filter_matches_naive::<V128>();
+        filter_matches_naive::<V256>();
+        filter_matches_naive::<V512>();
     }
 
     #[test]

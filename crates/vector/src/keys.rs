@@ -29,6 +29,8 @@
 //! callers' governor checkpoints stay at chunk granularity, so deadlines and
 //! cancellation still bound such a query.
 
+use crate::kernels::compact_positions;
+
 /// Fibonacci hashing multiplier: `2^64 / φ`, odd, so multiplication is a
 /// bijection on `u64` and the top bits mix every input bit.
 const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -258,15 +260,13 @@ impl KeySet {
     /// Bulk probe: append `base_pos + i` to `out` for every `i` with
     /// `chunk[i]` in the set.
     ///
-    /// Hits are compacted branch-free: every candidate position is written
-    /// to the next free output element and the output length advances by the
-    /// hit bit, so the loop has no data-dependent branch to mispredict.
+    /// Hits are compacted branch-free by [`compact_positions`].
     pub fn probe_positions(&self, chunk: &[u64], base_pos: u64, out: &mut Vec<u64>) {
         match &self.repr {
-            SetRepr::Dense(bits) => compact_hits(chunk, base_pos, out, |value| {
+            SetRepr::Dense(bits) => compact_positions(chunk, base_pos, out, |value| {
                 dense_hit(bits, self.min, self.span, value)
             }),
-            SetRepr::Sparse(slots) => compact_hits(chunk, base_pos, out, |value| {
+            SetRepr::Sparse(slots) => compact_positions(chunk, base_pos, out, |value| {
                 sparse_hit(slots, self.min, self.span, value)
             }),
         }
@@ -285,19 +285,6 @@ fn dense_hit(bits: &[u64], min: u64, span: u64, value: u64) -> bool {
 #[inline(always)]
 fn sparse_hit(slots: &SparseSlots, min: u64, span: u64, value: u64) -> bool {
     value.wrapping_sub(min) <= span && slots.find(value).is_some()
-}
-
-#[inline(always)]
-fn compact_hits(chunk: &[u64], base_pos: u64, out: &mut Vec<u64>, hit: impl Fn(u64) -> bool) {
-    let start = out.len();
-    out.resize(start + chunk.len(), 0);
-    let candidates = &mut out[start..];
-    let mut hits = 0usize;
-    for (i, &value) in chunk.iter().enumerate() {
-        candidates[hits] = base_pos + i as u64;
-        hits += hit(value) as usize;
-    }
-    out.truncate(start + hits);
 }
 
 #[derive(Debug, Clone)]
@@ -504,6 +491,34 @@ mod tests {
         set.probe_positions(&[1, 5, 9, 5, 100, 4], 40, &mut out);
         assert_eq!(out, vec![99, 41, 42, 43]);
         assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn probe_positions_appends_the_naive_positions_in_both_representations() {
+        use crate::kernels::tests::{is_hit, naive, CHUNK_LENS, SELECTIVITIES};
+        let keys: Vec<u64> = (0..64u64).map(|k| 1000 + 2 * k).collect();
+        let dense = KeySet::from_keys(&keys, 4096);
+        let mut wide = keys.clone();
+        wide.push(1 << 50);
+        let sparse = KeySet::from_keys(&wide, 4096);
+        assert!(dense.is_dense() && !sparse.is_dense());
+        for len in CHUNK_LENS {
+            for selectivity in SELECTIVITIES {
+                // Hits are keys; misses are odd values between and around them.
+                let chunk: Vec<u64> = (0..len as u64)
+                    .map(|i| match is_hit(i as usize, selectivity) {
+                        true => keys[(i % 64) as usize],
+                        false => 999 + 2 * (i % 66),
+                    })
+                    .collect();
+                for set in [&dense, &sparse] {
+                    let mut out = vec![5, 6];
+                    set.probe_positions(&chunk, 300, &mut out);
+                    let expected = naive(&[5, 6], &chunk, 300, |v| keys.contains(&v));
+                    assert_eq!(out, expected, "len {len}, {selectivity} %");
+                }
+            }
+        }
     }
 
     #[test]

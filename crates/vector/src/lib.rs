@@ -136,9 +136,6 @@ pub trait VectorExtension: Copy + Default + 'static {
     /// A register with every lane set to `value`.
     fn set1(value: u64) -> Self::Reg;
 
-    /// A register with lanes `start, start + step, start + 2*step, …`.
-    fn set_sequence(start: u64, step: u64) -> Self::Reg;
-
     /// Load [`Self::LANES`] values from `src` (which must be at least that long).
     fn load(src: &[u64]) -> Self::Reg;
 
@@ -169,11 +166,6 @@ pub trait VectorExtension: Copy + Default + 'static {
 
     /// Horizontal maximum of all lanes.
     fn hmax(a: Self::Reg) -> u64;
-
-    /// Store only the lanes whose mask bit is set, compacted to the front of
-    /// `dst`.  Returns the number of lanes written.  `dst` must have room for
-    /// [`Self::LANES`] values.
-    fn compress_store(dst: &mut [u64], mask: u64, reg: Self::Reg) -> usize;
 
     /// Extract lane `idx`.
     fn extract(reg: Self::Reg, idx: usize) -> u64;

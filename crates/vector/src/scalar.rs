@@ -22,11 +22,6 @@ impl VectorExtension for Scalar {
     }
 
     #[inline(always)]
-    fn set_sequence(start: u64, _step: u64) -> u64 {
-        start
-    }
-
-    #[inline(always)]
     fn load(src: &[u64]) -> u64 {
         src[0]
     }
@@ -77,16 +72,6 @@ impl VectorExtension for Scalar {
     }
 
     #[inline(always)]
-    fn compress_store(dst: &mut [u64], mask: u64, reg: u64) -> usize {
-        if mask & 1 == 1 {
-            dst[0] = reg;
-            1
-        } else {
-            0
-        }
-    }
-
-    #[inline(always)]
     fn extract(reg: u64, idx: usize) -> u64 {
         debug_assert_eq!(idx, 0);
         reg
@@ -121,15 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_compress_store() {
-        let mut out = [0u64; 1];
-        assert_eq!(Scalar::compress_store(&mut out, 1, 7), 1);
-        assert_eq!(out[0], 7);
-        assert_eq!(Scalar::compress_store(&mut out, 0, 9), 0);
-        assert_eq!(out[0], 7);
-    }
-
-    #[test]
     fn scalar_load_store_sequence() {
         let src = [11u64, 22];
         let reg = Scalar::load(&src);
@@ -137,7 +113,6 @@ mod tests {
         let mut dst = [0u64; 1];
         Scalar::store(&mut dst, reg);
         assert_eq!(dst, [11]);
-        assert_eq!(Scalar::set_sequence(5, 3), 5);
         assert_eq!(Scalar::set1(9), 9);
     }
 }

@@ -1,12 +1,16 @@
 //! Optional `std::arch` kernels for x86_64 (AVX2).
 //!
-//! The original MorphStore uses AVX-512 intrinsics through the TVL.  Here we
-//! provide a small set of AVX2 kernels for the hottest inner loops
-//! (comparison scans and summation) as an illustration of how native
-//! intrinsics plug into the hardware-oblivious design.  They are selected at
-//! run time via [`avx2_available`] and always have portable fallbacks in
-//! [`crate::kernels`]; on non-x86_64 targets this module only exposes the
-//! detection function, which returns `false`.
+//! The original MorphStore uses AVX-512 intrinsics through the TVL.  Here a
+//! small set of AVX2 kernels covers the inner loops of a compressed scan:
+//! the bit-unpack under every bit-packed cursor ([`try_unpack`]), the
+//! comparison scan with its lookup-table position compaction
+//! ([`try_filter_positions`]), summation and element-wise arithmetic.  They
+//! are selected at run time via [`avx2_available`] and always have portable
+//! fallbacks (in [`crate::kernels`], and the scalar bit walker of
+//! `morph_compression::bitpack`); on non-x86_64 targets every `try_*`
+//! reports that it did nothing and [`avx2_available`] returns `false`.
+//!
+//! This module is the only place in the workspace with `unsafe` code.
 
 #![allow(unsafe_code)]
 
@@ -26,8 +30,59 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// Widest bit width the AVX2 unpack handles: a value starts at most 7 bits
+/// into the 8-byte word read at its first byte, so `7 + 57 = 64` bits still
+/// fit one word.
+pub const MAX_UNPACK_WIDTH: u8 = 57;
+
+/// Number of whole 8-value groups [`try_unpack`] decodes from the front of a
+/// `payload_len`-byte stream of `count` values of `width` bits: the longest
+/// prefix of groups within `count` whose every 8-byte read — the word at
+/// the byte holding a value's first bit — ends inside the payload.  0 for a
+/// width outside `1..=`[`MAX_UNPACK_WIDTH`].
+///
+/// Every whole group ends on a byte boundary (`8 * width` bits), so the
+/// caller resumes a scalar walk at byte `groups * width`.
+pub fn unpack_groups(payload_len: usize, width: u8, count: usize) -> usize {
+    if !(1..=MAX_UNPACK_WIDTH).contains(&width) {
+        return 0;
+    }
+    // Value `v` is readable iff the word at byte `v * width / 8` fits:
+    // `v * width / 8 + 8 <= payload_len`.
+    let Some(last_word) = payload_len.checked_sub(8) else {
+        return 0;
+    };
+    let readable = (last_word * 8 + 7) / width as usize + 1;
+    readable.min(count) / 8
+}
+
+/// Unpack the first [`unpack_groups`]`(bytes.len(), width, count)` groups
+/// of 8 `width`-bit values from the little-endian bit stream `bytes` (the
+/// layout of `morph_compression::bitpack`), appending them to `out`.
+///
+/// Returns the number of values appended: a multiple of 8, and 0 without
+/// AVX2 (non-x86_64 target or AVX2 not available), in which case the
+/// caller decodes everything with its portable walker.
+#[inline]
+pub fn try_unpack(bytes: &[u8], width: u8, count: usize, out: &mut Vec<u64>) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: AVX2 support was verified at run time immediately above.
+            return unsafe { unpack_avx2(bytes, width, count, out) };
+        }
+    }
+    let _ = (bytes, width, count, out);
+    0
+}
+
 /// Scan `data` with `predicate(value, constant)` and append the *positions*
 /// (offset by `base_pos`) of matching elements to `out`.
+///
+/// Positions are compacted without a per-lane branch: each 4-lane compare
+/// mask selects a row of a 16-entry permutation table, the permuted
+/// positions are stored at the output's end, and the end advances by the
+/// mask's population count.
 ///
 /// Returns `true` if the AVX2 path was taken, `false` if the caller must use
 /// the portable fallback (non-x86_64 target or AVX2 not available).
@@ -107,6 +162,74 @@ mod avx2 {
     /// (`_mm256_cmpgt_epi64` is a signed comparison).
     const SIGN_BIAS: i64 = i64::MIN;
 
+    /// Row `mask` of the compaction table: the 32-bit lane indices that
+    /// move the 64-bit lanes whose bit is set in the 4-bit `mask` to the
+    /// front, in lane order (the unused tail of a row is don't-care).
+    const fn compaction_row(mask: usize) -> [i32; 8] {
+        let mut row = [0i32; 8];
+        let (mut lane, mut kept) = (0usize, 0usize);
+        while lane < 4 {
+            if mask >> lane & 1 == 1 {
+                row[2 * kept] = 2 * lane as i32;
+                row[2 * kept + 1] = 2 * lane as i32 + 1;
+                kept += 1;
+            }
+            lane += 1;
+        }
+        row
+    }
+
+    const COMPACTION: [[i32; 8]; 16] = {
+        let mut table = [[0i32; 8]; 16];
+        let mut mask = 0usize;
+        while mask < 16 {
+            table[mask] = compaction_row(mask);
+            mask += 1;
+        }
+        table
+    };
+
+    /// Unpack the first [`unpack_groups`] groups of 8 values: per 4 lanes,
+    /// gather the 8-byte word at each value's first byte (`bit >> 3`),
+    /// shift it right by the bit offset within that byte (`bit & 7`) and
+    /// mask it to `width` bits.  Returns the number of values appended.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn unpack_avx2(bytes: &[u8], width: u8, count: usize, out: &mut Vec<u64>) -> usize {
+        let values = unpack_groups(bytes.len(), width, count) * 8;
+        if values == 0 {
+            return 0;
+        }
+        out.reserve(values);
+        let start = out.len();
+        // SAFETY: `reserve` made room for `values` more elements past `start`.
+        let dst = unsafe { out.as_mut_ptr().add(start) };
+        let src = bytes.as_ptr() as *const i64;
+        let w = width as i64;
+        // `width <= MAX_UNPACK_WIDTH`, or `unpack_groups` would be 0.
+        let mask = _mm256_set1_epi64x(((1u64 << width) - 1) as i64);
+        let byte_bits = _mm256_set1_epi64x(7);
+        let step = _mm256_set1_epi64x(4 * w);
+        let mut bits = _mm256_setr_epi64x(0, w, 2 * w, 3 * w);
+        let mut i = 0usize;
+        while i < values {
+            let offsets = _mm256_srli_epi64(bits, 3);
+            let shifts = _mm256_and_si256(bits, byte_bits);
+            // SAFETY: lanes hold values `i..i + 4`, all below `values`, so
+            // `unpack_groups` guarantees each 8-byte word at `offsets`
+            // ends inside `bytes`.
+            let words = unsafe { _mm256_i64gather_epi64::<1>(src, offsets) };
+            let unpacked = _mm256_and_si256(_mm256_srlv_epi64(words, shifts), mask);
+            // SAFETY: `i + 4 <= values` (a multiple of 4), inside the
+            // reserved spare capacity.
+            unsafe { _mm256_storeu_si256(dst.add(i) as *mut __m256i, unpacked) };
+            bits = _mm256_add_epi64(bits, step);
+            i += 4;
+        }
+        // SAFETY: the loop initialised exactly `values` elements past `start`.
+        unsafe { out.set_len(start + values) };
+        values
+    }
+
     #[target_feature(enable = "avx2")]
     pub(super) fn filter_positions_avx2(
         op: VecCmp,
@@ -115,48 +238,93 @@ mod avx2 {
         base_pos: u64,
         out: &mut Vec<u64>,
     ) {
+        // One loop per predicate, so the compare is not re-dispatched per
+        // vector.
+        match op {
+            VecCmp::Eq => filter_with::<EQ>(op, data, constant, base_pos, out),
+            VecCmp::Ne => filter_with::<NE>(op, data, constant, base_pos, out),
+            VecCmp::Lt => filter_with::<LT>(op, data, constant, base_pos, out),
+            VecCmp::Le => filter_with::<LE>(op, data, constant, base_pos, out),
+            VecCmp::Gt => filter_with::<GT>(op, data, constant, base_pos, out),
+            VecCmp::Ge => filter_with::<GE>(op, data, constant, base_pos, out),
+        }
+    }
+
+    /// `VecCmp` as a const parameter of [`filter_with`].
+    const EQ: u8 = 0;
+    const NE: u8 = 1;
+    const LT: u8 = 2;
+    const LE: u8 = 3;
+    const GT: u8 = 4;
+    const GE: u8 = 5;
+
+    /// The 4-bit mask of the lanes of `v` satisfying predicate `OP` against
+    /// the constant (`plain`, and `biased` = constant ^ [`SIGN_BIAS`]).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn match_mask<const OP: u8>(v: __m256i, plain: __m256i, biased: __m256i) -> usize {
+        let biased_v = _mm256_xor_si256(v, _mm256_set1_epi64x(SIGN_BIAS));
+        let matches = match OP {
+            EQ | NE => _mm256_cmpeq_epi64(v, plain),
+            GT | LE => _mm256_cmpgt_epi64(biased_v, biased),
+            _ => _mm256_cmpgt_epi64(biased, biased_v),
+        };
+        let mask = _mm256_movemask_pd(_mm256_castsi256_pd(matches)) as usize;
+        // NE, LE and GE are the complements of EQ, GT and LT.
+        match OP {
+            NE | LE | GE => mask ^ 0b1111,
+            _ => mask,
+        }
+    }
+
+    /// The filter loop for predicate `OP`; `op` is the same predicate, for
+    /// the scalar tail.
+    #[target_feature(enable = "avx2")]
+    fn filter_with<const OP: u8>(
+        op: VecCmp,
+        data: &[u64],
+        constant: u64,
+        base_pos: u64,
+        out: &mut Vec<u64>,
+    ) {
         let n = data.len();
         out.reserve(n);
-        let biased_const = _mm256_set1_epi64x((constant as i64) ^ SIGN_BIAS);
-        let plain_const = _mm256_set1_epi64x(constant as i64);
+        let start = out.len();
+        // Every store below writes 4 lanes from `hits <= i`, with
+        // `i + 4 <= n`, and every tail write one lane at `hits <= i < n`:
+        // all inside the `n` reserved elements past `start`.
+        // SAFETY: `reserve` made room for `n` more elements past `start`.
+        let dst = unsafe { out.as_mut_ptr().add(start) };
+        let mut hits = 0usize;
+        let plain = _mm256_set1_epi64x(constant as i64);
+        let biased = _mm256_set1_epi64x((constant as i64) ^ SIGN_BIAS);
+        let mut positions = _mm256_add_epi64(
+            _mm256_set1_epi64x(base_pos as i64),
+            _mm256_setr_epi64x(0, 1, 2, 3),
+        );
+        let four = _mm256_set1_epi64x(4);
         let mut i = 0usize;
         while i + 4 <= n {
             // SAFETY: `i + 4 <= n` guarantees the 32-byte read stays in bounds.
             let v = unsafe { _mm256_loadu_si256(data.as_ptr().add(i) as *const __m256i) };
-            let biased = _mm256_xor_si256(v, _mm256_set1_epi64x(SIGN_BIAS));
-            // Compute a 4-bit match mask for the predicate.
-            let match_vec = match op {
-                VecCmp::Eq => _mm256_cmpeq_epi64(v, plain_const),
-                VecCmp::Ne => {
-                    let eq = _mm256_cmpeq_epi64(v, plain_const);
-                    _mm256_xor_si256(eq, _mm256_set1_epi64x(-1))
-                }
-                VecCmp::Gt => _mm256_cmpgt_epi64(biased, biased_const),
-                VecCmp::Le => {
-                    let gt = _mm256_cmpgt_epi64(biased, biased_const);
-                    _mm256_xor_si256(gt, _mm256_set1_epi64x(-1))
-                }
-                VecCmp::Lt => _mm256_cmpgt_epi64(biased_const, biased),
-                VecCmp::Ge => {
-                    let lt = _mm256_cmpgt_epi64(biased_const, biased);
-                    _mm256_xor_si256(lt, _mm256_set1_epi64x(-1))
-                }
-            };
-            let mask = _mm256_movemask_pd(_mm256_castsi256_pd(match_vec)) as u32;
-            if mask != 0 {
-                for lane in 0..4u32 {
-                    if (mask >> lane) & 1 == 1 {
-                        out.push(base_pos + (i as u64) + lane as u64);
-                    }
-                }
-            }
+            let mask = match_mask::<OP>(v, plain, biased);
+            // SAFETY: `COMPACTION[mask]` is 8 i32 = 32 bytes, exactly one
+            // vector (`mask < 16`: movemask_pd sets only the low 4 bits).
+            let row = unsafe { _mm256_loadu_si256(COMPACTION[mask].as_ptr() as *const __m256i) };
+            let kept = _mm256_permutevar8x32_epi32(positions, row);
+            // SAFETY: `hits <= i` and `i + 4 <= n` (see above).
+            unsafe { _mm256_storeu_si256(dst.add(hits) as *mut __m256i, kept) };
+            hits += mask.count_ones() as usize;
+            positions = _mm256_add_epi64(positions, four);
             i += 4;
         }
-        for (offset, &value) in data[i..].iter().enumerate() {
-            if op.eval(value, constant) {
-                out.push(base_pos + (i + offset) as u64);
-            }
+        for (j, &value) in data.iter().enumerate().skip(i) {
+            // SAFETY: `hits <= j < n` (see above).
+            unsafe { dst.add(hits).write(base_pos + j as u64) };
+            hits += op.eval(value, constant) as usize;
         }
+        // SAFETY: the first `hits` elements past `start` were written above.
+        unsafe { out.set_len(start + hits) };
     }
 
     /// Wrapping 64-bit multiply from 32-bit partial products:
@@ -234,7 +402,7 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx2::{binary_op_avx2, filter_positions_avx2, sum_avx2};
+use avx2::{binary_op_avx2, filter_positions_avx2, sum_avx2, unpack_avx2};
 
 #[cfg(test)]
 mod tests {
@@ -244,6 +412,56 @@ mod tests {
     fn detection_does_not_panic() {
         // Just exercise the detection path; the result is hardware-dependent.
         let _ = avx2_available();
+    }
+
+    /// `unpack_groups` by brute force: walk the values in order until one's
+    /// 8-byte read would end past the payload, then round down to a group.
+    fn groups_by_walking(payload_len: usize, width: u8, count: usize) -> usize {
+        let fits = |v: usize| v * width as usize / 8 + 8 <= payload_len;
+        (0..count).take_while(|&v| fits(v)).count() / 8
+    }
+
+    #[test]
+    fn unpack_groups_is_exact_at_the_payload_boundary() {
+        let counts = (0..=200).chain([511, 512, 513, 2047, 2048, 2049]);
+        for count in counts {
+            for width in 1..=MAX_UNPACK_WIDTH {
+                let packed = (count * width as usize).div_ceil(8);
+                for payload_len in packed..=packed + 8 {
+                    assert_eq!(
+                        unpack_groups(payload_len, width, count),
+                        groups_by_walking(payload_len, width, count),
+                        "count {count}, width {width}, payload {payload_len}"
+                    );
+                }
+            }
+            for width in [0, MAX_UNPACK_WIDTH + 1, 64] {
+                assert_eq!(unpack_groups(1 << 20, width, count), 0, "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn unpack_appends_whole_groups_of_the_stream() {
+        // Width 13, values `v * 5 % 8192`, packed by hand.
+        let values: Vec<u64> = (0..100u64).map(|v| v * 5 % 8192).collect();
+        let mut bytes = vec![0u8; (values.len() * 13).div_ceil(8)];
+        for (v, &value) in values.iter().enumerate() {
+            for bit in 0..13 {
+                let at = v * 13 + bit;
+                bytes[at / 8] |= ((value >> bit & 1) as u8) << (at % 8);
+            }
+        }
+        let mut out = vec![42];
+        let done = try_unpack(&bytes, 13, values.len(), &mut out);
+        if avx2_available() {
+            assert_eq!(done, unpack_groups(bytes.len(), 13, values.len()) * 8);
+            assert!(done >= 88, "all but the last groups: {done}");
+        } else {
+            assert_eq!(done, 0);
+        }
+        assert_eq!(out[0], 42);
+        assert_eq!(&out[1..], &values[..done]);
     }
 
     #[test]
