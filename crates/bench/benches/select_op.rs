@@ -1,11 +1,10 @@
-//! Criterion micro-benchmark backing Figure 5: the select operator across
-//! representative input/output format combinations and integration degrees,
-//! its filter kernel across selectivities, and the project operator that
-//! consumes select's positions, across data formats and position densities.
+//! Criterion micro-benchmarks of the select operator across integration
+//! degrees, its filter kernel across selectivities, and the project operator
+//! that consumes select's positions, across data formats and position
+//! densities.  Figure 5's format combinations are `repro fig5`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use morph_compression::Format;
-use morph_storage::datagen::SyntheticColumn;
 use morph_storage::Column;
 use morph_vector::emu::V512;
 use morph_vector::kernels;
@@ -13,43 +12,6 @@ use morph_vector::scalar::Scalar;
 use morphstore_engine::{project, select, CmpOp, ExecSettings, IntegrationDegree, ProcessingStyle};
 
 const ELEMENTS: usize = 256 * 1024;
-
-fn bench_select_formats(c: &mut Criterion) {
-    let mut group = c.benchmark_group("select_formats");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(1));
-    group.throughput(Throughput::Elements(ELEMENTS as u64));
-    let (values, constant) = SyntheticColumn::C1.generate_select_input(ELEMENTS, 42);
-    let uncompressed = Column::from_slice(&values);
-    let combos = [
-        (Format::Uncompressed, Format::Uncompressed),
-        (Format::StaticBp(6), Format::Uncompressed),
-        (Format::StaticBp(6), Format::DeltaDynBp),
-        (Format::DynBp, Format::DeltaDynBp),
-        (Format::Rle, Format::DeltaDynBp),
-    ];
-    for (input_format, output_format) in combos {
-        let input = uncompressed.to_format(&input_format);
-        let label = format!("{input_format} -> {output_format}");
-        group.bench_with_input(
-            BenchmarkId::new("de_recompress", label),
-            &input,
-            |b, input| {
-                b.iter(|| {
-                    select(
-                        CmpOp::Eq,
-                        input,
-                        constant,
-                        &output_format,
-                        &ExecSettings::vectorized_compressed(),
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-}
 
 fn bench_select_degrees(c: &mut Criterion) {
     let mut group = c.benchmark_group("select_degrees");
@@ -167,7 +129,6 @@ fn bench_project_formats(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_select_formats,
     bench_select_degrees,
     bench_filter,
     bench_project_formats

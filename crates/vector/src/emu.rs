@@ -8,7 +8,7 @@
 //! specialised per register width by a type parameter, without committing the
 //! source code to a particular instruction set.
 
-use crate::{VecCmp, VectorExtension};
+use crate::VectorExtension;
 
 /// Generic emulated register of `L` 64-bit lanes.
 ///
@@ -76,30 +76,12 @@ impl<const L: usize> VectorExtension for Wide<L> {
     }
 
     #[inline(always)]
-    fn min(a: [u64; L], b: [u64; L]) -> [u64; L] {
-        let mut out = [0u64; L];
-        for i in 0..L {
-            out[i] = a[i].min(b[i]);
-        }
-        out
-    }
-
-    #[inline(always)]
     fn max(a: [u64; L], b: [u64; L]) -> [u64; L] {
         let mut out = [0u64; L];
         for i in 0..L {
             out[i] = a[i].max(b[i]);
         }
         out
-    }
-
-    #[inline(always)]
-    fn cmp(op: VecCmp, a: [u64; L], b: [u64; L]) -> u64 {
-        let mut mask = 0u64;
-        for i in 0..L {
-            mask |= (op.eval(a[i], b[i]) as u64) << i;
-        }
-        mask
     }
 
     #[inline(always)]
@@ -119,11 +101,6 @@ impl<const L: usize> VectorExtension for Wide<L> {
         }
         acc
     }
-
-    #[inline(always)]
-    fn extract(reg: [u64; L], idx: usize) -> u64 {
-        reg[idx]
-    }
 }
 
 #[cfg(test)]
@@ -142,14 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_reads_each_lane() {
-        let reg = seq::<8>();
-        for i in 0..8 {
-            assert_eq!(V512::extract(reg, i), i as u64);
-        }
-    }
-
-    #[test]
     fn load_store_roundtrip() {
         let src: Vec<u64> = (100..108).collect();
         let reg = V512::load(&src);
@@ -165,7 +134,6 @@ mod tests {
         assert_eq!(V256::add(a, b), [10, 11, 12, 13]);
         assert_eq!(V256::sub(b, a), [10, 9, 8, 7]);
         assert_eq!(V256::mul(a, b), [0, 10, 20, 30]);
-        assert_eq!(V256::min(a, V256::set1(2)), [0, 1, 2, 2]);
         assert_eq!(V256::max(a, V256::set1(2)), [2, 2, 2, 3]);
     }
 
@@ -176,17 +144,6 @@ mod tests {
         assert_eq!(V128::add(a, b), [1, 1]);
         assert_eq!(V128::sub([0, 0], [1, 1]), [u64::MAX, u64::MAX]);
         assert_eq!(V128::mul(a, b), [u64::MAX - 1, u64::MAX - 1]);
-    }
-
-    #[test]
-    fn cmp_masks() {
-        let a = seq::<8>();
-        let mask = V512::cmp(VecCmp::Lt, a, V512::set1(3));
-        assert_eq!(mask, 0b0000_0111);
-        let mask = V512::cmp(VecCmp::Eq, a, V512::set1(5));
-        assert_eq!(mask, 0b0010_0000);
-        let mask = V512::cmp(VecCmp::Ge, a, V512::set1(6));
-        assert_eq!(mask, 0b1100_0000);
     }
 
     #[test]

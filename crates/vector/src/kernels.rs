@@ -1,7 +1,6 @@
 //! The generic vectorised kernels the engine's operators run: `select`
 //! filters with [`filter_positions`], `agg` reduces with [`sum`] and [`max`],
-//! and `calc` combines with [`binary_op`].  [`min`] completes the reductions;
-//! no operator calls it yet.
+//! and `calc` combines with [`binary_op`].
 //!
 //! Every kernel is generic over a [`VectorExtension`] backend, so each call
 //! site chooses between scalar and vectorised processing by a type parameter
@@ -168,28 +167,6 @@ pub fn binary_op<V: VectorExtension>(op: BinaryOp, lhs: &[u64], rhs: &[u64], out
     }
 }
 
-/// Minimum of all elements of `data`; `u64::MAX` for an empty slice.
-pub fn min<V: VectorExtension>(data: &[u64]) -> u64 {
-    let lanes = V::LANES;
-    let chunks = data.len() / lanes;
-    let mut result = u64::MAX;
-    if chunks > 0 {
-        let mut acc = V::set1(u64::MAX);
-        for c in 0..chunks {
-            let reg = V::load(&data[c * lanes..]);
-            acc = V::min(acc, reg);
-        }
-        // hmin is not part of the trait; extract the lanes of the accumulator.
-        for i in 0..lanes {
-            result = result.min(V::extract(acc, i));
-        }
-    }
-    for &value in &data[chunks * lanes..] {
-        result = result.min(value);
-    }
-    result
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -221,18 +198,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn max_and_min_consistent() {
+    fn max_consistent() {
         for n in [1, 5, 8, 100, 1001] {
             let data = test_data(n);
             let expected_max = *data.iter().max().unwrap();
-            let expected_min = *data.iter().min().unwrap();
             assert_eq!(max::<V512>(&data), expected_max);
             assert_eq!(max::<Scalar>(&data), expected_max);
-            assert_eq!(min::<V512>(&data), expected_min);
-            assert_eq!(min::<Scalar>(&data), expected_min);
         }
         assert_eq!(max::<V256>(&[]), 0);
-        assert_eq!(min::<V256>(&[]), u64::MAX);
     }
 
     #[test]

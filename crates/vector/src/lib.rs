@@ -101,14 +101,6 @@ pub enum ProcessingStyle {
 }
 
 impl ProcessingStyle {
-    /// Number of 64-bit lanes processed per step for this style.
-    pub fn lanes(self) -> usize {
-        match self {
-            ProcessingStyle::Scalar => scalar::Scalar::LANES,
-            ProcessingStyle::Vectorized => emu::V512::LANES,
-        }
-    }
-
     /// Human-readable label used by the benchmark harness.
     pub fn label(self) -> &'static str {
         match self {
@@ -122,10 +114,9 @@ impl ProcessingStyle {
 ///
 /// A type implementing this trait is a zero-sized tag describing a register
 /// width; the associated type [`VectorExtension::Reg`] is the register
-/// (an array of [`VectorExtension::LANES`] lanes).  Masks are represented as
-/// plain `u64` bitmaps with one bit per lane (lane 0 = least significant
-/// bit), which matches how AVX-512 mask registers behave and keeps mask
-/// manipulation cheap for every backend.
+/// (an array of [`VectorExtension::LANES`] lanes).  The operations are the
+/// ones the [`kernels`] use; comparisons into position lists go through
+/// [`kernels::compact_positions`], not through lane masks.
 pub trait VectorExtension: Copy + Default + 'static {
     /// Number of 64-bit lanes per register.
     const LANES: usize;
@@ -151,24 +142,14 @@ pub trait VectorExtension: Copy + Default + 'static {
     /// Lane-wise wrapping multiplication.
     fn mul(a: Self::Reg, b: Self::Reg) -> Self::Reg;
 
-    /// Lane-wise minimum.
-    fn min(a: Self::Reg, b: Self::Reg) -> Self::Reg;
-
     /// Lane-wise maximum.
     fn max(a: Self::Reg, b: Self::Reg) -> Self::Reg;
-
-    /// Lane-wise comparison, producing a bitmask with bit *i* set iff the
-    /// predicate holds for lane *i*.
-    fn cmp(op: VecCmp, a: Self::Reg, b: Self::Reg) -> u64;
 
     /// Horizontal wrapping sum of all lanes.
     fn hadd(a: Self::Reg) -> u64;
 
     /// Horizontal maximum of all lanes.
     fn hmax(a: Self::Reg) -> u64;
-
-    /// Extract lane `idx`.
-    fn extract(reg: Self::Reg, idx: usize) -> u64;
 }
 
 #[cfg(test)]
@@ -192,9 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn processing_style_lanes() {
-        assert_eq!(ProcessingStyle::Scalar.lanes(), 1);
-        assert_eq!(ProcessingStyle::Vectorized.lanes(), 8);
+    fn processing_style_labels() {
         assert_eq!(ProcessingStyle::Scalar.label(), "scalar");
         assert_eq!(ProcessingStyle::Vectorized.label(), "vectorized");
     }

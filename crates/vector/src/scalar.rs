@@ -6,7 +6,7 @@
 //! monomorphised over [`Scalar`] compile to the same code a hand-written
 //! scalar loop would.
 
-use crate::{VecCmp, VectorExtension};
+use crate::VectorExtension;
 
 /// Zero-sized tag for scalar processing (`LANES == 1`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,18 +47,8 @@ impl VectorExtension for Scalar {
     }
 
     #[inline(always)]
-    fn min(a: u64, b: u64) -> u64 {
-        a.min(b)
-    }
-
-    #[inline(always)]
     fn max(a: u64, b: u64) -> u64 {
         a.max(b)
-    }
-
-    #[inline(always)]
-    fn cmp(op: VecCmp, a: u64, b: u64) -> u64 {
-        op.eval(a, b) as u64
     }
 
     #[inline(always)]
@@ -69,12 +59,6 @@ impl VectorExtension for Scalar {
     #[inline(always)]
     fn hmax(a: u64) -> u64 {
         a
-    }
-
-    #[inline(always)]
-    fn extract(reg: u64, idx: usize) -> u64 {
-        debug_assert_eq!(idx, 0);
-        reg
     }
 }
 
@@ -87,22 +71,13 @@ mod tests {
         assert_eq!(Scalar::add(3, 4), 7);
         assert_eq!(Scalar::sub(3, 4), u64::MAX);
         assert_eq!(Scalar::mul(3, 4), 12);
-        assert_eq!(Scalar::min(3, 4), 3);
         assert_eq!(Scalar::max(3, 4), 4);
-    }
-
-    #[test]
-    fn scalar_cmp_produces_single_bit_mask() {
-        assert_eq!(Scalar::cmp(VecCmp::Eq, 5, 5), 1);
-        assert_eq!(Scalar::cmp(VecCmp::Eq, 5, 6), 0);
-        assert_eq!(Scalar::cmp(VecCmp::Lt, 5, 6), 1);
     }
 
     #[test]
     fn scalar_horizontal_ops_are_identity() {
         assert_eq!(Scalar::hadd(42), 42);
         assert_eq!(Scalar::hmax(42), 42);
-        assert_eq!(Scalar::extract(42, 0), 42);
     }
 
     #[test]

@@ -144,11 +144,6 @@ proptest! {
         prop_assert_eq!(kernels::max::<V128>(&values), max);
         prop_assert_eq!(kernels::max::<V256>(&values), max);
         prop_assert_eq!(kernels::max::<V512>(&values), max);
-        let min = values.iter().copied().min().unwrap_or(u64::MAX);
-        prop_assert_eq!(kernels::min::<Scalar>(&values), min);
-        prop_assert_eq!(kernels::min::<V128>(&values), min);
-        prop_assert_eq!(kernels::min::<V256>(&values), min);
-        prop_assert_eq!(kernels::min::<V512>(&values), min);
     }
 }
 
