@@ -190,8 +190,9 @@ fn run_query_once(
     (result, ctx)
 }
 
-/// Measure `query` under the given configuration: `runs` repetitions, mean
-/// runtime, footprints from the last repetition.
+/// Measure `query` under the given configuration: one untimed warm-up
+/// run, then `runs` timed repetitions; mean runtime, footprints from the
+/// last repetition.
 pub fn measure_query(
     query: SsbQuery,
     data: &SsbData,
@@ -199,6 +200,7 @@ pub fn measure_query(
     formats: &FormatConfig,
     runs: usize,
 ) -> QueryMeasurement {
+    run_query_once(query, data, settings.clone(), formats, false);
     let mut total = Duration::ZERO;
     let mut last: Option<(QueryResult, ExecutionContext)> = None;
     for _ in 0..runs.max(1) {

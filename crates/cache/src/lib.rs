@@ -20,14 +20,8 @@
 //! the materialised output of a plan node, inserted by the executor on
 //! completion and returned on a hit so the node never runs.
 //!
-//! ## Admission control
-//!
-//! A [`CacheConfig`] (optional; zero thresholds by default) keeps tiny or
-//! cheap subplan results out of the cache entirely: results whose recorded
-//! runtime falls below `min_benefit_ns` or whose physical size falls below
-//! `min_bytes` are skipped on insert (counted as
-//! [`CacheStats::admission_skipped`]) instead of churning the eviction
-//! heap.
+//! Every result that fits the budget is admitted; there are no admission
+//! thresholds, so [`CacheStats::admission_skipped`] is always 0.
 //!
 //! ## Eviction and invalidation
 //!
@@ -153,37 +147,6 @@ impl Default for Fingerprint {
     }
 }
 
-/// Admission thresholds for subplan-result entries.
-///
-/// Tiny or cheap nodes (an eight-byte scalar, a selection that ran in a few
-/// hundred nanoseconds) gain almost nothing from memoisation but still cost
-/// a map entry, a density computation on every eviction scan and a slot in
-/// the budget.  A non-zero configuration skips inserting subplan results
-/// whose recorded runtime (`min_benefit_ns`) or physical size (`min_bytes`)
-/// falls below the threshold, so they stop churning the eviction heap.
-///
-/// The default (both thresholds zero) admits everything, preserving the
-/// pre-admission-control behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Minimum recorded runtime (nanoseconds) a subplan result must have
-    /// saved to be admitted.
-    pub min_benefit_ns: u64,
-    /// Minimum physical size (bytes) a subplan result must occupy to be
-    /// admitted.
-    pub min_bytes: usize,
-}
-
-impl CacheConfig {
-    /// A configuration with both thresholds set.
-    pub fn new(min_benefit_ns: u64, min_bytes: usize) -> CacheConfig {
-        CacheConfig {
-            min_benefit_ns,
-            min_bytes,
-        }
-    }
-}
-
 /// A memoised value: the output of one plan node.
 #[derive(Debug, Clone)]
 pub enum CachedValue {
@@ -257,8 +220,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Insertions rejected because the value alone exceeds the budget.
     pub rejected: u64,
-    /// Subplan results skipped by admission control (below the
-    /// [`CacheConfig`] thresholds).
+    /// Subplan results skipped by admission control: always 0, since the
+    /// cache has no admission thresholds (kept so reports keep their
+    /// column).
     pub admission_skipped: u64,
     /// Entries dropped by generation bumps.
     pub invalidated: u64,
@@ -292,7 +256,6 @@ struct CacheInner {
     insertions: u64,
     evictions: u64,
     rejected: u64,
-    admission_skipped: u64,
     invalidated: u64,
 }
 
@@ -336,22 +299,14 @@ impl CacheInner {
 pub struct QueryCache {
     inner: Mutex<CacheInner>,
     budget_bytes: usize,
-    config: CacheConfig,
 }
 
 impl QueryCache {
-    /// Create a cache holding at most `budget_bytes` of memoised data,
-    /// admitting every result (no thresholds).
+    /// Create a cache holding at most `budget_bytes` of memoised data.
     pub fn with_budget(budget_bytes: usize) -> QueryCache {
-        QueryCache::with_config(budget_bytes, CacheConfig::default())
-    }
-
-    /// Create a cache with a byte budget and admission thresholds.
-    pub fn with_config(budget_bytes: usize, config: CacheConfig) -> QueryCache {
         QueryCache {
             inner: Mutex::new(CacheInner::default()),
             budget_bytes,
-            config,
         }
     }
 
@@ -364,11 +319,6 @@ impl QueryCache {
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> usize {
         self.budget_bytes
-    }
-
-    /// The admission thresholds this cache was created with.
-    pub fn config(&self) -> CacheConfig {
-        self.config
     }
 
     /// Physical bytes currently held (never exceeds the budget).
@@ -430,9 +380,8 @@ impl QueryCache {
     /// memoised subplan scans (for generation invalidation).
     ///
     /// Returns `true` if the value was stored; `false` if it alone exceeds
-    /// the byte budget or falls below the [`CacheConfig`] admission
-    /// thresholds — either way the existing entry under `key` (if any) is
-    /// left untouched.
+    /// the byte budget, in which case the existing entry under `key` (if
+    /// any) is left untouched.
     pub fn insert(
         &self,
         key: CacheKey,
@@ -442,12 +391,6 @@ impl QueryCache {
     ) -> bool {
         let cost = value.cost_bytes();
         let mut inner = self.lock();
-        // Admission control: results below the thresholds are not worth a
-        // slot.
-        if benefit.as_nanos() < self.config.min_benefit_ns as u128 || cost < self.config.min_bytes {
-            inner.admission_skipped += 1;
-            return false;
-        }
         if cost > self.budget_bytes {
             inner.rejected += 1;
             return false;
@@ -513,7 +456,7 @@ impl QueryCache {
             insertions: inner.insertions,
             evictions: inner.evictions,
             rejected: inner.rejected,
-            admission_skipped: inner.admission_skipped,
+            admission_skipped: 0,
             invalidated: inner.invalidated,
             bytes_used: inner.bytes_used,
             budget_bytes: self.budget_bytes,
@@ -667,50 +610,5 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.bytes_used(), 0);
         assert_eq!(cache.generation("x"), 1);
-    }
-
-    #[test]
-    fn admission_skips_sub_threshold_results() {
-        let config = CacheConfig::new(1_000, 64);
-        let cache = QueryCache::with_config(1 << 20, config);
-        assert_eq!(cache.config(), config);
-
-        // Benefit below min_benefit_ns: never admitted, regardless of size.
-        assert!(!cache.insert(key(1), column_value(512), Duration::from_nanos(999), &[]));
-        assert!(cache.lookup(&key(1)).is_none());
-
-        // Size below min_bytes: never admitted, regardless of benefit.
-        assert!(!cache.insert(key(2), CachedValue::Scalar(7), Duration::from_secs(1), &[]));
-        assert!(cache.lookup(&key(2)).is_none());
-
-        // Above both thresholds: admitted.
-        assert!(cache.insert(key(3), column_value(512), Duration::from_micros(2), &[]));
-        assert!(cache.lookup(&key(3)).is_some());
-
-        let stats = cache.stats();
-        assert_eq!(stats.admission_skipped, 2);
-        assert_eq!(stats.insertions, 1);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn admission_skip_leaves_existing_entry_untouched() {
-        let cache = QueryCache::with_config(1 << 20, CacheConfig::new(0, 64));
-        assert!(cache.insert(key(1), column_value(512), Duration::from_micros(1), &[]));
-        // A sub-threshold replacement must not displace the stored value.
-        assert!(!cache.insert(key(1), CachedValue::Scalar(9), Duration::from_secs(1), &[]));
-        match cache.lookup(&key(1)) {
-            Some(CachedValue::Column(_)) => {}
-            other => panic!("existing entry lost on skipped admission: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn default_config_admits_everything() {
-        let cache = QueryCache::with_budget(1 << 20);
-        assert_eq!(cache.config(), CacheConfig::default());
-        assert!(cache.insert(key(1), CachedValue::Scalar(1), Duration::ZERO, &[]));
-        assert_eq!(cache.stats().admission_skipped, 0);
     }
 }

@@ -1,5 +1,4 @@
-//! Deterministic fault injection for governance testing
-//! (`cfg(feature = "faults")` — compiled out of release builds).
+//! Deterministic fault injection for governance testing.
 //!
 //! A [`FaultPlan`] decides, per *occurrence* of a named query, whether to
 //! arm one fault and where: at the N-th chunk or node checkpoint (the same
@@ -11,7 +10,8 @@
 //!
 //! Armed faults are carried by the query's
 //! [`QueryGovernor`](crate::govern::QueryGovernor) and trigger at most
-//! once, inside a checkpoint:
+//! once, inside a checkpoint (a governor without an armed fault pays one
+//! branch per checkpoint, no lock):
 //!
 //! * [`FaultKind::Decode`] unwinds with a structured
 //!   [`DecodeError`](morph_compression::DecodeError) (surfaces as

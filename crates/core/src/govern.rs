@@ -36,6 +36,8 @@ use std::time::{Duration, Instant};
 
 use morph_compression::DecodeError;
 
+use crate::faults::{ArmedFault, FaultKind, FaultSite};
+
 /// A structured reason why a governed query execution stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
@@ -104,8 +106,11 @@ pub struct QueryGovernor {
     transient_peak_bytes: AtomicUsize,
     chunk_checks: AtomicU64,
     node_checks: AtomicU64,
-    #[cfg(feature = "faults")]
-    fault: std::sync::Mutex<Option<crate::faults::ArmedFault>>,
+    /// The fault armed against this query, set by the builder before the
+    /// governor is shared.
+    fault: Option<ArmedFault>,
+    /// Whether the armed fault has fired (each fires at most once).
+    fault_fired: AtomicBool,
 }
 
 impl Default for QueryGovernor {
@@ -127,8 +132,8 @@ impl QueryGovernor {
             transient_peak_bytes: AtomicUsize::new(0),
             chunk_checks: AtomicU64::new(0),
             node_checks: AtomicU64::new(0),
-            #[cfg(feature = "faults")]
-            fault: std::sync::Mutex::new(None),
+            fault: None,
+            fault_fired: AtomicBool::new(false),
         }
     }
 
@@ -148,9 +153,8 @@ impl QueryGovernor {
 
     /// Arm one deterministic fault against this query (builder style; fault
     /// harness only).
-    #[cfg(feature = "faults")]
-    pub fn with_fault(self, fault: Option<crate::faults::ArmedFault>) -> QueryGovernor {
-        *self.fault.lock().expect("fault slot lock") = fault;
+    pub fn with_fault(mut self, fault: Option<ArmedFault>) -> QueryGovernor {
+        self.fault = fault;
         self
     }
 
@@ -244,55 +248,48 @@ impl QueryGovernor {
         self.check_memory()
     }
 
-    /// One chunk-boundary checkpoint: count, inject any armed fault whose
-    /// trigger has come due, and verify the limits.
-    fn on_chunk(&self) -> Result<(), ExecError> {
-        let count = self.chunk_checks.fetch_add(1, Ordering::Relaxed) + 1;
-        #[cfg(feature = "faults")]
-        self.maybe_inject(crate::faults::FaultSite::Chunk, count)?;
-        #[cfg(not(feature = "faults"))]
-        let _ = count;
-        self.check()
-    }
-
-    /// One node-boundary checkpoint (counterpart of [`Self::on_chunk`]).
-    fn on_node(&self) -> Result<(), ExecError> {
-        let count = self.node_checks.fetch_add(1, Ordering::Relaxed) + 1;
-        #[cfg(feature = "faults")]
-        self.maybe_inject(crate::faults::FaultSite::Node, count)?;
-        #[cfg(not(feature = "faults"))]
-        let _ = count;
-        self.check()
-    }
-
-    /// Trigger the armed fault if this checkpoint is (or is past) its
-    /// trigger point; each armed fault fires at most once.
-    #[cfg(feature = "faults")]
-    fn maybe_inject(&self, site: crate::faults::FaultSite, count: u64) -> Result<(), ExecError> {
-        use crate::faults::FaultKind;
-        let due = {
-            let mut slot = self.fault.lock().expect("fault slot lock");
-            match slot.as_ref() {
-                Some(armed) if armed.site == site && count >= armed.at => slot.take(),
-                _ => None,
-            }
+    /// One chunk- or node-boundary checkpoint: count, inject any armed
+    /// fault whose trigger has come due, and verify the limits.
+    fn on_checkpoint(&self, site: FaultSite) -> Result<(), ExecError> {
+        let checks = match site {
+            FaultSite::Chunk => &self.chunk_checks,
+            FaultSite::Node => &self.node_checks,
         };
-        let Some(armed) = due else { return Ok(()) };
-        match armed.kind {
+        let count = checks.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(armed) = self.fault.as_ref().filter(|armed| armed.site == site) {
+            self.maybe_inject(armed, count)?;
+        }
+        self.check()
+    }
+
+    /// Trigger `armed`, already matched to this checkpoint's site, if
+    /// `count` is at or past its trigger point; each armed fault fires at
+    /// most once.  Out of line and cold, so the checkpoints inlined into
+    /// operator loops stay small.
+    #[cold]
+    #[inline(never)]
+    fn maybe_inject(&self, armed: &ArmedFault, count: u64) -> Result<(), ExecError> {
+        let ArmedFault {
+            site,
+            at,
+            kind,
+            query,
+        } = armed;
+        if count < *at || self.fault_fired.swap(true, Ordering::Relaxed) {
+            return Ok(());
+        }
+        match kind {
             FaultKind::Decode => Err(ExecError::Decode(DecodeError::CorruptHeader {
                 format: "fault-injection",
-                detail: format!(
-                    "injected decode fault at {site:?} {count} of `{}`",
-                    armed.query
-                ),
+                detail: format!("injected decode fault at {site:?} {count} of `{query}`"),
             })),
-            FaultKind::Panic => panic!("injected panic at {site:?} {count} of `{}`", armed.query),
+            FaultKind::Panic => panic!("injected panic at {site:?} {count} of `{query}`"),
             FaultKind::Delay(pause) => {
                 // Sleep in short slices so a cancellation or deadline
                 // expiry arriving mid-delay is still observed promptly by
                 // the following limit check instead of waiting out the
                 // whole pause.
-                let mut remaining = pause;
+                let mut remaining = *pause;
                 while !remaining.is_zero() && self.check().is_ok() {
                     let slice = remaining.min(Duration::from_millis(5));
                     std::thread::sleep(slice);
@@ -360,13 +357,13 @@ fn with_current(check: impl FnOnce(&QueryGovernor) -> Result<(), ExecError>) {
 /// decoded chunk. Nearly free without a governor (one thread-local read).
 #[inline]
 pub fn checkpoint_chunk() {
-    with_current(QueryGovernor::on_chunk);
+    with_current(|governor| governor.on_checkpoint(FaultSite::Chunk));
 }
 
 /// Node-boundary checkpoint, called by `execute_node` once per plan node.
 #[inline]
 pub fn checkpoint_node() {
-    with_current(QueryGovernor::on_node);
+    with_current(|governor| governor.on_checkpoint(FaultSite::Node));
 }
 
 /// Charge one materialised intermediate to the current query's memory

@@ -75,7 +75,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod exec;
-#[cfg(feature = "faults")]
 pub mod faults;
 pub mod fusion;
 pub mod govern;
@@ -89,7 +88,9 @@ pub use exec::{ExecSettings, ExecutionContext, IntegrationDegree};
 pub use fusion::{FusedRegionSummary, FusionPlan};
 pub use govern::{ExecError, GovernorScope, QueryGovernor};
 pub use morph_cache::{CacheKey, CacheStats, QueryCache};
-pub use morph_telemetry::{Histogram, MetricsRegistry, PlanTopology, PlanTrace, QueryTracer};
+pub use morph_telemetry::{
+    Counter, Histogram, MetricsRegistry, PlanTopology, PlanTrace, QueryTracer,
+};
 pub use morph_vector::kernels::BinaryOp;
 pub use morph_vector::ProcessingStyle;
 pub use ops::agg::{agg_max, agg_sum, agg_sum_grouped};

@@ -1,5 +1,4 @@
-//! Governance and fault-injection tests through the public executor API
-//! (`--features faults`).
+//! Governance and fault-injection tests through the public executor API.
 //!
 //! Covers the full lifecycle contract end to end on real multi-node plans:
 //! cancellation, deadlines and memory budgets surface as structured

@@ -5,8 +5,7 @@
 //! respects the engine's structural invariants, this linter proves the
 //! *source code* respects its safety and determinism conventions — SAFETY
 //! comments on `unsafe`, panic-free hot paths, confined atomic orderings,
-//! sanctioned panic boundaries, metrics/stats co-location, and no stray
-//! time sources (see [`rules`] for the rule table).
+//! sanctioned panic boundaries, and no stray time sources (see [`rules`] for the rule table).
 //!
 //! Zero dependencies by design: like the SQL front-end's hand-written
 //! lexer, the scanner in [`lexer`] is a few hundred lines of std-only Rust,
@@ -53,7 +52,7 @@ impl fmt::Display for Severity {
 /// One finding: rule, severity, location and message.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (`"L1"` ... `"L6"`, or `"allowlist"`).
+    /// Rule identifier (`"L1"` ... `"L4"`, `"L6"`, or `"allowlist"`).
     pub rule: &'static str,
     /// Whether the finding fails the run.
     pub severity: Severity,

@@ -1,5 +1,6 @@
-//! The lint rules (L1–L6) enforcing the engine's safety and determinism
-//! invariants, evaluated over the token stream of one file at a time.
+//! The lint rules (L1–L4, L6) enforcing the engine's safety and
+//! determinism invariants, evaluated over the token stream of one file at a
+//! time.  There is no L5; its number is not reused.
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
@@ -7,7 +8,6 @@
 //! | L2 | no `.unwrap()` / `.expect(` in non-test code of the hot-path crates |
 //! | L3 | `SeqCst` is banned outright; `Relaxed` only in sanctioned modules |
 //! | L4 | `panic_any` / `catch_unwind` only at governor/executor boundaries |
-//! | L5 | `OutcomeCounts` mutations co-located with their metrics mirror |
 //! | L6 | `Instant` / `SystemTime` only in timing and telemetry modules |
 
 use crate::lexer::{Token, TokenKind};
@@ -16,11 +16,6 @@ use crate::{Diagnostic, Severity};
 /// How many lines above an `unsafe` token a `// SAFETY:` comment may sit
 /// (same line counts too).
 const SAFETY_WINDOW: u32 = 3;
-
-/// How many lines an `OutcomeCounts` bucket increment and its
-/// `count_outcome` metrics mirror may be apart (the worker loop updates
-/// several sibling counters under one lock before mirroring).
-const OUTCOME_WINDOW: u32 = 25;
 
 /// Module prefixes where `Ordering::Relaxed` is sanctioned: telemetry
 /// counters and transient engine counters whose exact interleaving is
@@ -102,7 +97,6 @@ pub fn check_file(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     l2_no_unwrap_in_hot_paths(ctx, out);
     l3_atomic_orderings(ctx, out);
     l4_panic_boundaries(ctx, out);
-    l5_outcome_metrics_colocation(ctx, out);
     l6_time_sources(ctx, out);
 }
 
@@ -225,44 +219,6 @@ fn l4_panic_boundaries(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                 Severity::Error,
                 token.line,
                 "`panic_any` outside the sanctioned decode-error wrappers".into(),
-            ));
-        }
-    }
-}
-
-/// L5: each `outcomes.<bucket> += 1` mutation must have a `count_outcome`
-/// call (the `MetricsRegistry` mirror) within [`OUTCOME_WINDOW`] lines, so
-/// `stats()` and `metrics_text()` reconcile exactly.
-fn l5_outcome_metrics_colocation(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for (i, token) in ctx.tokens.iter().enumerate() {
-        if !token.is_ident("outcomes") || ctx.is_test_token(i) {
-            continue;
-        }
-        // Match `outcomes . <bucket> + =` — a bucket increment.
-        let bucket = ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct('.'))
-            && ctx
-                .tokens
-                .get(i + 2)
-                .is_some_and(|t| t.kind == TokenKind::Ident);
-        let incremented = ctx.tokens.get(i + 3).is_some_and(|t| t.is_punct('+'))
-            && ctx.tokens.get(i + 4).is_some_and(|t| t.is_punct('='));
-        if !(bucket && incremented) {
-            continue;
-        }
-        let mirrored = ctx
-            .tokens
-            .iter()
-            .any(|t| t.is_ident("count_outcome") && t.line.abs_diff(token.line) <= OUTCOME_WINDOW);
-        if !mirrored {
-            out.push(diag(
-                ctx,
-                "L5",
-                Severity::Error,
-                token.line,
-                format!(
-                    "`outcomes.{} += 1` without a nearby `count_outcome` metrics mirror",
-                    ctx.tokens[i + 2].text
-                ),
             ));
         }
     }

@@ -99,18 +99,6 @@ fn l4_allows_the_sanctioned_boundaries() {
 }
 
 #[test]
-fn l5_fires_once_on_unmirrored_outcome_increment() {
-    let fired = rules_fired("crates/server/src/fixture.rs", "l5_unmirrored_outcome.rs");
-    assert_eq!(fired, vec!["L5"]);
-}
-
-#[test]
-fn l5_accepts_colocated_metrics_mirror() {
-    let fired = rules_fired("crates/server/src/fixture.rs", "l5_clean.rs");
-    assert!(fired.is_empty(), "unexpected diagnostics: {fired:?}");
-}
-
-#[test]
 fn l6_fires_once_on_stray_time_source() {
     let fired = rules_fired("crates/cache/src/fixture.rs", "l6_instant.rs");
     assert_eq!(fired, vec!["L6"]);

@@ -27,11 +27,12 @@
 //!   structured [`ServerError`]s with positions and did-you-mean
 //!   suggestions; engine panics during execution are caught at the worker
 //!   boundary and returned as [`ServerError::Execution`].
-//! * **Observability** — a process-wide [`MetricsRegistry`] counts every
-//!   admission outcome at the same sites as [`OutcomeCounts`] (so the two
-//!   reconcile exactly) and observes queue-wait, execution and end-to-end
-//!   latency histograms, rendered as Prometheus text by
-//!   [`Server::metrics_text`].  Queries prefixed `EXPLAIN ANALYZE` execute
+//! * **Observability** — a process-wide [`MetricsRegistry`] holds every
+//!   count the server keeps: each tenant's handles (outcome and rejection
+//!   counters, queue-wait and execution histograms) are resolved once when
+//!   the tenant registers, and both [`Server::stats`] and the Prometheus
+//!   text of [`Server::metrics_text`] read those same handles, so the two
+//!   agree by construction.  Queries prefixed `EXPLAIN ANALYZE` execute
 //!   under a tracer and carry their per-node profile in
 //!   [`QueryResponse::profile`]; with
 //!   [`ServerConfig::slow_query_threshold`] set, every query is traced and
@@ -55,11 +56,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use morph_cache::{CacheConfig, QueryCache};
+use morph_cache::QueryCache;
 use morph_sql::{Catalog, CompiledQuery};
 use morphstore_engine::exec::FormatConfig;
+use morphstore_engine::faults::FaultPlan;
 use morphstore_engine::plan::{ColumnSource, PlanOutput};
-use morphstore_engine::{ExecSettings, ExecutionContext, Histogram, QueryGovernor, QueryTracer};
+use morphstore_engine::{
+    Counter, ExecSettings, ExecutionContext, Histogram, QueryGovernor, QueryTracer,
+};
 
 pub use error::ServerError;
 pub use morphstore_engine::MetricsRegistry;
@@ -97,8 +101,6 @@ pub struct ServerConfig {
     /// Maximum number of distinct tenants; the budget division uses this
     /// as the denominator, so it is fixed up front.
     pub max_tenants: usize,
-    /// Admission thresholds applied to every tenant's cache shard.
-    pub cache_admission: CacheConfig,
     /// Engine settings queries execute under (any cache handle in here is
     /// replaced by the tenant's shard).
     pub settings: ExecSettings,
@@ -112,10 +114,9 @@ pub struct ServerConfig {
     /// per-node profile — in the slow-query log ([`Server::slow_queries`]).
     pub slow_query_threshold: Option<Duration>,
     /// Deterministic fault schedule consulted once per admitted query
-    /// (fault-injection harness; test builds only).  Queries are named
+    /// (fault-injection harness; `None` outside tests).  Queries are named
     /// `"<tenant>:<sql>"`, so co-tenant schedules are independent.
-    #[cfg(feature = "faults")]
-    pub fault_plan: Option<Arc<morphstore_engine::faults::FaultPlan>>,
+    pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ServerConfig {
@@ -126,12 +127,10 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_budget_bytes: 64 << 20,
             max_tenants: 8,
-            cache_admission: CacheConfig::default(),
             settings: ExecSettings::vectorized_compressed(),
             formats: FormatConfig::default(),
             default_limits: TenantLimits::default(),
             slow_query_threshold: None,
-            #[cfg(feature = "faults")]
             fault_plan: None,
         }
     }
@@ -173,6 +172,8 @@ struct Job {
     enqueued_at: Instant,
     reply: Arc<ReplySlot>,
     governor: Arc<QueryGovernor>,
+    cache: Arc<QueryCache>,
+    metrics: Arc<TenantMetrics>,
 }
 
 /// The rendezvous a [`PendingQuery`] waits on.
@@ -218,9 +219,85 @@ struct TenantState {
     limits: TenantLimits,
     /// Admitted queries not yet replied to (queued or executing).
     in_flight: usize,
-    served: u64,
-    rejected: u64,
-    outcomes: OutcomeCounts,
+    metrics: Arc<TenantMetrics>,
+}
+
+/// The `outcome` label values of [`QUERIES_TOTAL`], one per
+/// [`OutcomeCounts`] bucket and in its field order.
+const OUTCOMES: [&str; 6] = [
+    "ok",
+    "failed",
+    "cancelled",
+    "deadline_exceeded",
+    "memory_exceeded",
+    "shed",
+];
+
+/// One tenant's registry handles, resolved once when the tenant registers:
+/// the only record of what the server counted for it.  Admission,
+/// cancellation and completion increment them under the scheduler lock
+/// (the cache and fusion counters, which `stats()` does not read, as the
+/// run ends); [`Server::stats`] and [`Server::metrics_text`] read them.
+struct TenantMetrics {
+    /// `morph_queries_total{outcome}` cells, in [`OUTCOMES`] order.
+    outcomes: [Counter; 6],
+    rejected: Counter,
+    cache_hit_nodes: Counter,
+    bytes_avoided: Counter,
+    queue_wait: Arc<Histogram>,
+    /// Worker service time per query; its count is the tenant's `served`.
+    execution: Arc<Histogram>,
+}
+
+impl TenantMetrics {
+    fn register(metrics: &MetricsRegistry, tenant: &str) -> TenantMetrics {
+        let labels = [("tenant", tenant)];
+        let counter = |name, help| metrics.counter(name, help, &labels);
+        let histogram = |name, help| metrics.histogram(name, help, &labels);
+        TenantMetrics {
+            outcomes: OUTCOMES.map(|outcome| {
+                let labels = [("tenant", tenant), ("outcome", outcome)];
+                let help = "Admitted queries by final outcome (reconciles with OutcomeCounts)";
+                metrics.counter(QUERIES_TOTAL, help, &labels)
+            }),
+            rejected: counter(
+                REJECTED_TOTAL,
+                "Admission rejections (queue full, in-flight limit, load shed)",
+            ),
+            cache_hit_nodes: counter(
+                "morph_cache_hit_nodes_total",
+                "Plan nodes completed from the tenant's cache shard",
+            ),
+            bytes_avoided: counter(
+                "morph_intermediate_bytes_avoided_total",
+                "Intermediate bytes never materialised thanks to operator fusion",
+            ),
+            queue_wait: histogram("morph_queue_wait_ns", "Admission-to-start wait per query"),
+            execution: histogram("morph_execution_ns", "Worker service time per query"),
+        }
+    }
+
+    /// The counter of `outcome`, one of [`OUTCOMES`].
+    fn outcome(&self, outcome: &str) -> &Counter {
+        let index = OUTCOMES
+            .iter()
+            .position(|&label| label == outcome)
+            .expect("known outcome label");
+        &self.outcomes[index]
+    }
+
+    fn outcome_counts(&self) -> OutcomeCounts {
+        let [ok, failed, cancelled, deadline_exceeded, memory_exceeded, shed] =
+            self.outcomes.each_ref().map(Counter::get);
+        OutcomeCounts {
+            ok,
+            failed,
+            cancelled,
+            deadline_exceeded,
+            memory_exceeded,
+            shed,
+        }
+    }
 }
 
 /// State behind the scheduler lock.
@@ -234,18 +311,20 @@ struct Inner {
     latency: Arc<Histogram>,
     /// Most recent queries over the slow-query threshold, oldest first.
     slow_queries: VecDeque<SlowQuery>,
-    /// Running sum/count of worker service times, for the admission-time
-    /// queue-wait estimate behind load shedding and `retry_after` hints.
-    service_total_ns: u64,
-    service_samples: u64,
 }
 
 impl Inner {
-    /// Mean worker service time observed so far, `None` until a query has
-    /// completed (no shedding before the server has evidence).
+    /// Mean worker service time observed so far over every tenant's
+    /// execution histogram (exact sums and counts), `None` until a query
+    /// has completed (no shedding before the server has evidence).  It
+    /// drives the admission-time queue-wait estimate behind load shedding
+    /// and `retry_after` hints.
     fn avg_service(&self) -> Option<Duration> {
-        (self.service_samples > 0)
-            .then(|| Duration::from_nanos(self.service_total_ns / self.service_samples))
+        let (total_ns, samples) = self.tenants.iter().fold((0, 0), |(sum, count), tenant| {
+            let execution = &tenant.metrics.execution;
+            (sum + execution.sum(), count + execution.count())
+        });
+        (samples > 0).then(|| Duration::from_nanos(total_ns / samples))
     }
 
     /// Estimated wait before a query admitted now starts executing:
@@ -277,7 +356,7 @@ struct Shared {
     metrics: MetricsRegistry,
 }
 
-/// Counter of admitted-query outcomes; mirrors [`OutcomeCounts`] exactly.
+/// Counter of admitted-query outcomes, by [`OutcomeCounts`] bucket.
 const QUERIES_TOTAL: &str = "morph_queries_total";
 /// Counter of admission rejections (queue full, in-flight limit, shed).
 const REJECTED_TOTAL: &str = "morph_rejected_total";
@@ -292,19 +371,6 @@ fn outcome_label(result: &Result<QueryResponse, ServerError>) -> &'static str {
         Err(ServerError::MemoryExceeded { .. }) => "memory_exceeded",
         Err(_) => "failed",
     }
-}
-
-/// What [`Shared::run_job`] hands back to the worker loop: the client
-/// reply plus the observability side-channel of the run.
-struct JobRun {
-    result: Result<QueryResponse, ServerError>,
-    /// Rendered per-node profile, whenever a tracer captured a trace
-    /// (`EXPLAIN ANALYZE` queries and slow-query-log candidates).
-    profile: Option<String>,
-    /// Plan nodes completed from the tenant's cache shard.
-    cache_hits: u64,
-    /// Intermediate bytes never materialised thanks to operator fusion.
-    bytes_avoided: u64,
 }
 
 impl Shared {
@@ -324,27 +390,19 @@ impl Shared {
         }
     }
 
-    fn run_job(&self, job: &Job) -> JobRun {
-        let cache = {
-            let inner = self.inner.lock().unwrap();
-            Arc::clone(&inner.tenants[job.tenant].cache)
-        };
+    /// Compile and execute `job`: the client reply, plus the rendered
+    /// per-node profile whenever a tracer captured a trace (`EXPLAIN
+    /// ANALYZE` queries and slow-query-log candidates).
+    fn run_job(&self, job: &Job) -> (Result<QueryResponse, ServerError>, Option<String>) {
         let compiled: CompiledQuery = match morph_sql::compile(&job.sql, &self.catalog) {
             Ok(compiled) => compiled,
-            Err(error) => {
-                return JobRun {
-                    result: Err(error.into()),
-                    profile: None,
-                    cache_hits: 0,
-                    bytes_avoided: 0,
-                }
-            }
+            Err(error) => return (Err(error.into()), None),
         };
         let mut settings = self
             .config
             .settings
             .clone()
-            .with_cache(cache)
+            .with_cache(Arc::clone(&job.cache))
             .with_governor(Arc::clone(&job.governor));
         // EXPLAIN ANALYZE always traces; a configured slow-query threshold
         // traces every query so the log can attach a profile after the fact.
@@ -354,29 +412,27 @@ impl Shared {
         if let Some(tracer) = &tracer {
             settings = settings.with_tracer(Arc::clone(tracer));
         }
-        let formats = self.config.formats.clone();
-        let source = Arc::clone(&self.source);
+        let source = self.source.as_ref();
         let threads = self.config.threads_per_query;
         // Two containment layers: `try_execute*` converts governance trips
         // and decode failures into structured `ExecError`s, and the outer
         // `catch_unwind` contains any *other* engine panic (a genuine bug,
         // or an injected one) so the worker survives either way.
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = ExecutionContext::new(settings, formats);
+            let mut ctx = ExecutionContext::new(settings, self.config.formats.clone());
             let result = if threads > 1 {
-                compiled.try_execute_parallel(source.as_ref(), &mut ctx, threads)
+                compiled.try_execute_parallel(source, &mut ctx, threads)
             } else {
-                compiled.try_execute(source.as_ref(), &mut ctx)
+                compiled.try_execute(source, &mut ctx)
             };
-            (
-                result,
-                ctx.cache_hit_count() as u64,
-                ctx.intermediate_bytes_avoided(),
-            )
+            let metrics = &job.metrics;
+            metrics.cache_hit_nodes.add(ctx.cache_hit_count() as u64);
+            metrics.bytes_avoided.add(ctx.intermediate_bytes_avoided());
+            result
         }));
-        let (result, cache_hits, bytes_avoided) = match run {
-            Ok((result, hits, avoided)) => (result.map_err(ServerError::from), hits, avoided),
-            Err(panic) => (Err(error::execution_error(panic)), 0, 0),
+        let result = match run {
+            Ok(result) => result.map_err(ServerError::from),
+            Err(panic) => Err(error::execution_error(panic)),
         };
         let profile = tracer
             .and_then(|tracer| tracer.last_trace())
@@ -385,113 +441,41 @@ impl Shared {
             output,
             profile: if explain { profile.clone() } else { None },
         });
-        JobRun {
-            result,
-            profile,
-            cache_hits,
-            bytes_avoided,
-        }
-    }
-
-    /// Count one query outcome for `tenant` — the metrics mirror of the
-    /// [`OutcomeCounts`] bucket the caller just incremented, so
-    /// `metrics_text()` reconciles exactly with `stats()`.
-    fn count_outcome(&self, tenant: &str, outcome: &str) {
-        self.metrics
-            .counter(
-                QUERIES_TOTAL,
-                "Admitted queries by final outcome (reconciles with OutcomeCounts)",
-                &[("tenant", tenant), ("outcome", outcome)],
-            )
-            .inc();
-    }
-
-    /// Count one admission rejection for `tenant`.
-    fn count_rejected(&self, tenant: &str) {
-        self.metrics
-            .counter(
-                REJECTED_TOTAL,
-                "Admission rejections (queue full, in-flight limit, load shed)",
-                &[("tenant", tenant)],
-            )
-            .inc();
+        (result, profile)
     }
 
     fn worker_loop(&self) {
         while let Some(job) = self.take_job() {
             let started = Instant::now();
             let queue_wait = started.duration_since(job.enqueued_at);
-            let run = self.run_job(&job);
+            let (result, profile) = self.run_job(&job);
             let service = started.elapsed();
             let latency = job.enqueued_at.elapsed();
-            let outcome = outcome_label(&run.result);
-            let tenant_name = {
+            {
                 let mut inner = self.inner.lock().unwrap();
                 inner.latency.observe(latency.as_nanos() as u64);
-                inner.service_total_ns += service.as_nanos() as u64;
-                inner.service_samples += 1;
                 let tenant = &mut inner.tenants[job.tenant];
-                tenant.served += 1;
                 tenant.in_flight = tenant.in_flight.saturating_sub(1);
-                match outcome {
-                    "ok" => tenant.outcomes.ok += 1,
-                    "cancelled" => tenant.outcomes.cancelled += 1,
-                    "deadline_exceeded" => tenant.outcomes.deadline_exceeded += 1,
-                    "memory_exceeded" => tenant.outcomes.memory_exceeded += 1,
-                    _ => tenant.outcomes.failed += 1,
-                }
-                let name = tenant.name.clone();
+                job.metrics.outcome(outcome_label(&result)).inc();
+                job.metrics.queue_wait.observe(queue_wait.as_nanos() as u64);
+                job.metrics.execution.observe(service.as_nanos() as u64);
                 if let Some(threshold) = self.config.slow_query_threshold {
                     if service >= threshold {
+                        let tenant = tenant.name.clone();
                         if inner.slow_queries.len() == SLOW_QUERY_LOG_CAPACITY {
                             inner.slow_queries.pop_front();
                         }
                         inner.slow_queries.push_back(SlowQuery {
-                            tenant: name.clone(),
+                            tenant,
                             sql: job.sql.clone(),
                             service,
                             latency,
-                            profile: run.profile.clone(),
+                            profile,
                         });
                     }
                 }
-                name
-            };
-            self.count_outcome(&tenant_name, outcome);
-            let labels = [("tenant", tenant_name.as_str())];
-            self.metrics
-                .histogram(
-                    "morph_queue_wait_ns",
-                    "Admission-to-start wait per query",
-                    &labels,
-                )
-                .observe(queue_wait.as_nanos() as u64);
-            self.metrics
-                .histogram(
-                    "morph_execution_ns",
-                    "Worker service time per query",
-                    &labels,
-                )
-                .observe(service.as_nanos() as u64);
-            if run.cache_hits > 0 {
-                self.metrics
-                    .counter(
-                        "morph_cache_hit_nodes_total",
-                        "Plan nodes completed from the tenant's cache shard",
-                        &labels,
-                    )
-                    .add(run.cache_hits);
             }
-            if run.bytes_avoided > 0 {
-                self.metrics
-                    .counter(
-                        "morph_intermediate_bytes_avoided_total",
-                        "Intermediate bytes never materialised thanks to operator fusion",
-                        &labels,
-                    )
-                    .add(run.bytes_avoided);
-            }
-            job.reply.fill(run.result);
+            job.reply.fill(result);
         }
     }
 }
@@ -523,8 +507,6 @@ impl Server {
                 shutdown: false,
                 latency,
                 slow_queries: VecDeque::new(),
-                service_total_ns: 0,
-                service_samples: 0,
             }),
             work: Condvar::new(),
             catalog,
@@ -586,16 +568,11 @@ impl Server {
                 let shard_budget = config.cache_budget_bytes / config.max_tenants.max(1);
                 inner.tenants.push(TenantState {
                     name: tenant.to_string(),
-                    cache: Arc::new(QueryCache::with_config(
-                        shard_budget,
-                        config.cache_admission,
-                    )),
+                    cache: Arc::new(QueryCache::with_budget(shard_budget)),
                     queue: VecDeque::new(),
                     limits: config.default_limits.clone(),
                     in_flight: 0,
-                    served: 0,
-                    rejected: 0,
-                    outcomes: OutcomeCounts::default(),
+                    metrics: Arc::new(TenantMetrics::register(&self.shared.metrics, tenant)),
                 });
                 inner.tenants.len() - 1
             }
@@ -621,11 +598,11 @@ impl Server {
             .iter()
             .map(|t| TenantStats {
                 tenant: t.name.clone(),
-                served: t.served,
-                rejected: t.rejected,
+                served: t.metrics.execution.count(),
+                rejected: t.metrics.rejected.get(),
                 queue_depth: t.queue.len(),
                 in_flight: t.in_flight,
-                outcomes: t.outcomes,
+                outcomes: t.metrics.outcome_counts(),
                 cache: t.cache.stats(),
             })
             .collect();
@@ -650,10 +627,11 @@ impl Server {
     /// format.
     ///
     /// Counters (`morph_queries_total`, `morph_rejected_total`, cache and
-    /// fusion byte counters) are incremented at the same sites as the
-    /// [`OutcomeCounts`] they mirror, so the rendered totals reconcile
-    /// exactly with [`Server::stats`].  Point-in-time gauges (queue depth,
-    /// in-flight queries, cache shard state) are refreshed on every call.
+    /// fusion byte counters) and the queue-wait and execution histograms
+    /// are the handles [`Server::stats`] reads, so the rendered totals
+    /// equal its [`OutcomeCounts`]; a tenant's handles render as 0 from its
+    /// registration on.  Point-in-time gauges (queue depth, in-flight
+    /// queries, cache shard state) are refreshed on every call.
     pub fn metrics_text(&self) -> String {
         let metrics = &self.shared.metrics;
         {
@@ -798,22 +776,18 @@ impl PendingQuery {
         let removed = {
             let mut inner = self.shared.inner.lock().unwrap();
             let tenant = &mut inner.tenants[self.tenant];
-            match tenant
+            let position = tenant
                 .queue
                 .iter()
-                .position(|job| Arc::ptr_eq(&job.reply, &self.reply))
-            {
-                Some(position) => {
-                    tenant.queue.remove(position);
-                    tenant.in_flight = tenant.in_flight.saturating_sub(1);
-                    tenant.outcomes.cancelled += 1;
-                    Some(tenant.name.clone())
-                }
-                None => None,
+                .position(|job| Arc::ptr_eq(&job.reply, &self.reply));
+            if let Some(position) = position {
+                tenant.queue.remove(position);
+                tenant.in_flight = tenant.in_flight.saturating_sub(1);
+                tenant.metrics.outcome("cancelled").inc();
             }
+            position.is_some()
         };
-        if let Some(tenant) = removed {
-            self.shared.count_outcome(&tenant, "cancelled");
+        if removed {
             self.reply.fill(Err(ServerError::Cancelled));
         }
     }
@@ -860,8 +834,7 @@ impl Session {
             let tenant = &mut inner.tenants[self.tenant];
             if let Some(max_in_flight) = tenant.limits.max_in_flight {
                 if tenant.in_flight >= max_in_flight {
-                    tenant.rejected += 1;
-                    self.shared.count_rejected(&tenant.name);
+                    tenant.metrics.rejected.inc();
                     return Err(ServerError::InFlightLimit {
                         tenant: tenant.name.clone(),
                         max_in_flight,
@@ -869,8 +842,7 @@ impl Session {
                 }
             }
             if tenant.queue.len() >= capacity {
-                tenant.rejected += 1;
-                self.shared.count_rejected(&tenant.name);
+                tenant.metrics.rejected.inc();
                 return Err(ServerError::QueueFull {
                     tenant: tenant.name.clone(),
                     capacity,
@@ -884,10 +856,8 @@ impl Session {
             // drained below the deadline.
             if let (Some(deadline), Some(wait)) = (tenant.limits.deadline, estimated_wait) {
                 if wait > deadline {
-                    tenant.rejected += 1;
-                    tenant.outcomes.shed += 1;
-                    self.shared.count_rejected(&tenant.name);
-                    self.shared.count_outcome(&tenant.name, "shed");
+                    tenant.metrics.rejected.inc();
+                    tenant.metrics.outcome("shed").inc();
                     return Err(ServerError::QueueFull {
                         tenant: tenant.name.clone(),
                         capacity,
@@ -902,7 +872,6 @@ impl Session {
             if let Some(budget) = tenant.limits.memory_budget_bytes {
                 governor = governor.with_memory_budget(budget);
             }
-            #[cfg(feature = "faults")]
             if let Some(plan) = &self.shared.config.fault_plan {
                 governor = governor.with_fault(plan.arm(&format!("{}:{sql}", tenant.name)));
             }
@@ -915,6 +884,8 @@ impl Session {
                 enqueued_at: Instant::now(),
                 reply: Arc::clone(&reply),
                 governor: Arc::clone(&governor),
+                cache: Arc::clone(&tenant.cache),
+                metrics: Arc::clone(&tenant.metrics),
             });
             (reply, governor)
         };
@@ -1062,6 +1033,12 @@ mod tests {
         }
         assert_eq!(server.stats().rejected, 1);
         assert_eq!(server.stats().queue_depth, 2);
+        assert_eq!(
+            server
+                .metrics()
+                .counter_value(REJECTED_TOTAL, &[("tenant", "acme")]),
+            Some(server.stats().tenants[0].rejected)
+        );
     }
 
     /// A source whose every column lookup sleeps: the deterministic way to
@@ -1140,6 +1117,12 @@ mod tests {
         }
         // The limit is per tenant, not server-wide.
         other.enqueue("SELECT SUM(y) FROM t WHERE x = 1").unwrap();
+        assert_eq!(
+            server
+                .metrics()
+                .counter_value(REJECTED_TOTAL, &[("tenant", "limited")]),
+            Some(server.stats().tenants[0].rejected)
+        );
     }
 
     #[test]
@@ -1226,14 +1209,17 @@ mod tests {
                 ..ServerConfig::default()
             },
         );
+        let slow = server.session("slow").unwrap();
         // Hand the estimator its evidence directly: a 200 ms mean service
         // time, so one queued query predicts a 200 ms wait.
-        {
-            let mut inner = server.shared.inner.lock().unwrap();
-            inner.service_total_ns = 200_000_000;
-            inner.service_samples = 1;
-        }
-        let slow = server.session("slow").unwrap();
+        server
+            .metrics()
+            .histogram(
+                "morph_execution_ns",
+                "Worker service time per query",
+                &[("tenant", "slow")],
+            )
+            .observe(200_000_000);
         let strict = server
             .session_with_limits(
                 "strict",
@@ -1266,6 +1252,12 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.tenants[1].outcomes.shed, 1);
         assert_eq!(stats.tenants[1].rejected, 1);
+        assert_eq!(
+            server
+                .metrics()
+                .counter_value(REJECTED_TOTAL, &[("tenant", "strict")]),
+            Some(stats.tenants[1].rejected)
+        );
         running.wait().unwrap();
         queued.wait().unwrap();
     }
@@ -1362,27 +1354,6 @@ mod tests {
         for tenant in &inner.tenants {
             assert_eq!(tenant.cache.budget_bytes(), per_shard);
         }
-    }
-
-    #[test]
-    fn admission_config_reaches_tenant_shards() {
-        let server = server(ServerConfig {
-            workers: 1,
-            cache_admission: CacheConfig::new(u64::MAX, usize::MAX),
-            ..ServerConfig::default()
-        });
-        let session = server.session("acme").unwrap();
-        let sql = "SELECT SUM(y) FROM t WHERE x = 1";
-        session.submit(sql).unwrap();
-        session.submit(sql).unwrap();
-        let stats = server.stats();
-        let shard = &stats.tenants[0];
-        // Impossible thresholds: every subplan result is skipped, so the
-        // warm rerun cannot hit.
-        assert!(
-            shard.cache.admission_skipped > 0,
-            "thresholds not applied: {shard:?}"
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Chaos test of the governance layer (`--features faults`): a seeded
+//! Chaos test of the governance layer: a seeded
 //! deterministic fault plan injects decode failures, engine panics and
 //! delays into ~10% of query executions across two tenants hammering all
 //! 13 SSB queries on a 4-worker server.  The contract under fire:

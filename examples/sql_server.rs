@@ -112,8 +112,8 @@ fn main() {
         );
     }
 
-    // The same numbers as a Prometheus scrape: outcome counters reconcile
-    // exactly with the stats above, histograms render as summaries.
+    // The same numbers as a Prometheus scrape: the stats above are read
+    // from these outcome counters, histograms render as summaries.
     let metrics = server.metrics_text();
     println!("\nmetrics excerpt:");
     for line in metrics

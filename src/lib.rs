@@ -61,7 +61,7 @@ pub use morphstore_engine as engine;
 
 /// Convenience re-exports of the most frequently used items.
 pub mod prelude {
-    pub use morph_cache::{CacheConfig, CacheKey, CacheStats, QueryCache};
+    pub use morph_cache::{CacheKey, CacheStats, QueryCache};
     pub use morph_compression::Format;
     pub use morph_cost::{DataCharacteristics, FormatSelectionStrategy, SelectionObjective};
     pub use morph_server::{
