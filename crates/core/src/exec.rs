@@ -20,6 +20,8 @@ use morph_compression::Format;
 use morph_storage::{Column, ColumnSize};
 use morph_vector::ProcessingStyle;
 
+use crate::trace::{NodeSpan, QueryTracer};
+
 /// The four degrees of integrating compression into query operators
 /// (Figure 2 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -102,14 +104,13 @@ pub struct ExecSettings {
     /// execution; interior columns are dropped as soon as they are
     /// recorded.  `false` (the default) keeps node-by-node execution.
     pub fusion: bool,
-    /// Per-query span recorder consulted by all executors.  When attached,
-    /// every execution publishes a [`PlanTrace`](morph_telemetry::PlanTrace)
-    /// — one span per plan node with deterministic ids derived from the
-    /// plan's structural fingerprint — recorded with relaxed atomics on the
-    /// happy path (the same budget as the governor's checkpoints).  `None`
-    /// (the default) disables tracing; results, footprint records and
-    /// timing-label sequences are byte-identical either way.
-    pub tracer: Option<Arc<morph_telemetry::QueryTracer>>,
+    /// Per-query trace sink.  When attached, every completed execution
+    /// publishes a [`PlanTrace`](crate::trace::PlanTrace) — one span per
+    /// plan node, read off the node records after the run, so the workers
+    /// record nothing twice.  `None` (the default) disables tracing;
+    /// results, footprint records and timing-label sequences are
+    /// byte-identical either way.
+    pub tracer: Option<Arc<QueryTracer>>,
 }
 
 /// Settings compare by configuration; the cache and governor handles
@@ -208,12 +209,12 @@ impl ExecSettings {
         self
     }
 
-    /// The same settings with a per-query span recorder attached (builder
+    /// The same settings with a per-query trace sink attached (builder
     /// style).  All executors publish a
-    /// [`PlanTrace`](morph_telemetry::PlanTrace) per execution, which
+    /// [`PlanTrace`](crate::trace::PlanTrace) per execution, which
     /// [`QueryPlan::explain_analyze`](crate::plan::QueryPlan::explain_analyze)
     /// renders as a per-node profile.
-    pub fn with_tracer(mut self, tracer: Arc<morph_telemetry::QueryTracer>) -> ExecSettings {
+    pub fn with_tracer(mut self, tracer: Arc<QueryTracer>) -> ExecSettings {
         self.tracer = Some(tracer);
         self
     }
@@ -311,6 +312,7 @@ pub struct NodeRecords {
     captured: Vec<(String, Column)>,
     capture: bool,
     cache_hits: usize,
+    morsel_parts: usize,
 }
 
 impl NodeRecords {
@@ -390,28 +392,27 @@ impl NodeRecords {
         self.cache_hits += 1;
     }
 
-    /// Publish this node's execution into a tracing span: the recorded
-    /// operator wall clock (zero for scans, the lookup time for cache
-    /// hits), the output's logical rows and physical bytes from the last
-    /// footprint record, and the cache-hit flag.  Purely additive — nothing
-    /// in the records themselves changes.
-    pub fn record_span(&self, trace: &morph_telemetry::PlanTrace, node: usize) {
-        let (rows, bytes, logical) = match self.records.last() {
-            Some(record) => (
-                record.len as u64,
-                record.bytes as u64,
-                (record.len as u64) * 8,
-            ),
-            None => (0, 0, 0),
-        };
-        trace.record_node(
-            node,
-            self.last_duration(),
-            rows,
-            bytes,
-            logical,
-            self.cache_hits > 0,
-        );
+    /// Note that this node ran as one of the `parts` chunk-range parts of
+    /// a fanned-out unit.
+    pub(crate) fn note_morsel_parts(&mut self, parts: usize) {
+        self.morsel_parts = parts;
+    }
+
+    /// This node's trace span: the last timing (zero for scans, the lookup
+    /// time for cache hits), rows, bytes and format of the last footprint
+    /// record (a grouping's `_reps` column; nothing for a scalar sum), the
+    /// cache-hit flag and the morsel fan-out degree.
+    pub(crate) fn span(&self) -> NodeSpan {
+        let last = self.records.last();
+        NodeSpan {
+            recorded: true,
+            elapsed: self.last_duration(),
+            rows: last.map_or(0, |record| record.len as u64),
+            bytes: last.map_or(0, |record| record.bytes as u64),
+            format: last.map(|record| record.format),
+            cache_hit: self.cache_hits > 0,
+            morsel_parts: self.morsel_parts as u64,
+        }
     }
 }
 

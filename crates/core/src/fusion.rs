@@ -184,6 +184,8 @@ pub struct FusedRegion {
 /// Read-only summary of one fused region, for cost models and tooling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusedRegionSummary {
+    /// Member node indices, ascending; the root is the last entry.
+    pub members: Vec<usize>,
     /// Edge name of the driver column (base-column name or
     /// `"<label>/<step>"`).
     pub driver: String,
@@ -331,6 +333,7 @@ impl FusionPlan {
         self.regions
             .iter()
             .map(|region| FusedRegionSummary {
+                members: region.members.clone(),
                 driver: edge_name(plan, region.driver),
                 interior_edges: region
                     .members
@@ -347,8 +350,9 @@ impl FusionPlan {
             .collect()
     }
 
-    /// Render the regions as bracketed pipeline groups — the fusion
-    /// section of EXPLAIN output (empty string when nothing fuses).
+    /// Render the regions as bracketed pipeline groups, numbered as the
+    /// `fused region` annotations of EXPLAIN ANALYZE number them — the
+    /// fusion section of EXPLAIN output (empty string when nothing fuses).
     pub fn render(&self, plan: &QueryPlan) -> String {
         use std::fmt::Write as _;
         if self.regions.is_empty() {
@@ -356,7 +360,7 @@ impl FusionPlan {
         }
         let mut out = String::new();
         let _ = writeln!(out, "  fused pipelines:");
-        for region in &self.regions {
+        for (index, region) in self.regions.iter().enumerate() {
             let chain: Vec<String> = region
                 .members
                 .iter()
@@ -377,7 +381,7 @@ impl FusionPlan {
             let _ =
                 writeln!(
                 out,
-                "    [{}] driver {}; single pass, interiors not retained: {}; morsel fan-out: {}",
+                "    region {index}: [{}] driver {}; single pass, interiors not retained: {}; morsel fan-out: {}",
                 chain.join(" -> "),
                 edge_name(plan, region.driver),
                 interiors.join(", "),
@@ -879,6 +883,7 @@ mod tests {
         assert_eq!(region.externals, vec![0, 1]);
         assert!(region.prefix_independent);
         let summaries = fusion.region_summaries(&plan);
+        assert_eq!(summaries[0].members, vec![2, 3, 4]);
         assert_eq!(summaries[0].driver, "a");
         assert_eq!(summaries[0].interior_edges, vec!["sp/pos", "sp/b_at"]);
         assert_eq!(summaries[0].root_edge, None);
@@ -982,8 +987,20 @@ mod tests {
         assert!(rendered.starts_with(&plan.describe(&formats)));
         assert!(rendered.contains("fused pipelines:"));
         assert!(rendered.contains("[#2 select:pos -> #3 project:b_at -> #4 agg:total]"));
+        assert!(rendered.contains("    region 0: [#2 select:pos"));
         assert!(rendered.contains("driver a"));
         assert!(rendered.contains("interiors not retained: sp/pos, sp/b_at"));
         assert!(rendered.contains("morsel fan-out: yes"));
+
+        // EXPLAIN ANALYZE of a fused run renders the same block.
+        let tracer = Arc::new(crate::QueryTracer::new());
+        let settings = ExecSettings::vectorized_compressed()
+            .with_fusion()
+            .with_tracer(Arc::clone(&tracer));
+        run(&plan, &source(4000), settings, formats);
+        let trace = tracer.last_trace().expect("the run published a trace");
+        let block =
+            |text: &str| text[text.find("  fused pipelines:").expect("a block")..].to_string();
+        assert_eq!(block(&plan.explain_analyze(&trace)), block(&rendered));
     }
 }

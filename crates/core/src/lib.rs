@@ -61,14 +61,14 @@
 //! canonical fingerprint of the subplan rooted at it, a hit completes the
 //! node without running the operator — with footprint and timing records
 //! identical to an execution — and a miss inserts the result for the next
-//! query.  With an [`ExecSettings::tracer`] attached (`morph-telemetry`),
-//! the scheduler additionally records one lock-free span per plan node —
-//! wall time, rows, compressed vs. logical bytes, cache hits, morsel
-//! fan-out — which [`plan::QueryPlan::explain_analyze`] renders as a
-//! per-node profile; results, footprint records and timing-label sequences
-//! stay byte-identical with tracing on.  See DESIGN.md for how the plan
-//! layer sits on top of the single read path (format cursor → column
-//! cursor → chunk step → column builder).
+//! query.  With an [`ExecSettings::tracer`] attached, the scheduler
+//! additionally reads one span per plan node off the same node records it
+//! merges — wall time, rows, compressed vs. logical bytes, cache hits,
+//! morsel fan-out ([`trace`]) — which [`plan::QueryPlan::explain_analyze`]
+//! renders as a per-node profile; results, footprint records and
+//! timing-label sequences stay byte-identical with tracing on.  See
+//! DESIGN.md for how the plan layer sits on top of the single read path
+//! (format cursor → column cursor → chunk step → column builder).
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
@@ -82,15 +82,14 @@ pub mod ops;
 pub mod parallel;
 pub mod plan;
 pub mod specialized;
+pub mod trace;
 pub mod verify;
 
 pub use exec::{ExecSettings, ExecutionContext, IntegrationDegree};
 pub use fusion::{FusedRegionSummary, FusionPlan};
 pub use govern::{ExecError, GovernorScope, QueryGovernor};
 pub use morph_cache::{CacheKey, CacheStats, QueryCache};
-pub use morph_telemetry::{
-    Counter, Histogram, MetricsRegistry, PlanTopology, PlanTrace, QueryTracer,
-};
+pub use morph_telemetry::{Counter, Histogram, MetricsRegistry};
 pub use morph_vector::kernels::BinaryOp;
 pub use morph_vector::ProcessingStyle;
 pub use ops::agg::{agg_max, agg_sum, agg_sum_grouped};
@@ -104,6 +103,7 @@ pub use ops::select::{select, select_between};
 pub use ops::transient;
 pub use parallel::ParallelExecutor;
 pub use plan::{ColRef, ColumnSource, GroupRef, PlanBuilder, PlanExecutor, QueryPlan, ScalarRef};
+pub use trace::{NodeSpan, PlanTrace, QueryTracer};
 pub use verify::PlanError;
 
 /// Comparison predicate of the [`select`] operator (re-exported from the

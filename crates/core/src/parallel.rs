@@ -71,7 +71,6 @@ use std::time::{Duration, Instant};
 
 use morph_cache::{CacheKey, QueryCache};
 use morph_storage::Column;
-use morph_telemetry::PlanTrace;
 use morph_vector::keys::KeySet;
 
 use crate::exec::{ExecSettings, ExecutionContext, FormatConfig, NodeRecords};
@@ -82,6 +81,7 @@ use crate::plan::{
     cached_from_slot, plan_cache_info, run_node_op, run_part, slot_from_cached, ColRef,
     ColumnSource, NodeCacheInfo, Partial, PlanOp, PlanOutput, QueryPlan, Slot,
 };
+use crate::trace::PlanTrace;
 
 /// The unit graph of one execution: [`QueryPlan::dependencies`] with every
 /// fused region collapsed to its root.
@@ -229,7 +229,6 @@ pub(crate) struct Run<'r, 'a> {
     cache_info: Option<Vec<NodeCacheInfo>>,
     fusion: FusionPlan,
     graph: Graph,
-    trace: Option<Arc<PlanTrace>>,
     queue: Mutex<Queue>,
     /// Signalled whenever the queue gains work or `done` flips.
     wakeup: Condvar,
@@ -242,7 +241,9 @@ pub(crate) struct Run<'r, 'a> {
 /// Run `plan` with `workers` workers — the one function behind every plan
 /// execution.  `drive` runs the loop ([`Run::work`]): inline on the
 /// calling thread, or there and on spawned workers.  Records are merged
-/// into `ctx` only once every node completed.
+/// into `ctx` only once every node completed; with a tracer attached, the
+/// same loop reads each node's span off its records and publishes the
+/// trace.
 pub(crate) fn run_plan<'a>(
     plan: &QueryPlan,
     source: &'a dyn ColumnSource,
@@ -250,6 +251,7 @@ pub(crate) fn run_plan<'a>(
     workers: usize,
     drive: impl FnOnce(&Run<'_, 'a>),
 ) -> PlanOutput {
+    let started = Instant::now();
     // Debug builds statically verify every plan before touching data, so
     // the determinism suites double as verifier suites.
     #[cfg(debug_assertions)]
@@ -265,13 +267,6 @@ pub(crate) fn run_plan<'a>(
     let fusion = FusionPlan::for_execution(plan, settings, cache_info.as_deref());
     #[cfg(debug_assertions)]
     crate::verify::assert_fusion_verified(plan, &fusion);
-    // Tracing is out of band: spans are recorded next to (never instead
-    // of) the ordinary bookkeeping, so results, footprint records and
-    // timing-label sequences stay byte-identical with a tracer attached.
-    let trace = settings
-        .tracer
-        .as_ref()
-        .map(|tracer| tracer.begin(plan.topology(&fusion, &ctx.formats)));
     let graph = Graph::new(plan, &fusion);
     let node_count = plan.node_count();
     let run = Run {
@@ -284,24 +279,26 @@ pub(crate) fn run_plan<'a>(
         fusion,
         queue: Mutex::new(Queue::new(&graph)),
         graph,
-        trace,
         wakeup: Condvar::new(),
         cells: (0..node_count).map(|_| OnceLock::new()).collect(),
         jobs: (0..node_count).map(|_| OnceLock::new()).collect(),
     };
     drive(&run);
-    let Run {
-        cells,
-        fusion,
-        trace,
-        ..
-    } = run;
+    let Run { cells, fusion, .. } = run;
+    let mut spans = ctx
+        .settings
+        .tracer
+        .is_some()
+        .then(|| Vec::with_capacity(node_count));
     let mut slots = Vec::with_capacity(node_count);
     let mut bytes_avoided = 0;
     for cell in cells {
         let result = cell
             .into_inner()
             .expect("every node completed before the loop ended");
+        if let Some(spans) = &mut spans {
+            spans.push(result.records.span());
+        }
         ctx.merge_node_records(result.records);
         if let Slot::Fused(size) = result.slot {
             bytes_avoided += size.bytes as u64;
@@ -310,8 +307,13 @@ pub(crate) fn run_plan<'a>(
     }
     ctx.add_fused(fusion.region_count(), bytes_avoided);
     let output = plan.collect_output(|i| &slots[i]);
-    if let (Some(tracer), Some(trace)) = (&ctx.settings.tracer, trace) {
-        tracer.finish(trace);
+    if let (Some(tracer), Some(spans)) = (&ctx.settings.tracer, spans) {
+        tracer.publish(PlanTrace {
+            fingerprint: plan.structural_fingerprint(),
+            spans,
+            fusion,
+            total: started.elapsed(),
+        });
     }
     output
 }
@@ -392,7 +394,7 @@ impl<'a> Run<'_, 'a> {
                     self.formats,
                     size_interiors,
                 );
-                self.complete_unit(root, partials.into_iter().zip(elapsed));
+                self.complete_unit(root, 0, partials.into_iter().zip(elapsed));
             }
         }
     }
@@ -449,11 +451,6 @@ impl<'a> Run<'_, 'a> {
             _ => None,
         };
         let count = parts.len();
-        if let Some(trace) = &self.trace {
-            for &member in &self.graph.members[root] {
-                trace.note_fan_out(member, count as u64);
-            }
-        }
         let job = Job {
             partials: (0..count).map(|_| OnceLock::new()).collect(),
             parts,
@@ -522,7 +519,7 @@ impl<'a> Run<'_, 'a> {
             };
             (value, elapsed)
         });
-        self.complete_unit(root, merged);
+        self.complete_unit(root, job.parts.len(), merged);
     }
 
     /// Run node `idx` whole.  A scan resolves to its base column; with a
@@ -556,9 +553,14 @@ impl<'a> Run<'_, 'a> {
     }
 
     /// Finish, publish and complete every member of unit `root` from its
-    /// value and measured duration.  A one-part unit's partials move into
-    /// place.
-    fn complete_unit(&self, root: usize, values: impl Iterator<Item = (Partial, Duration)>) {
+    /// value and measured duration; `parts` is the unit's fan-out degree (0
+    /// when it ran whole).  A one-part unit's partials move into place.
+    fn complete_unit(
+        &self,
+        root: usize,
+        parts: usize,
+        values: impl Iterator<Item = (Partial, Duration)>,
+    ) {
         for (&member, (value, elapsed)) in self.graph.members[root].iter().zip(values) {
             let slot = match value {
                 Partial::Col(column) => Slot::Col(Arc::new(column)),
@@ -566,6 +568,7 @@ impl<'a> Run<'_, 'a> {
                 Partial::Sized(size) => Slot::Fused(size),
             };
             let mut records = NodeRecords::new(self.capture);
+            records.note_morsel_parts(parts);
             let slot = self.finish(member, slot, elapsed, &mut records);
             self.publish(member, slot, records);
         }
@@ -615,12 +618,8 @@ impl<'a> Run<'_, 'a> {
         Some((cache, info.key?, &info.deps))
     }
 
-    /// Publish node `idx`'s result for its consumers and the final merge,
-    /// and record its span.
+    /// Publish node `idx`'s result for its consumers and the final merge.
     fn publish(&self, idx: usize, slot: Slot<'a>, records: NodeRecords) {
-        if let Some(trace) = &self.trace {
-            records.record_span(trace, idx);
-        }
         if self.cells[idx].set(NodeResult { slot, records }).is_err() {
             unreachable!("plan node {idx} completed twice");
         }

@@ -52,6 +52,7 @@ use crate::ops::morph_op::morph;
 use crate::ops::partitioned;
 use crate::ops::project::project;
 use crate::ops::select::{select, select_between};
+use crate::trace::PlanTrace;
 use crate::{BinaryOp, CmpOp};
 
 /// A provider of base columns by name — the leaf inputs of a plan.
@@ -494,86 +495,26 @@ impl QueryPlan {
         out
     }
 
-    /// The plain-data description of this plan the tracing layer records
-    /// against: one [`NodeInfo`](morph_telemetry::NodeInfo) per node (name,
-    /// mnemonic, dependency edges, resolved output format) and one
-    /// [`RegionInfo`](morph_telemetry::RegionInfo) per fused region of
-    /// `fusion`.  The executors build this at trace begin from the
-    /// *executed* fusion analysis, so the trace mirrors what actually ran
-    /// (pass `FusionPlan::empty`-like analyses for unfused
-    /// runs — [`crate::fusion::FusionPlan::analyze`] for tooling).
-    pub fn topology(
-        &self,
-        fusion: &crate::fusion::FusionPlan,
-        formats: &FormatConfig,
-    ) -> morph_telemetry::PlanTopology {
-        let deps = self.dependencies();
-        let nodes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(idx, node)| {
-                let (name, format) = match &node.op {
-                    PlanOp::Scan { column } => (
-                        column.clone(),
-                        formats.format_for(column, Format::Uncompressed).to_string(),
-                    ),
-                    PlanOp::AggSum { .. } => (self.node_full_name(idx), "scalar".to_string()),
-                    // Grouped sums are final outputs, always uncompressed.
-                    PlanOp::AggSumGrouped { .. } => {
-                        (self.node_full_name(idx), Format::Uncompressed.to_string())
-                    }
-                    _ => {
-                        let full = self.node_full_name(idx);
-                        let format = formats.format_for(&full, Format::Uncompressed).to_string();
-                        (full, format)
-                    }
-                };
-                morph_telemetry::NodeInfo {
-                    name,
-                    mnemonic: node.op.mnemonic().to_string(),
-                    deps: deps[idx].clone(),
-                    format,
-                }
-            })
-            .collect();
-        let regions = fusion
-            .regions()
-            .iter()
-            .map(|region| morph_telemetry::RegionInfo {
-                members: region.members.clone(),
-                root: region.root,
-                driver: crate::fusion::edge_name(self, region.driver),
-                fan_out_eligible: region.prefix_independent,
-            })
-            .collect();
-        morph_telemetry::PlanTopology {
-            fingerprint: self.structural_fingerprint().0,
-            label: self.label.clone(),
-            nodes,
-            regions,
-        }
-    }
-
     /// Render the executed plan annotated from a completed
-    /// [`PlanTrace`](morph_telemetry::PlanTrace): per node the measured
-    /// wall time, output rows, physical (compressed) versus logical bytes,
-    /// the resolved format, whether the node was served from the plan
-    /// cache, and its morsel fan-out degree; fused regions follow as
-    /// bracketed pipeline groups with their drivers.  This is the
-    /// `EXPLAIN ANALYZE` body of the SQL front-end and of the server's
-    /// slow-query log.
+    /// [`PlanTrace`]: per node the measured wall time, output rows,
+    /// physical (compressed) versus logical bytes, the materialised format,
+    /// whether the node was served from the plan cache, its morsel fan-out
+    /// degree and its fused region; the executed fused regions follow as
+    /// EXPLAIN's `fused pipelines:` section
+    /// ([`FusionPlan::render`](crate::fusion::FusionPlan::render)).  This
+    /// is the `EXPLAIN ANALYZE` body of the SQL front-end and of the
+    /// server's slow-query log.
     ///
-    /// Attach a [`QueryTracer`](morph_telemetry::QueryTracer) via
+    /// Attach a [`QueryTracer`](crate::trace::QueryTracer) via
     /// [`ExecSettings::with_tracer`](crate::exec::ExecSettings::with_tracer),
     /// execute the plan, and pass
-    /// [`QueryTracer::last_trace`](morph_telemetry::QueryTracer::last_trace)
+    /// [`QueryTracer::last_trace`](crate::trace::QueryTracer::last_trace)
     /// here.  A trace from a different plan is flagged in the header rather
-    /// than panicking.
-    pub fn explain_analyze(&self, trace: &morph_telemetry::PlanTrace) -> String {
+    /// than panicking: a node it has no span for reads "(not executed)",
+    /// and its fused regions are not rendered.
+    pub fn explain_analyze(&self, trace: &PlanTrace) -> String {
         use fmt::Write as _;
-        let topo = trace.topology();
-        let stale = if topo.fingerprint == self.structural_fingerprint().0 {
+        let stale = if trace.fingerprint == self.structural_fingerprint() {
             ""
         } else {
             " [trace is from a different plan]"
@@ -582,17 +523,17 @@ impl QueryPlan {
         let _ = writeln!(
             out,
             "explain analyze {:?} ({} nodes, total {}){stale}",
-            topo.label,
-            topo.nodes.len(),
+            self.label,
+            self.nodes.len(),
             fmt_duration(trace.total()),
         );
-        for (idx, info) in topo.nodes.iter().enumerate() {
-            let span = trace.node(idx);
-            let step = format!("{}:{}", info.mnemonic, info.name);
-            if !span.is_recorded() {
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let name = crate::fusion::edge_name(self, ColRef { node: idx, port: 0 });
+            let step = format!("{}:{name}", node.op.mnemonic());
+            let Some(span) = trace.spans.get(idx).filter(|span| span.is_recorded()) else {
                 let _ = writeln!(out, "  [{idx:>3}] {step:<40} (not executed)");
                 continue;
-            }
+            };
             let mut annotations = String::new();
             if span.cache_hit() {
                 annotations.push_str("  cache hit");
@@ -600,44 +541,24 @@ impl QueryPlan {
             if span.morsel_parts() > 0 {
                 let _ = write!(annotations, "  fan-out x{}", span.morsel_parts());
             }
-            if let Some((region, _)) = trace.region_of(idx) {
+            if let Some(region) = trace.fusion.region_of(idx) {
                 let _ = write!(annotations, "  fused region {region}");
             }
+            let format = span
+                .format
+                .map_or_else(|| "scalar".to_string(), |format| format.to_string());
             let _ = writeln!(
                 out,
-                "  [{idx:>3}] {step:<40} {:>10}  {:>9} rows  {:>10} phys / {:>10} logical  {}{annotations}",
+                "  [{idx:>3}] {step:<40} {:>10}  {:>9} rows  {:>10} phys / {:>10} logical  {format}{annotations}",
                 fmt_duration(span.elapsed()),
                 span.rows(),
                 fmt_bytes(span.bytes()),
                 fmt_bytes(span.logical_bytes()),
-                info.format,
             );
         }
-        if !topo.regions.is_empty() {
-            let _ = writeln!(out, "  fused pipelines:");
-            for (index, region) in topo.regions.iter().enumerate() {
-                let chain: Vec<String> = region.members.iter().map(|&m| format!("#{m}")).collect();
-                let _ = writeln!(
-                    out,
-                    "    region {index}: [{}] driver {}; morsel fan-out: {}",
-                    chain.join(" -> "),
-                    region.driver,
-                    if region.fan_out_eligible {
-                        "eligible"
-                    } else {
-                        "no"
-                    },
-                );
-            }
+        if stale.is_empty() {
+            out.push_str(&trace.fusion.render(self));
         }
-        let _ = writeln!(
-            out,
-            "  query span {:#018x}, {} nodes recorded",
-            trace.query_span_id(),
-            (0..trace.node_count())
-                .filter(|&i| trace.node(i).is_recorded())
-                .count(),
-        );
         out
     }
 
@@ -705,9 +626,9 @@ impl QueryPlan {
     /// outputs — but no formats, no settings and no data.
     ///
     /// Two constructions of the same plan produce the same fingerprint; any
-    /// differing step, parameter or edge produces a different one.  A trace's
-    /// [`PlanTopology`](morph_telemetry::PlanTopology) carries it, so
-    /// [`QueryPlan::explain_analyze`] can flag a trace of another plan.
+    /// differing step, parameter or edge produces a different one.  A
+    /// [`PlanTrace`] carries it, so [`QueryPlan::explain_analyze`] can flag
+    /// a trace of another plan.
     pub fn structural_fingerprint(&self) -> CacheKey {
         let mut fp = Fingerprint::with_tag("morph-plan");
         fp.write_str(&self.label);

@@ -1,9 +1,10 @@
-//! Property-based test of the telemetry span tree: for **any** generated
-//! fusible chain, executing under a tracer yields one span per plan node
-//! whose parent edges are exactly [`QueryPlan::dependencies`] — across
-//! serial, parallel, morsel-splitting and fused execution — with
-//! deterministic span ids (the same plan produces the same ids on every
-//! run) and byte-identical results to the untraced execution.
+//! Property-based test of the one-record trace: for **any** generated
+//! fusible chain, executing under a tracer yields one recorded span per
+//! plan node, read off the same node records the execution context merges
+//! — across serial, parallel, morsel-splitting and fused execution — with
+//! byte-identical results to the untraced execution.  A span's rows and
+//! bytes are its node's last footprint record, and its morsel fan-out
+//! degree is non-zero only where the scheduler split the node.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,7 +12,7 @@ use std::sync::Arc;
 use morph_compression::Format;
 use morph_storage::Column;
 use morphstore_engine::exec::FormatConfig;
-use morphstore_engine::plan::{PlanBuilder, QueryPlan};
+use morphstore_engine::plan::{PlanBuilder, PlanOutput, QueryPlan};
 use morphstore_engine::{
     CmpOp, ExecSettings, ExecutionContext, ParallelExecutor, PlanTrace, QueryTracer,
 };
@@ -69,14 +70,14 @@ fn build_chain(steps: &[Step]) -> QueryPlan {
     b.finish_scalar(total)
 }
 
-/// Execute `plan` under a fresh tracer and return (output, trace).
+/// Execute `plan` under a fresh tracer and return (output, context, trace).
 fn traced_run(
     plan: &QueryPlan,
     source: &HashMap<String, Column>,
     settings: ExecSettings,
     formats: &FormatConfig,
     threads: usize,
-) -> (morphstore_engine::plan::PlanOutput, Arc<PlanTrace>) {
+) -> (PlanOutput, ExecutionContext, Arc<PlanTrace>) {
     let tracer = Arc::new(QueryTracer::new());
     let mut ctx = ExecutionContext::new(settings.with_tracer(Arc::clone(&tracer)), formats.clone());
     let out = if threads > 1 {
@@ -84,24 +85,32 @@ fn traced_run(
     } else {
         plan.execute(source, &mut ctx)
     };
-    assert_eq!(tracer.traced_count(), 1);
-    (
-        out,
-        tracer.last_trace().expect("executor finished the trace"),
-    )
+    let trace = tracer.last_trace().expect("executor published the trace");
+    (out, ctx, trace)
+}
+
+/// The column node `index` of a `build_chain` plan over `steps` records:
+/// the scanned base column, a step's intermediate, or nothing for the
+/// final scalar sum.
+fn recorded_name(steps: &[Step], index: usize) -> Option<String> {
+    match index {
+        0 => Some("x".to_string()),
+        1 => Some("d".to_string()),
+        i if i - 2 < steps.len() => Some(format!("chain/s{}", i - 2)),
+        _ => None,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn span_tree_edges_match_plan_dependencies(
+    fn spans_match_the_node_records_on_every_schedule(
         steps in prop::collection::vec(step(), 1..5),
         compressed in any::<bool>(),
     ) {
         let source = source();
         let plan = build_chain(&steps);
-        let deps = plan.dependencies();
         let formats = if compressed {
             FormatConfig::with_default(Format::DynBp)
         } else {
@@ -129,39 +138,38 @@ proptest! {
                 3,
             ),
         ];
-        let mut span_ids: Option<Vec<u64>> = None;
         for (name, run_settings, threads) in configs {
-            let (out, trace) =
+            let morsels = run_settings.morsel_threshold.is_some();
+            let fused = run_settings.fusion;
+            let (out, ctx, trace) =
                 traced_run(&plan, &source, run_settings, &formats, threads);
             prop_assert_eq!(&out, &ref_out, "{}: traced result diverged", name);
-            prop_assert_eq!(trace.node_count(), deps.len(), "{}", name);
-            for (index, node_deps) in deps.iter().enumerate() {
-                // The topology mirrors the plan's dependency lists ...
-                prop_assert_eq!(
-                    &trace.topology().nodes[index].deps, node_deps,
-                    "{}: node {} topology deps", name, index
-                );
-                // ... and the span tree's parent edges resolve to exactly
-                // the span ids of those dependencies.
-                let parents: Vec<u64> =
-                    node_deps.iter().map(|&d| trace.span_id(d)).collect();
-                prop_assert_eq!(
-                    trace.parent_span_ids(index), parents,
-                    "{}: node {} parent spans", name, index
-                );
-                prop_assert!(
-                    trace.node(index).is_recorded(),
-                    "{}: node {} has no span", name, index
-                );
+            prop_assert_eq!(trace.node_count(), plan.node_count(), "{}", name);
+            for index in 0..trace.node_count() {
+                let span = trace.node(index);
+                prop_assert!(span.is_recorded(), "{}: node {} has no span", name, index);
+                // One record: the span is the node's last footprint record.
+                let (rows, bytes) = match recorded_name(&steps, index) {
+                    Some(column) => {
+                        let record = ctx.records().iter().rev().find(|r| r.name == column);
+                        let record = record.expect("every column node has a footprint record");
+                        (record.len as u64, record.bytes as u64)
+                    }
+                    None => (0, 0),
+                };
+                prop_assert_eq!(span.rows(), rows, "{}: node {} rows", name, index);
+                prop_assert_eq!(span.bytes(), bytes, "{}: node {} bytes", name, index);
+                if !morsels {
+                    prop_assert_eq!(span.morsel_parts(), 0, "{}: node {}", name, index);
+                }
             }
-            // Span ids are a pure function of the plan's structural
-            // fingerprint: identical across every execution strategy.
-            let ids: Vec<u64> = (0..trace.node_count())
-                .map(|i| trace.span_id(i))
-                .collect();
-            match &span_ids {
-                None => span_ids = Some(ids),
-                Some(expected) => prop_assert_eq!(&ids, expected, "{}", name),
+            // The first step reads all 4 000 rows of `x`, over the threshold
+            // of 256, so the unfused morsel schedule splits it.  A fused
+            // region fans out only when it is prefix-independent.
+            if morsels && !fused {
+                let fanned_out = (0..trace.node_count())
+                    .any(|index| trace.node(index).morsel_parts() >= 2);
+                prop_assert!(fanned_out, "{}: no span reports a fan-out", name);
             }
         }
     }

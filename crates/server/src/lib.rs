@@ -62,7 +62,7 @@ use morphstore_engine::exec::FormatConfig;
 use morphstore_engine::faults::FaultPlan;
 use morphstore_engine::plan::{ColumnSource, PlanOutput};
 use morphstore_engine::{
-    Counter, ExecSettings, ExecutionContext, Histogram, QueryGovernor, QueryTracer,
+    Counter, ExecSettings, ExecutionContext, Histogram, PlanTrace, QueryGovernor, QueryTracer,
 };
 
 pub use error::ServerError;
@@ -164,6 +164,9 @@ pub struct SlowQuery {
 
 /// Entries kept in the slow-query log before the oldest is dropped.
 const SLOW_QUERY_LOG_CAPACITY: usize = 64;
+
+/// A traced run: the compiled query and the trace of its execution.
+type Traced = (CompiledQuery, Arc<PlanTrace>);
 
 /// One queued query.
 struct Job {
@@ -390,10 +393,10 @@ impl Shared {
         }
     }
 
-    /// Compile and execute `job`: the client reply, plus the rendered
-    /// per-node profile whenever a tracer captured a trace (`EXPLAIN
-    /// ANALYZE` queries and slow-query-log candidates).
-    fn run_job(&self, job: &Job) -> (Result<QueryResponse, ServerError>, Option<String>) {
+    /// Compile and execute `job`: the client reply (with the rendered
+    /// profile of an `EXPLAIN ANALYZE` query), plus the query and its
+    /// trace whenever a tracer captured one, for a slow-log entry.
+    fn run_job(&self, job: &Job) -> (Result<QueryResponse, ServerError>, Option<Traced>) {
         let compiled: CompiledQuery = match morph_sql::compile(&job.sql, &self.catalog) {
             Ok(compiled) => compiled,
             Err(error) => return (Err(error.into()), None),
@@ -434,23 +437,31 @@ impl Shared {
             Ok(result) => result.map_err(ServerError::from),
             Err(panic) => Err(error::execution_error(panic)),
         };
-        let profile = tracer
-            .and_then(|tracer| tracer.last_trace())
-            .map(|trace| compiled.plan().explain_analyze(&trace));
+        let trace = tracer.and_then(|tracer| tracer.last_trace());
         let result = result.map(|output| QueryResponse {
             output,
-            profile: if explain { profile.clone() } else { None },
+            profile: trace
+                .as_deref()
+                .filter(|_| explain)
+                .map(|trace| compiled.plan().explain_analyze(trace)),
         });
-        (result, profile)
+        (result, trace.map(|trace| (compiled, trace)))
     }
 
     fn worker_loop(&self) {
         while let Some(job) = self.take_job() {
             let started = Instant::now();
             let queue_wait = started.duration_since(job.enqueued_at);
-            let (result, profile) = self.run_job(&job);
+            let (result, traced) = self.run_job(&job);
             let service = started.elapsed();
             let latency = job.enqueued_at.elapsed();
+            // A slow query's profile renders before the lock is taken; no
+            // other query's trace is rendered at all.
+            let threshold = self.config.slow_query_threshold;
+            let slow = threshold.is_some_and(|threshold| service >= threshold);
+            let profile = traced
+                .filter(|_| slow)
+                .map(|(compiled, trace)| compiled.plan().explain_analyze(&trace));
             {
                 let mut inner = self.inner.lock().unwrap();
                 inner.latency.observe(latency.as_nanos() as u64);
@@ -459,20 +470,18 @@ impl Shared {
                 job.metrics.outcome(outcome_label(&result)).inc();
                 job.metrics.queue_wait.observe(queue_wait.as_nanos() as u64);
                 job.metrics.execution.observe(service.as_nanos() as u64);
-                if let Some(threshold) = self.config.slow_query_threshold {
-                    if service >= threshold {
-                        let tenant = tenant.name.clone();
-                        if inner.slow_queries.len() == SLOW_QUERY_LOG_CAPACITY {
-                            inner.slow_queries.pop_front();
-                        }
-                        inner.slow_queries.push_back(SlowQuery {
-                            tenant,
-                            sql: job.sql.clone(),
-                            service,
-                            latency,
-                            profile,
-                        });
+                if slow {
+                    let tenant = tenant.name.clone();
+                    if inner.slow_queries.len() == SLOW_QUERY_LOG_CAPACITY {
+                        inner.slow_queries.pop_front();
                     }
+                    inner.slow_queries.push_back(SlowQuery {
+                        tenant,
+                        sql: job.sql.clone(),
+                        service,
+                        latency,
+                        profile,
+                    });
                 }
             }
             job.reply.fill(result);

@@ -7,7 +7,6 @@
 use std::collections::BTreeSet;
 
 use morph_ssb::SsbQuery;
-use morphstore_engine::exec::FormatConfig;
 use morphstore_engine::parallel::single_worker_order;
 use morphstore_engine::plan::QueryPlan;
 use morphstore_engine::FusionPlan;
@@ -17,12 +16,13 @@ fn assert_node_list_order(what: &str, plan: &QueryPlan) -> usize {
     assert_eq!(single_worker_order(plan, false), all, "{what}, unfused");
 
     let fusion = FusionPlan::analyze(plan);
-    let topology = plan.topology(&fusion, &FormatConfig::default());
-    let interiors: BTreeSet<usize> = topology
-        .regions
-        .iter()
-        .flat_map(|region| region.members.iter().filter(|&&m| m != region.root))
-        .copied()
+    let interiors: BTreeSet<usize> = fusion
+        .region_summaries(plan)
+        .into_iter()
+        .flat_map(|region| {
+            let (_root, interiors) = region.members.split_last().expect("a region has a root");
+            interiors.to_vec()
+        })
         .collect();
     let expected: Vec<usize> = all.into_iter().filter(|i| !interiors.contains(i)).collect();
     assert_eq!(single_worker_order(plan, true), expected, "{what}, fused");

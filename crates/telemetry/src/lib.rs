@@ -1,26 +1,14 @@
 //! # morph-telemetry
 //!
-//! Zero-dependency observability for MorphStore-rs, threaded through every
-//! execution layer of the engine:
+//! Zero-dependency metrics for MorphStore-rs ([`metrics`]): a registry of
+//! counters, gauges and log-bucketed histograms with Prometheus-style text
+//! rendering.  Handles are `Arc`-shared atomics: registration takes a lock
+//! once, every increment afterwards is a relaxed atomic add.
 //!
-//! * **Tracing** ([`trace`]) — a lock-free per-query span recorder.  The
-//!   executor hands the tracer the plan's *topology* (node names, dependency
-//!   edges, fused-region membership, resolved formats) once at execution
-//!   start; every worker thread then records into preallocated per-node
-//!   atomic slots — two relaxed atomics on the happy path, the same budget
-//!   as the governor's checkpoints.  Span ids are derived deterministically
-//!   from the plan's structural fingerprint, so the same plan traces to the
-//!   same ids on every run and every machine.
-//! * **Metrics** ([`metrics`]) — a registry of counters, gauges and
-//!   log-bucketed histograms with Prometheus-style text rendering.  Handles
-//!   are `Arc`-shared atomics: registration takes a lock once, every
-//!   increment afterwards is a relaxed atomic add.
-//!
-//! The crate deliberately depends on nothing (not even the engine crates):
-//! the engine describes plans to the tracer as plain data
-//! ([`trace::PlanTopology`]), which keeps the dependency arrow pointing from
-//! the engine *into* telemetry and lets the server, benches and tests share
-//! one histogram type.
+//! The crate deliberately depends on nothing (not even the engine crates),
+//! so the engine, the server, benches and tests share one histogram type.
+//! Per-query traces live with the engine's own node records
+//! (`morphstore_engine::trace`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,7 +16,5 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod metrics;
-pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use trace::{NodeInfo, NodeSpan, PlanTopology, PlanTrace, QueryTracer, RegionInfo, SpanId};
