@@ -9,7 +9,9 @@ use morph_storage::Column;
 use morph_vector::emu::V512;
 use morph_vector::kernels;
 use morph_vector::scalar::Scalar;
-use morphstore_engine::{project, select, CmpOp, ExecSettings, IntegrationDegree, ProcessingStyle};
+use morphstore_engine::{
+    project, select, CmpOp, ExecSettings, IntegrationDegree, Predicate, ProcessingStyle,
+};
 
 const ELEMENTS: usize = 256 * 1024;
 
@@ -29,7 +31,16 @@ fn bench_select_degrees(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("rle_input", degree.label()),
             &rle,
-            |b, input| b.iter(|| select(CmpOp::Eq, input, 3, &Format::DeltaDynBp, &settings)),
+            |b, input| {
+                b.iter(|| {
+                    select(
+                        input,
+                        &Predicate::Cmp(CmpOp::Eq, 3),
+                        &Format::DeltaDynBp,
+                        &settings,
+                    )
+                })
+            },
         );
     }
     group.finish();

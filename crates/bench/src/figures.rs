@@ -18,7 +18,7 @@ use morph_storage::{Column, ColumnStats};
 use morphstore_engine::exec::FormatConfig;
 use morphstore_engine::plan::{PlanBuilder, PlanExecutor, QueryPlan};
 use morphstore_engine::{
-    select, CmpOp, ExecSettings, ExecutionContext, IntegrationDegree, ProcessingStyle,
+    select, CmpOp, ExecSettings, ExecutionContext, IntegrationDegree, Predicate, ProcessingStyle,
 };
 
 use crate::{assignable_columns, base_only_config, measure_query, runtime_cost_based_config};
@@ -137,7 +137,12 @@ pub fn fig5(elements: usize, runs: usize, seed: u64) -> Vec<SelectRun> {
                 let mut selected = 0usize;
                 for _ in 0..runs.max(1) {
                     let start = Instant::now();
-                    let out = select(CmpOp::Eq, &input, constant, &output, &settings);
+                    let out = select(
+                        &input,
+                        &Predicate::Cmp(CmpOp::Eq, constant),
+                        &output,
+                        &settings,
+                    );
                     total += start.elapsed();
                     selected = out.logical_len();
                 }

@@ -78,8 +78,8 @@ pub struct ExecSettings {
     /// Degree of integrating compression into the operators.
     pub degree: IntegrationDegree,
     /// Minimum input length (in data elements) above which the scheduler
-    /// splits a single hot operator (select, select-between, project,
-    /// semi-join probe, calc, sorted intersection, whole-column sum) or a
+    /// splits a single hot operator (select, project, semi-join probe,
+    /// calc, sorted intersection, whole-column sum) or a
     /// prefix-independent fused region into chunk-range *morsels*
     /// processed by several workers.  `None` (the default) disables
     /// intra-operator parallelism; one worker never splits, so the setting

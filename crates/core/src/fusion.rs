@@ -14,14 +14,21 @@
 //!
 //! A region is grown backwards from a root candidate (`agg_sum`, `project`
 //! or `calc_binary`) along *streamed* edges — the inputs an operator
-//! consumes sequentially (`select`/`select_between`: the filtered column,
-//! `project`: the position list, `calc_binary`: both operands, `agg_sum`:
-//! the summed column).  A producer is absorbed as an *interior* stage iff
+//! consumes sequentially (`select`: the filtered column, `project`: the
+//! position list, `calc_binary`: both operands, `agg_sum`: the summed
+//! column).  A producer is absorbed as an *interior* stage iff
 //!
-//! * its operator is position-preserving and streamable (`select`,
-//!   `select_between`, `project`, `calc_binary`),
+//! * its operator is position-preserving and streamable (`select` with a
+//!   comparison or range predicate, `project`, `calc_binary`),
 //! * it has exactly **one** consumer (the absorbing member), and
 //! * it is not already part of another region.
+//!
+//! An `IN` select stays outside every region although its chunk step
+//! would fuse: in the SSB plans it filters a dimension table, and
+//! `morph-cost` sizes a query's morsel threshold from its largest fused
+//! driver, so a fused `p_mfgr IN (…)` region would switch Q4.1 and Q4.2
+//! from no fan-out to fan-out — a schedule change to be measured on its
+//! own, not a side effect of the predicate type.
 //!
 //! A grown region is valid iff it has at least one interior, all members'
 //! streamed inputs resolve to members or to exactly **one** external
@@ -90,9 +97,9 @@ use crate::exec::{ExecSettings, FormatConfig, IntegrationDegree};
 use crate::ops::agg::sum_chunk;
 use crate::ops::calc::binary_chunk;
 use crate::ops::project::Gather;
-use crate::ops::select::{between_chunk, filter_chunk};
+use crate::ops::select::{select_chunk, Predicate};
 use crate::plan::{ColRef, NodeCacheInfo, Partial, PlanOp, PlanOutputs, QueryPlan, Slot};
-use crate::{BinaryOp, CmpOp};
+use crate::BinaryOp;
 
 /// Where a fused stage reads its streamed input from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,23 +114,12 @@ pub(crate) enum Src {
 /// to [`Src`] references.
 #[derive(Debug, Clone)]
 pub(crate) enum StageKind {
-    /// Comparison select emitting matching positions.
+    /// Select emitting the positions whose value satisfies `pred`.
     Select {
         /// Streamed input.
         src: Src,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Comparison constant.
-        constant: u64,
-    },
-    /// Inclusive range select emitting matching positions.
-    SelectBetween {
-        /// Streamed input.
-        src: Src,
-        /// Lower bound (inclusive).
-        low: u64,
-        /// Upper bound (inclusive).
-        high: u64,
+        /// The select's predicate.
+        pred: Predicate,
     },
     /// Gather from an external data column.
     Project {
@@ -407,7 +403,7 @@ pub(crate) fn edge_name(plan: &QueryPlan, r: ColRef) -> String {
 /// absent: it is read at the gathered positions, not in step with them.
 pub(crate) fn streamed_inputs(op: &PlanOp) -> Vec<ColRef> {
     match *op {
-        PlanOp::Select { input, .. } | PlanOp::SelectBetween { input, .. } => vec![input],
+        PlanOp::Select { input, .. } => vec![input],
         PlanOp::Project { positions, .. } => vec![positions],
         PlanOp::CalcBinary { lhs, rhs, .. } => vec![lhs, rhs],
         PlanOp::AggSum { values } => vec![values],
@@ -415,15 +411,14 @@ pub(crate) fn streamed_inputs(op: &PlanOp) -> Vec<ColRef> {
     }
 }
 
-/// Whether an operator can run as an interior stage of a fused region.
+/// Whether an operator can run as an interior stage of a fused region (an
+/// `IN` select cannot: see the module docs).
 pub(crate) fn interior_eligible(op: &PlanOp) -> bool {
-    matches!(
-        op,
-        PlanOp::Select { .. }
-            | PlanOp::SelectBetween { .. }
-            | PlanOp::Project { .. }
-            | PlanOp::CalcBinary { .. }
-    )
+    match op {
+        PlanOp::Select { pred, .. } => !matches!(pred, Predicate::In(_)),
+        PlanOp::Project { .. } | PlanOp::CalcBinary { .. } => true,
+        _ => false,
+    }
 }
 
 /// Grow the maximal region rooted at `root` and validate it; `None` when
@@ -504,47 +499,37 @@ fn grow_region(
             Src::Driver => 0,
             Src::Stage(j) => shapes[j],
         };
-        let kind = match plan.nodes[member].op {
-            PlanOp::Select {
-                input,
-                op,
-                constant,
-            } => {
-                let src = src_of(input);
+        let kind = match &plan.nodes[member].op {
+            PlanOp::Select { input, pred } => {
+                let src = src_of(*input);
                 if src != Src::Driver {
                     prefix_independent = false;
                 }
                 shapes[index] = next_shape;
                 next_shape += 1;
-                StageKind::Select { src, op, constant }
-            }
-            PlanOp::SelectBetween { input, low, high } => {
-                let src = src_of(input);
-                if src != Src::Driver {
-                    prefix_independent = false;
+                StageKind::Select {
+                    src,
+                    pred: pred.clone(),
                 }
-                shapes[index] = next_shape;
-                next_shape += 1;
-                StageKind::SelectBetween { src, low, high }
             }
             PlanOp::Project { data, positions } => {
-                let src = src_of(positions);
+                let src = src_of(*positions);
                 shapes[index] = shape_of(src, &shapes);
                 StageKind::Project {
-                    data,
+                    data: *data,
                     positions: src,
                 }
             }
             PlanOp::CalcBinary { op, lhs, rhs } => {
-                let (lhs, rhs) = (src_of(lhs), src_of(rhs));
+                let (lhs, rhs) = (src_of(*lhs), src_of(*rhs));
                 if shape_of(lhs, &shapes) != shape_of(rhs, &shapes) {
                     return None;
                 }
                 shapes[index] = shape_of(lhs, &shapes);
-                StageKind::Calc { op, lhs, rhs }
+                StageKind::Calc { op: *op, lhs, rhs }
             }
             PlanOp::AggSum { values } => StageKind::AggSum {
-                src: src_of(values),
+                src: src_of(*values),
             },
             _ => unreachable!("non-fusible operator absorbed into a region"),
         };
@@ -574,9 +559,7 @@ impl StageKind {
     /// Whether the stage streams the region's driver.
     fn reads_driver(&self) -> bool {
         match *self {
-            StageKind::Select { src, .. }
-            | StageKind::SelectBetween { src, .. }
-            | StageKind::AggSum { src } => src == Src::Driver,
+            StageKind::Select { src, .. } | StageKind::AggSum { src } => src == Src::Driver,
             StageKind::Project { positions, .. } => positions == Src::Driver,
             StageKind::Calc { lhs, rhs, .. } => lhs == Src::Driver || rhs == Src::Driver,
         }
@@ -670,25 +653,13 @@ fn run_chunk(
         let (prev, rest) = pass.bufs.split_at_mut(i);
         let emitted = &pass.emitted;
         match &stage.kind {
-            StageKind::Select { src, op, constant } => {
+            StageKind::Select { src, pred } => {
                 let out = &mut rest[0];
                 out.clear();
-                filter_chunk(
+                select_chunk(
                     style,
-                    *op,
+                    pred,
                     src_vals(prev, chunk, *src),
-                    *constant,
-                    src_base(emitted, driver_base, *src),
-                    out,
-                );
-            }
-            StageKind::SelectBetween { src, low, high } => {
-                let out = &mut rest[0];
-                out.clear();
-                between_chunk(
-                    src_vals(prev, chunk, *src),
-                    *low,
-                    *high,
                     src_base(emitted, driver_base, *src),
                     out,
                 );
@@ -809,6 +780,7 @@ mod tests {
     use super::*;
     use crate::exec::{ColumnRecord, ExecutionContext};
     use crate::plan::{PlanBuilder, PlanOutput};
+    use crate::CmpOp;
     use morph_compression::Format;
     use morph_storage::Column;
     use std::collections::HashMap;

@@ -37,7 +37,11 @@
 //! [`intersect_sorted`], [`merge_sorted`], [`group_by`], [`group_by_refine`],
 //! [`agg_sum`], [`agg_sum_grouped`] and [`calc_binary`], plus the
 //! column-level [`morph`] operator that re-encodes a column in another
-//! format.
+//! format.  One [`select`] evaluates every single-column [`Predicate`] — a
+//! comparison, an inclusive range or an `IN` list — through one chunk
+//! step, one chunk-range kernel and one integration-degree dispatch, and
+//! [`join`] is the N:1 foreign-key join that checks every probe row finds
+//! exactly one build row.
 //!
 //! ## Query plans
 //!
@@ -99,7 +103,7 @@ pub use ops::join::{join, semi_join};
 pub use ops::merge::{intersect_sorted, merge_sorted};
 pub use ops::morph_op::morph;
 pub use ops::project::project;
-pub use ops::select::{select, select_between};
+pub use ops::select::{select, Predicate};
 pub use ops::transient;
 pub use parallel::ParallelExecutor;
 pub use plan::{ColRef, ColumnSource, GroupRef, PlanBuilder, PlanExecutor, QueryPlan, ScalarRef};

@@ -4,9 +4,11 @@
 //! to the fact table via foreign keys.  In the operator-at-a-time model these
 //! joins consume key columns and produce position columns:
 //!
-//! * [`join`] returns, for every match, the position in the probe column and
-//!   the position in the build column (MonetDB-style join producing two
-//!   aligned position lists),
+//! * [`join`] is the N:1 key join of a fact foreign key against a dimension
+//!   key: it returns, per probe row, the position of its one matching build
+//!   row — the build-side half of MonetDB's two aligned position lists; the
+//!   probe-side half of an N:1 join is the identity `0..len`, so it is never
+//!   built,
 //! * [`semi_join`] returns only the probe positions that have at least one
 //!   match — which is all the SSB plans need when a dimension is used purely
 //!   as a filter.
@@ -14,16 +16,15 @@
 //! The key table is always built on the *build* (second) input, which in a
 //! star join is the filtered dimension-key column and therefore small and
 //! dense: [`morph_vector::keys`] provides a [`KeySet`](morph_vector::keys::KeySet)
-//! for the semi-join and a [`KeyIndex`] (CSR: key → its build positions, in
-//! build order, so N:M output order is the build order) for the join.  Each
-//! picks direct addressing over `[min, max]` or open addressing from the
+//! for the semi-join and a [`KeyIndex`] (CSR: key → its build positions) for
+//! the join.  Each picks direct addressing over `[min, max]` or open addressing from the
 //! build side's observed range and the probe length — see DESIGN.md, "Join
 //! kernels: direct-addressed key tables".  Both sides are streamed
 //! chunk-wise — the build column once per table-construction pass, the probe
 //! column once — so neither key column is ever materialised uncompressed
 //! (DP3); the table itself is charged to the query's memory budget.  An
-//! empty build side short-circuits: nothing can match, so the probe side is
-//! not decoded at all.
+//! empty semi-join build side short-circuits: nothing can match, so the
+//! probe side is not decoded at all.
 //!
 //! Keys are compared by value, which is correct for dictionary-encoded data
 //! because MorphStore assumes "an individual dictionary per domain"
@@ -39,40 +40,41 @@ use crate::ops::partitioned::{
     build_semi_join_set, effective_output_format, scan_build_side, semi_join_part,
 };
 
-/// Equi-join of two key columns.
+/// N:1 equi-join: for every row of `probe` (foreign keys), the position
+/// of the one row of `build` (a key column) holding the same value, in
+/// probe order, materialised in `out_format` (ignored for the purely
+/// uncompressed degree).
 ///
-/// Returns `(probe_positions, build_positions)`: for every pair `(i, j)` with
-/// `probe[i] == build[j]`, position `i` is appended to the first output and
-/// `j` to the second, in probe order (and build order within one probe
-/// position).  `out_formats` are the formats of the two output columns
-/// (ignored for the purely uncompressed degree).
+/// # Panics
+/// Panics unless every probe value occurs exactly once in `build` — a
+/// missing key and a duplicated key are both errors, whatever the output
+/// length.
 pub fn join(
     probe: &Column,
     build: &Column,
-    out_formats: (&Format, &Format),
+    out_format: &Format,
     settings: &ExecSettings,
-) -> (Column, Column) {
-    let mut probe_out = ColumnBuilder::new(effective_output_format(out_formats.0, settings));
-    let mut build_out = ColumnBuilder::new(effective_output_format(out_formats.1, settings));
-    // An empty build side matches nothing: skip decoding the probe side.
-    if !build.is_empty() {
+) -> Column {
+    let mut out = ColumnBuilder::new(effective_output_format(out_format, settings));
+    // An empty probe side has nothing to match: skip the build side.
+    if !probe.is_empty() {
         // Build phase: key -> its positions in the build column.
         let index = KeyIndex::build(|sink| scan_build_side(build, sink), probe.logical_len());
         crate::govern::charge_transient(index.heap_bytes());
         // Probe phase.
-        let mut probe_pos = 0u64;
         probe.for_each_chunk(&mut |chunk| {
             crate::govern::checkpoint_chunk();
             for &value in chunk {
-                for &build_pos in index.matches(value) {
-                    probe_out.push(probe_pos);
-                    build_out.push(build_pos);
+                match index.matches(value) {
+                    [build_pos] => out.push(*build_pos),
+                    _ => panic!(
+                        "plan join is N:1 — every probe row must match exactly one build row"
+                    ),
                 }
-                probe_pos += 1;
             }
         });
     }
-    (probe_out.finish(), build_out.finish())
+    out.finish()
 }
 
 /// Semi-join: the positions of `probe` whose value occurs in `build`.
@@ -104,48 +106,25 @@ mod tests {
         let fact_fk: Vec<u64> = (0..5000u64).map(|i| (i * 37) % 100).collect();
         let probe = Column::compress(&fact_fk, &Format::DynBp);
         let build = Column::compress(&dim_keys, &Format::StaticBp(7));
-        let (probe_pos, build_pos) = join(
-            &probe,
-            &build,
-            (&Format::DeltaDynBp, &Format::DynBp),
-            &ExecSettings::default(),
-        );
-        assert_eq!(probe_pos.logical_len(), 5000);
+        let build_pos = join(&probe, &build, &Format::DynBp, &ExecSettings::default());
         assert_eq!(build_pos.logical_len(), 5000);
-        let p = probe_pos.decompress();
         let b = build_pos.decompress();
-        assert_eq!(p, (0..5000u64).collect::<Vec<_>>());
         for i in 0..5000usize {
-            assert_eq!(dim_keys[b[i] as usize], fact_fk[p[i] as usize]);
+            assert_eq!(dim_keys[b[i] as usize], fact_fk[i]);
         }
     }
 
     #[test]
-    fn join_with_partial_matches() {
-        let probe = Column::from_slice(&[1, 5, 9, 5, 100]);
+    #[should_panic(expected = "plan join is N:1")]
+    fn join_rejects_a_probe_row_without_a_match() {
+        let probe = Column::from_slice(&[1, 5]);
         let build = Column::from_slice(&[5, 7, 9]);
-        let (p, b) = join(
+        join(
             &probe,
             &build,
-            (&Format::Uncompressed, &Format::Uncompressed),
+            &Format::Uncompressed,
             &ExecSettings::default(),
         );
-        assert_eq!(p.decompress(), vec![1, 2, 3]);
-        assert_eq!(b.decompress(), vec![0, 2, 0]);
-    }
-
-    #[test]
-    fn n_to_m_join_produces_all_pairs() {
-        let probe = Column::from_slice(&[7, 8]);
-        let build = Column::from_slice(&[7, 7, 8]);
-        let (p, b) = join(
-            &probe,
-            &build,
-            (&Format::Uncompressed, &Format::Uncompressed),
-            &ExecSettings::default(),
-        );
-        assert_eq!(p.decompress(), vec![0, 0, 1]);
-        assert_eq!(b.decompress(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -155,21 +134,17 @@ mod tests {
             &Format::DynBp,
         );
         let build = Column::from_slice(&(0..50).collect::<Vec<u64>>());
-        let (p, b) = join(
+        let b = join(
             &probe,
             &build,
-            (&Format::DeltaDynBp, &Format::StaticBp(6)),
+            &Format::StaticBp(6),
             &ExecSettings::default(),
         );
-        assert_eq!(p.format(), &Format::DeltaDynBp);
         assert_eq!(b.format(), &Format::StaticBp(6));
-        let (p_plain, _) = join(
-            &probe,
-            &build,
-            (&Format::DeltaDynBp, &Format::StaticBp(6)),
-            &ExecSettings::scalar_uncompressed(),
-        );
-        assert_eq!(p_plain.format(), &Format::Uncompressed);
+        let settings = ExecSettings::scalar_uncompressed();
+        let b_plain = join(&probe, &build, &Format::StaticBp(6), &settings);
+        assert_eq!(b_plain.format(), &Format::Uncompressed);
+        assert_eq!(b_plain.decompress(), b.decompress());
     }
 
     #[test]
@@ -217,10 +192,9 @@ mod tests {
                 for range in probe.partition_chunks(3) {
                     assert_eq!(semi_join_part(&probe, &set, range, &out_format), nothing);
                 }
-                let formats = (&out_format, &out_format);
-                for (p, b) in [(&probe, &empty), (&empty, &build), (&probe, &build)] {
-                    let (probe_pos, build_pos) = join(p, b, formats, &settings);
-                    assert_eq!(probe_pos, nothing, "{probe_format} -> {out_format}");
+                // An empty probe side joins to nothing, whatever the build.
+                for b in [&empty, &build] {
+                    let build_pos = join(&empty, b, &out_format, &settings);
                     assert_eq!(build_pos, nothing, "{probe_format} -> {out_format}");
                 }
             }

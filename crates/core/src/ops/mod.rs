@@ -9,7 +9,7 @@
 //! format, one chunk step per operator, serial = one part.**
 //!
 //! * the **chunk step** is the operator core: one function per operator
-//!   (`select::filter_chunk`, `select::between_chunk`,
+//!   (`select::select_chunk` for every [`select::Predicate`],
 //!   `calc::binary_chunk`, `agg::sum_chunk`, the `PullSide::merge_step` of
 //!   the sorted merges) turning one uncompressed, cache-resident chunk into
 //!   output values through a kernel from [`morph_vector::kernels`]

@@ -42,9 +42,8 @@ use crate::exec::{ExecSettings, IntegrationDegree};
 use crate::ops::agg::sum_chunk;
 use crate::ops::calc::binary_chunk;
 use crate::ops::project::Gather;
-use crate::ops::select::{between_chunk, filter_chunk};
+use crate::ops::select::{select_chunk, Predicate};
 use crate::ops::{zip_chunks, PullSide};
-use crate::CmpOp;
 
 /// Partition a column's seekable chunks into at most `parts` contiguous
 /// ranges of roughly equal logical span (delegates to
@@ -89,36 +88,20 @@ fn map_chunks(
 }
 
 /// Partial select: the positions of the chunk range `chunks` of `input`
-/// whose value satisfies `op` against `constant`, materialised in `format`.
+/// whose value satisfies `pred`, materialised in `format`.
 ///
 /// Positions are global (offset by each chunk's logical start), so
 /// concatenating the partials of a contiguous partition in range order
 /// yields exactly the [`crate::select`] output.
 pub fn select_part(
-    op: CmpOp,
     input: &Column,
-    constant: u64,
+    pred: &Predicate,
     chunks: Range<usize>,
     format: &Format,
     style: ProcessingStyle,
 ) -> Column {
     map_chunks(input, chunks, format, |start, chunk, out| {
-        filter_chunk(style, op, chunk, constant, start, out)
-    })
-}
-
-/// Partial range select: the positions of the chunk range `chunks` of
-/// `input` whose value lies in `[low, high]` (the chunk-range kernel of
-/// [`crate::select_between`]).
-pub fn select_between_part(
-    input: &Column,
-    low: u64,
-    high: u64,
-    chunks: Range<usize>,
-    format: &Format,
-) -> Column {
-    map_chunks(input, chunks, format, |start, chunk, out| {
-        between_chunk(chunk, low, high, start, out)
+        select_chunk(style, pred, chunk, start, out)
     })
 }
 
@@ -302,6 +285,7 @@ pub fn concat_partials<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CmpOp;
 
     fn sample(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| (i * 2654435761) % 1000).collect()
@@ -348,7 +332,13 @@ mod tests {
                 let what = format!("{in_format} -> {out_format}");
                 assert_splices_to(&input, &expected, &out_format, &what, |r| {
                     let style = ProcessingStyle::Vectorized;
-                    select_part(CmpOp::Lt, &input, 300, r, &out_format, style)
+                    select_part(
+                        &input,
+                        &Predicate::Cmp(CmpOp::Lt, 300),
+                        r,
+                        &out_format,
+                        style,
+                    )
                 });
             }
         }
@@ -359,14 +349,15 @@ mod tests {
         let values = sample(12_000);
         let expected = positions_where(&values, |v| (100..=400).contains(&v));
         let out = Format::DeltaDynBp;
+        let style = ProcessingStyle::Scalar;
         for in_format in Format::all_formats(999) {
             let input = Column::compress(&values, &in_format);
             assert_splices_to(&input, &expected, &out, &in_format.to_string(), |r| {
-                select_between_part(&input, 100, 400, r, &out)
+                select_part(&input, &Predicate::Between(100, 400), r, &out, style)
             });
             // An inverted range selects nothing, on every partition.
             assert_splices_to(&input, &[], &out, "inverted range", |r| {
-                select_between_part(&input, 400, 100, r, &out)
+                select_part(&input, &Predicate::Between(400, 100), r, &out, style)
             });
         }
     }

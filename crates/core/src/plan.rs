@@ -51,7 +51,7 @@ use crate::ops::merge::{intersect_sorted, merge_sorted};
 use crate::ops::morph_op::morph;
 use crate::ops::partitioned;
 use crate::ops::project::project;
-use crate::ops::select::{select, select_between};
+use crate::ops::select::{select, Predicate};
 use crate::trace::PlanTrace;
 use crate::{BinaryOp, CmpOp};
 
@@ -126,18 +126,7 @@ pub(crate) enum PlanOp {
     },
     Select {
         input: ColRef,
-        op: CmpOp,
-        constant: u64,
-    },
-    SelectBetween {
-        input: ColRef,
-        low: u64,
-        high: u64,
-    },
-    SelectIn2 {
-        input: ColRef,
-        first: u64,
-        second: u64,
+        pred: Predicate,
     },
     IntersectSorted {
         a: ColRef,
@@ -189,9 +178,7 @@ impl PlanOp {
     pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             PlanOp::Scan { .. } => "scan",
-            PlanOp::Select { .. } | PlanOp::SelectBetween { .. } | PlanOp::SelectIn2 { .. } => {
-                "select"
-            }
+            PlanOp::Select { .. } => "select",
             PlanOp::IntersectSorted { .. } => "intersect",
             PlanOp::MergeSorted { .. } => "merge",
             PlanOp::Project { .. } => "project",
@@ -209,10 +196,7 @@ impl PlanOp {
     pub(crate) fn inputs(&self) -> Vec<ColRef> {
         match *self {
             PlanOp::Scan { .. } => vec![],
-            PlanOp::Select { input, .. }
-            | PlanOp::SelectBetween { input, .. }
-            | PlanOp::SelectIn2 { input, .. }
-            | PlanOp::Morph { input, .. } => vec![input],
+            PlanOp::Select { input, .. } | PlanOp::Morph { input, .. } => vec![input],
             PlanOp::IntersectSorted { a, b } | PlanOp::MergeSorted { a, b } => vec![a, b],
             PlanOp::Project { data, positions } => vec![data, positions],
             PlanOp::SemiJoin { probe, build } | PlanOp::Join { probe, build } => {
@@ -230,15 +214,15 @@ impl PlanOp {
 
     /// The input [`run_part`] range-partitions, or `None` for operators
     /// without a chunk-range kernel.  Only the hot operators dominated by
-    /// one streamed input have one: `select` / `select_between` (the data
-    /// column), `project` (the position list), `semi_join` (the probe side;
-    /// the build set is shared), `calc_binary` (the left operand; the right
-    /// operand's aligned logical ranges are pulled per part),
+    /// one streamed input have one: `select` (the data column, for every
+    /// predicate), `project` (the position list), `semi_join` (the probe
+    /// side; the build set is shared), `calc_binary` (the left operand; the
+    /// right operand's aligned logical ranges are pulled per part),
     /// `intersect_sorted` (the first list; each part seeks into the second)
     /// and the whole-column `agg_sum`.
     pub(crate) fn partitioned_input(&self) -> Option<ColRef> {
         match *self {
-            PlanOp::Select { input, .. } | PlanOp::SelectBetween { input, .. } => Some(input),
+            PlanOp::Select { input, .. } => Some(input),
             PlanOp::Project { positions, .. } => Some(positions),
             PlanOp::SemiJoin { probe, .. } => Some(probe),
             PlanOp::CalcBinary { lhs, .. } => Some(lhs),
@@ -414,9 +398,7 @@ impl QueryPlan {
             let detail = match &node.op {
                 // The step name of a scan *is* the column name.
                 PlanOp::Scan { .. } => String::new(),
-                PlanOp::Select { op, constant, .. } => format!("{op:?} {constant}"),
-                PlanOp::SelectBetween { low, high, .. } => format!("between {low} {high}"),
-                PlanOp::SelectIn2 { first, second, .. } => format!("in ({first}, {second})"),
+                PlanOp::Select { pred, .. } => pred.to_string(),
                 PlanOp::CalcBinary { op, .. } => format!("{op:?}"),
                 PlanOp::Morph { target, .. } => format!("to {target}"),
                 _ => String::new(),
@@ -814,35 +796,24 @@ impl PlanBuilder {
         )
     }
 
+    /// Positions of `input` whose value satisfies `pred`.
+    pub fn select_where(&mut self, name: &str, input: ColRef, pred: Predicate) -> ColRef {
+        self.col(name, PlanOp::Select { input, pred })
+    }
+
     /// Positions of `input` satisfying `value <op> constant`.
     pub fn select(&mut self, name: &str, input: ColRef, op: CmpOp, constant: u64) -> ColRef {
-        self.col(
-            name,
-            PlanOp::Select {
-                input,
-                op,
-                constant,
-            },
-        )
+        self.select_where(name, input, Predicate::Cmp(op, constant))
     }
 
     /// Positions of `input` with a value in `[low, high]`.
     pub fn select_between(&mut self, name: &str, input: ColRef, low: u64, high: u64) -> ColRef {
-        self.col(name, PlanOp::SelectBetween { input, low, high })
+        self.select_where(name, input, Predicate::Between(low, high))
     }
 
-    /// Positions of `input` equal to `first` or `second` (`IN (a, b)`):
-    /// two selections whose sorted position lists are merged, materialised
-    /// as a single intermediate.
-    pub fn select_in2(&mut self, name: &str, input: ColRef, first: u64, second: u64) -> ColRef {
-        self.col(
-            name,
-            PlanOp::SelectIn2 {
-                input,
-                first,
-                second,
-            },
-        )
+    /// Positions of `input` equal to one of `values` (`IN (a, b, …)`).
+    pub fn select_in(&mut self, name: &str, input: ColRef, values: &[u64]) -> ColRef {
+        self.select_where(name, input, Predicate::In(values.to_vec()))
     }
 
     /// Intersection of two sorted position columns.
@@ -958,20 +929,9 @@ fn write_op_fingerprint(fp: &mut Fingerprint, op: &PlanOp) {
             fp.write_str("scan");
             fp.write_str(column);
         }
-        PlanOp::Select { op, constant, .. } => {
+        PlanOp::Select { pred, .. } => {
             fp.write_str("select");
-            fp.write_str(&format!("{op:?}"));
-            fp.write_u64(*constant);
-        }
-        PlanOp::SelectBetween { low, high, .. } => {
-            fp.write_str("select_between");
-            fp.write_u64(*low);
-            fp.write_u64(*high);
-        }
-        PlanOp::SelectIn2 { first, second, .. } => {
-            fp.write_str("select_in2");
-            fp.write_u64(*first);
-            fp.write_u64(*second);
+            fp.write_str(&pred.to_string());
         }
         PlanOp::IntersectSorted { .. } => fp.write_str("intersect_sorted"),
         PlanOp::MergeSorted { .. } => fp.write_str("merge_sorted"),
@@ -1312,24 +1272,7 @@ where
                 settings,
             )));
         }
-        PlanOp::Select {
-            input,
-            op,
-            constant,
-        } => select(*op, col(*input), *constant, &out_format, settings),
-        PlanOp::SelectBetween { input, low, high } => {
-            select_between(col(*input), *low, *high, &out_format, settings)
-        }
-        PlanOp::SelectIn2 {
-            input,
-            first,
-            second,
-        } => {
-            let input = col(*input);
-            let first = select(CmpOp::Eq, input, *first, &out_format, settings);
-            let second = select(CmpOp::Eq, input, *second, &out_format, settings);
-            merge_sorted(&first, &second, &out_format, settings)
-        }
+        PlanOp::Select { input, pred } => select(col(*input), pred, &out_format, settings),
         PlanOp::IntersectSorted { a, b } => {
             intersect_sorted(col(*a), col(*b), &out_format, settings)
         }
@@ -1340,25 +1283,7 @@ where
         PlanOp::SemiJoin { probe, build } => {
             semi_join(col(*probe), col(*build), &out_format, settings)
         }
-        PlanOp::Join { probe, build } => {
-            let probe = col(*probe);
-            // The probe-side positions of an N:1 key join are the
-            // identity sequence 0..len; they are not part of the plan, so
-            // they are materialised in DELTA + BP (ideal for a sorted
-            // identity sequence) irrespective of the recorded output.
-            let (probe_pos, build_pos) = join(
-                probe,
-                col(*build),
-                (&Format::DeltaDynBp, &out_format),
-                settings,
-            );
-            assert_eq!(
-                probe_pos.logical_len(),
-                probe.logical_len(),
-                "plan join is N:1 — every probe row must match exactly one build row"
-            );
-            build_pos
-        }
+        PlanOp::Join { probe, build } => join(col(*probe), col(*build), &out_format, settings),
         PlanOp::CalcBinary { op, lhs, rhs } => {
             calc_binary(*op, col(*lhs), col(*rhs), &out_format, settings)
         }
@@ -1398,31 +1323,31 @@ where
 {
     let col = |r: ColRef| slots(r.node).column(r.port);
     let format = plan.part_format(idx, settings, formats);
-    let column = match plan.nodes[idx].op {
-        PlanOp::Select {
-            input,
-            op,
-            constant,
-        } => partitioned::select_part(op, col(input), constant, chunks, &format, settings.style),
-        PlanOp::SelectBetween { input, low, high } => {
-            partitioned::select_between_part(col(input), low, high, chunks, &format)
+    let column = match &plan.nodes[idx].op {
+        PlanOp::Select { input, pred } => {
+            partitioned::select_part(col(*input), pred, chunks, &format, settings.style)
         }
         PlanOp::Project { data, positions } => {
-            partitioned::project_part(col(data), col(positions), chunks, &format)
+            partitioned::project_part(col(*data), col(*positions), chunks, &format)
         }
         PlanOp::SemiJoin { probe, .. } => {
             let keys = keys.expect("a fanned-out semi-join carries its build set");
-            partitioned::semi_join_part(col(probe), keys, chunks, &format)
+            partitioned::semi_join_part(col(*probe), keys, chunks, &format)
         }
-        PlanOp::CalcBinary { op, lhs, rhs } => {
-            partitioned::calc_binary_part(op, col(lhs), col(rhs), chunks, &format, settings.style)
-        }
+        PlanOp::CalcBinary { op, lhs, rhs } => partitioned::calc_binary_part(
+            *op,
+            col(*lhs),
+            col(*rhs),
+            chunks,
+            &format,
+            settings.style,
+        ),
         PlanOp::IntersectSorted { a, b } => {
-            partitioned::intersect_sorted_part(col(a), col(b), chunks, &format)
+            partitioned::intersect_sorted_part(col(*a), col(*b), chunks, &format)
         }
         PlanOp::AggSum { values } => {
             return Partial::Sum(partitioned::agg_sum_part(
-                col(values),
+                col(*values),
                 chunks,
                 settings.style,
             ))
@@ -1529,20 +1454,49 @@ mod tests {
     #[test]
     fn select_in2_matches_two_selects_merged() {
         let source = source();
+        let run = |plan: QueryPlan| {
+            let mut ctx =
+                ExecutionContext::new(ExecSettings::default(), FormatConfig::uncompressed());
+            ctx.enable_capture();
+            plan.execute(&source, &mut ctx);
+            ctx.captured_columns()["t/pos"].clone()
+        };
         let mut p = PlanBuilder::new("t");
         let x = p.scan("x");
-        let pos = p.select_in2("pos", x, 1, 9);
+        let pos = p.select_in("pos", x, &[1, 9]);
         let total = p.agg_sum("total", pos);
-        let plan = p.finish_scalar(total);
+        let one_node = p.finish_scalar(total);
+        assert!(one_node
+            .describe(&FormatConfig::uncompressed())
+            .contains("in (1, 9)"));
+        let mut p = PlanBuilder::new("t");
+        let x = p.scan("x");
+        let first = p.select("first", x, CmpOp::Eq, 1);
+        let second = p.select("second", x, CmpOp::Eq, 9);
+        let pos = p.merge_sorted("pos", first, second);
+        let total = p.agg_sum("total", pos);
+        let merged = run(p.finish_scalar(total));
+        // Positions of values 1 or 9: 1, 3, 5, 6.
+        assert_eq!(merged.decompress(), vec![1, 3, 5, 6]);
+        assert_eq!(run(one_node), merged);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan join is N:1")]
+    fn join_rejects_a_duplicated_build_key_that_offsets_a_missing_one() {
+        // Two probe rows and two build rows, but probe row 0 matches both
+        // and probe row 1 neither.
+        let columns: HashMap<String, Column> = [
+            ("fk".to_string(), Column::from_slice(&[5, 9])),
+            ("pk".to_string(), Column::from_slice(&[5, 5])),
+        ]
+        .into();
+        let mut p = PlanBuilder::new("t");
+        let (fk, pk) = (p.scan("fk"), p.scan("pk"));
+        let build_pos = p.join("build_pos", fk, pk);
+        let total = p.agg_sum("total", build_pos);
         let mut ctx = ExecutionContext::new(ExecSettings::default(), FormatConfig::uncompressed());
-        let out = plan.execute(&source, &mut ctx);
-        // Positions of values 1 or 9: 1, 3, 5, 6 — summed as positions.
-        assert_eq!(out.values, vec![1 + 3 + 5 + 6]);
-        assert_eq!(
-            ctx.intermediate_count(),
-            1,
-            "IN(2) is a single intermediate"
-        );
+        p.finish_scalar(total).execute(&columns, &mut ctx);
     }
 
     #[test]
@@ -1693,6 +1647,20 @@ mod tests {
             scalar_plan().structural_fingerprint(),
             make(5).structural_fingerprint()
         );
+        // The three predicate kinds over the same constants key apart.
+        let with = |pred: Predicate| {
+            let mut p = PlanBuilder::new("t");
+            let x = p.scan("x");
+            let pos = p.select_where("pos", x, pred);
+            let total = p.agg_sum("total", pos);
+            p.finish_scalar(total).structural_fingerprint()
+        };
+        let keys = [
+            with(Predicate::Between(3, 5)),
+            with(Predicate::In(vec![3, 5])),
+            with(Predicate::Cmp(CmpOp::Eq, 3)),
+        ];
+        assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2]);
     }
 
     #[test]

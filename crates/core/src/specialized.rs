@@ -21,7 +21,7 @@
 use morph_compression::{rle, Format};
 use morph_storage::{Column, ColumnBuilder};
 
-use crate::CmpOp;
+use crate::ops::select::Predicate;
 
 /// Select on an RLE-compressed column: the predicate is evaluated once per
 /// run; matching runs contribute `run_length` consecutive positions.
@@ -36,7 +36,7 @@ use crate::CmpOp;
 ///
 /// # Panics
 /// Panics if `input` is not RLE-compressed.
-pub fn select_on_rle(op: CmpOp, input: &Column, constant: u64, out_format: &Format) -> Column {
+pub fn select_on_rle(input: &Column, pred: &Predicate, out_format: &Format) -> Column {
     assert_eq!(
         input.format(),
         &Format::Rle,
@@ -48,14 +48,14 @@ pub fn select_on_rle(op: CmpOp, input: &Column, constant: u64, out_format: &Form
         input.main_part_bytes(),
         input.main_part_len(),
         &mut |value, run_len| {
-            if op.eval(value, constant) {
+            if pred.matches(value) {
                 builder.push_run(position, run_len);
             }
             position += run_len;
         },
     );
     for (offset, value) in input.remainder_values().into_iter().enumerate() {
-        if op.eval(value, constant) {
+        if pred.matches(value) {
             builder.push(position + offset as u64);
         }
     }
@@ -118,7 +118,7 @@ pub fn agg_sum_on_static_bp(input: &Column) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{agg_sum, select, ExecSettings};
+    use crate::{agg_sum, select, CmpOp, ExecSettings};
     use morph_storage::datagen;
 
     fn runny_values(n: usize) -> Vec<u64> {
@@ -131,8 +131,9 @@ mod tests {
         let rle = Column::compress(&values, &Format::Rle);
         let plain = Column::from_slice(&values);
         for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge, CmpOp::Ne] {
-            let specialized = select_on_rle(op, &rle, 3, &Format::DeltaDynBp);
-            let general = select(op, &plain, 3, &Format::DeltaDynBp, &ExecSettings::default());
+            let pred = Predicate::Cmp(op, 3);
+            let specialized = select_on_rle(&rle, &pred, &Format::DeltaDynBp);
+            let general = select(&plain, &pred, &Format::DeltaDynBp, &ExecSettings::default());
             assert_eq!(specialized.decompress(), general.decompress(), "{op:?}");
         }
     }
@@ -144,7 +145,7 @@ mod tests {
         // sure the remainder path still works through the public API.
         let values = vec![5u64, 5, 5, 9, 9, 1];
         let rle = Column::compress(&values, &Format::Rle);
-        let out = select_on_rle(CmpOp::Eq, &rle, 9, &Format::Uncompressed);
+        let out = select_on_rle(&rle, &Predicate::Cmp(CmpOp::Eq, 9), &Format::Uncompressed);
         assert_eq!(out.decompress(), vec![3, 4]);
     }
 
@@ -164,7 +165,7 @@ mod tests {
         let mut values = vec![42u64; 100_000];
         values.extend_from_slice(&[1, 1, 1]);
         let rle = Column::compress(&values, &Format::Rle);
-        let out = select_on_rle(CmpOp::Eq, &rle, 42, &Format::DeltaDynBp);
+        let out = select_on_rle(&rle, &Predicate::Cmp(CmpOp::Eq, 42), &Format::DeltaDynBp);
         assert_eq!(out.logical_len(), 100_000);
         assert_eq!(out.decompress(), (0..100_000u64).collect::<Vec<_>>());
     }
@@ -197,7 +198,11 @@ mod tests {
     #[should_panic(expected = "requires an RLE-compressed input")]
     fn select_on_rle_rejects_other_formats() {
         let column = Column::from_slice(&[1, 2, 3]);
-        select_on_rle(CmpOp::Eq, &column, 1, &Format::Uncompressed);
+        select_on_rle(
+            &column,
+            &Predicate::Cmp(CmpOp::Eq, 1),
+            &Format::Uncompressed,
+        );
     }
 
     #[test]

@@ -532,7 +532,7 @@ pub(crate) fn assert_fusion_verified(plan: &QueryPlan, fusion: &FusionPlan) {
 mod tests {
     use super::*;
     use crate::plan::{ColRef, GroupRef, PlanBuilder, PlanOutputs, ScalarRef};
-    use crate::{BinaryOp, CmpOp};
+    use crate::{BinaryOp, CmpOp, Predicate};
 
     fn col(node: usize, port: u8) -> ColRef {
         ColRef { node, port }
@@ -575,8 +575,7 @@ mod tests {
         // the node list.
         plan.nodes[1].op = PlanOp::Select {
             input: col(2, 0),
-            op: CmpOp::Lt,
-            constant: 10,
+            pred: Predicate::Cmp(CmpOp::Lt, 10),
         };
         assert_eq!(
             verify(&plan),
@@ -589,8 +588,7 @@ mod tests {
         let mut plan = scalar_plan();
         plan.nodes[1].op = PlanOp::Select {
             input: col(1, 0),
-            op: CmpOp::Lt,
-            constant: 10,
+            pred: Predicate::Cmp(CmpOp::Lt, 10),
         };
         assert_eq!(
             verify(&plan),
@@ -941,8 +939,7 @@ mod tests {
                 // the end) — both are topological-order violations.
                 let bad = col(victim + pick % 2, 0);
                 plan.nodes[victim].op = match plan.nodes[victim].op.clone() {
-                    PlanOp::Select { op, constant, .. } => PlanOp::Select { input: bad, op, constant },
-                    PlanOp::SelectBetween { low, high, .. } => PlanOp::SelectBetween { input: bad, low, high },
+                    PlanOp::Select { pred, .. } => PlanOp::Select { input: bad, pred },
                     PlanOp::Project { data, .. } => PlanOp::Project { data, positions: bad },
                     PlanOp::CalcBinary { op, rhs, .. } => PlanOp::CalcBinary { op, lhs: bad, rhs },
                     PlanOp::AggSum { .. } => PlanOp::AggSum { values: bad },

@@ -29,6 +29,7 @@ use std::collections::HashSet;
 use morphstore_engine::plan::{
     ColRef, ColumnSource, GroupRef, PlanBuilder, PlanExecutor, PlanOutput, QueryPlan,
 };
+use morphstore_engine::Predicate as SelectPredicate;
 use morphstore_engine::{BinaryOp, CmpOp, ExecutionContext, ParallelExecutor};
 
 use crate::ast::{ColumnRef, Expr, Literal, Predicate, Query, SelectItem};
@@ -191,19 +192,12 @@ pub fn compile_with_label(
 // Resolution
 // ---------------------------------------------------------------------------
 
-/// A resolved single-table predicate.
-#[derive(Debug, Clone)]
-enum PredKind {
-    Cmp(CmpOp, u64),
-    Between(u64, u64),
-    In(Vec<u64>),
-}
-
+/// A resolved single-table predicate: the select it lowers to.
 #[derive(Debug, Clone)]
 struct ResolvedPred {
     table: usize,
     column: String,
-    kind: PredKind,
+    kind: SelectPredicate,
 }
 
 /// A dimension's equi-join to the fact table.
@@ -314,7 +308,7 @@ fn resolve<'a>(query: &Query, catalog: &'a Catalog) -> Result<Resolved<'a>, SqlE
 
     // Classify WHERE conjuncts.
     let mut joins: Vec<(ResolvedColumn, ResolvedColumn)> = Vec::new();
-    let mut raw_preds: Vec<(ResolvedColumn, PredKind)> = Vec::new();
+    let mut raw_preds: Vec<(ResolvedColumn, SelectPredicate)> = Vec::new();
     for predicate in &query.predicates {
         match predicate {
             Predicate::Join { left, right } => {
@@ -323,13 +317,13 @@ fn resolve<'a>(query: &Query, catalog: &'a Catalog) -> Result<Resolved<'a>, SqlE
             Predicate::Compare { column, op, value } => {
                 let col = resolve_column(column)?;
                 let constant = resolve_literal(tables[col.table], &col.column, value)?;
-                raw_preds.push((col, PredKind::Cmp(*op, constant)));
+                raw_preds.push((col, SelectPredicate::Cmp(*op, constant)));
             }
             Predicate::Between { column, low, high } => {
                 let col = resolve_column(column)?;
                 let low = resolve_literal(tables[col.table], &col.column, low)?;
                 let high = resolve_literal(tables[col.table], &col.column, high)?;
-                raw_preds.push((col, PredKind::Between(low, high)));
+                raw_preds.push((col, SelectPredicate::Between(low, high)));
             }
             Predicate::In { column, values } => {
                 let col = resolve_column(column)?;
@@ -337,7 +331,12 @@ fn resolve<'a>(query: &Query, catalog: &'a Catalog) -> Result<Resolved<'a>, SqlE
                     .iter()
                     .map(|v| resolve_literal(tables[col.table], &col.column, v))
                     .collect();
-                raw_preds.push((col, PredKind::In(resolved?)));
+                // `IN (v)` is `= v`, which keeps the comparison kernel.
+                let kind = match resolved?.as_slice() {
+                    &[single] => SelectPredicate::Cmp(CmpOp::Eq, single),
+                    values => SelectPredicate::In(values.to_vec()),
+                };
+                raw_preds.push((col, kind));
             }
         }
     }
@@ -582,50 +581,18 @@ impl Names {
     }
 }
 
-/// Append a selection for `kind` over the scan of `column`.
+/// Append the selection `kind` over the scan of `column` — one plan node
+/// for every predicate, `IN` of any arity included.
 fn filter(
     p: &mut PlanBuilder,
     names: &mut Names,
     base: &str,
     column: &str,
-    kind: &PredKind,
+    kind: &SelectPredicate,
 ) -> ColRef {
     let input = p.scan(column);
-    match kind {
-        PredKind::Cmp(op, constant) => {
-            let name = names.fresh(base);
-            p.select(&name, input, *op, *constant)
-        }
-        PredKind::Between(low, high) => {
-            let name = names.fresh(base);
-            p.select_between(&name, input, *low, *high)
-        }
-        PredKind::In(values) => match values.as_slice() {
-            [] => unreachable!("the grammar requires at least one IN value"),
-            [single] => {
-                let name = names.fresh(base);
-                p.select(&name, input, CmpOp::Eq, *single)
-            }
-            [first, second] => {
-                let name = names.fresh(base);
-                p.select_in2(&name, input, *first, *second)
-            }
-            [first, second, rest @ ..] => {
-                // IN with more than two values: a select_in2 seed merged
-                // with one equality selection per further value (sorted
-                // unions keep the position list sorted).
-                let name = names.fresh(base);
-                let mut positions = p.select_in2(&name, input, *first, *second);
-                for value in rest {
-                    let sel_name = names.fresh(base);
-                    let sel = p.select(&sel_name, input, CmpOp::Eq, *value);
-                    let merge_name = names.fresh(&format!("{base}_union"));
-                    positions = p.merge_sorted(&merge_name, positions, sel);
-                }
-                positions
-            }
-        },
-    }
+    let name = names.fresh(base);
+    p.select_where(&name, input, kind.clone())
 }
 
 /// Project `column` at the restricted fact positions, sharing one projection
@@ -896,10 +863,28 @@ mod tests {
     }
 
     #[test]
-    fn in_with_three_values_merges_selections() {
-        let output = run("SELECT SUM(f_a) FROM fact, dim \
-             WHERE f_dim = d_key AND d_color IN ('RED', 'GREEN', 'BLUE')");
-        assert_eq!(output.values, vec![21]);
+    fn in_with_three_values_is_one_select() {
+        let sql = "SELECT SUM(f_a) FROM fact, dim \
+             WHERE f_dim = d_key AND d_color IN ('RED', 'GREEN', 'BLUE')";
+        let compiled = compile(sql, &catalog()).unwrap();
+        let plan = compiled.plan();
+        let ops: Vec<&str> = plan.edges().iter().map(|edge| edge.op).collect();
+        assert_eq!(ops.iter().filter(|&&op| op == "select").count(), 1);
+        assert!(!ops.contains(&"merge"), "{ops:?}");
+        let listing = plan.describe(&FormatConfig::uncompressed());
+        assert!(listing.contains("in (0, 1, 2)"), "{listing}");
+        assert_eq!(run(sql).values, vec![21]);
+    }
+
+    #[test]
+    fn in_with_a_repeated_value_equals_the_comparison() {
+        let in_red = run("SELECT SUM(f_a) FROM fact, dim \
+             WHERE f_dim = d_key AND d_color IN ('RED', 'RED')");
+        let eq_red = run("SELECT SUM(f_a) FROM fact, dim \
+             WHERE f_dim = d_key AND d_color = 'RED'");
+        // RED is key 10: rows 1, 3 and 6.
+        assert_eq!(eq_red.values, vec![1 + 3 + 6]);
+        assert_eq!(in_red, eq_red);
     }
 
     #[test]

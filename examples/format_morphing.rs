@@ -60,11 +60,11 @@ fn main() {
         degree: IntegrationDegree::OnTheFlyMorphing,
         ..ExecSettings::default()
     };
-    let positions = select(CmpOp::Eq, &input, 3, &Format::delta_dyn_bp(), &settings);
+    let eq_3 = Predicate::Cmp(CmpOp::Eq, 3);
+    let positions = select(&input, &eq_3, &Format::delta_dyn_bp(), &settings);
     let general = select(
-        CmpOp::Eq,
         &input,
-        3,
+        &eq_3,
         &Format::delta_dyn_bp(),
         &ExecSettings::vectorized_compressed(),
     );

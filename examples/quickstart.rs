@@ -35,9 +35,8 @@ fn main() {
     //    intermediates: SELECT SUM(v) FROM t WHERE v < 10.
     let settings = ExecSettings::vectorized_compressed();
     let positions = select(
-        CmpOp::Lt,
         &compressed,
-        10,
+        &Predicate::Cmp(CmpOp::Lt, 10),
         &Format::delta_dyn_bp(),
         &settings,
     );

@@ -36,11 +36,11 @@
 //! assert!(compressed.size_used_bytes() < uncompressed.size_used_bytes());
 //!
 //! // Run a select on the compressed column, materialising the (sorted)
-//! // position list in a compressed format as well.
+//! // position list in a compressed format as well.  One predicate type
+//! // covers comparisons, ranges and value lists.
 //! let positions = select(
-//!     CmpOp::Lt,
 //!     &compressed,
-//!     10,
+//!     &Predicate::Cmp(CmpOp::Lt, 10),
 //!     &Format::delta_dyn_bp(),
 //!     &ExecSettings::vectorized_compressed(),
 //! );
@@ -77,9 +77,8 @@ pub mod prelude {
     };
     pub use morphstore_engine::{
         agg_sum, agg_sum_grouped, calc_binary, group_by, group_by_refine, intersect_sorted, join,
-        merge_sorted, morph, project, select, select_between, semi_join, BinaryOp, CmpOp,
-        ExecError, ExecSettings, ExecutionContext, FusedRegionSummary, FusionPlan,
-        IntegrationDegree, MetricsRegistry, ParallelExecutor, PlanTrace, ProcessingStyle,
-        QueryGovernor, QueryTracer,
+        merge_sorted, morph, project, select, semi_join, BinaryOp, CmpOp, ExecError, ExecSettings,
+        ExecutionContext, FusedRegionSummary, FusionPlan, IntegrationDegree, MetricsRegistry,
+        ParallelExecutor, PlanTrace, Predicate, ProcessingStyle, QueryGovernor, QueryTracer,
     };
 }

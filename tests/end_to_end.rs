@@ -14,7 +14,12 @@ fn compression_pipeline_through_the_facade() {
     assert!(base.size_used_bytes() < values.len() * 8 / 4);
 
     let settings = ExecSettings::vectorized_compressed();
-    let positions = select(CmpOp::Lt, &base, 50, &Format::delta_dyn_bp(), &settings);
+    let positions = select(
+        &base,
+        &Predicate::Cmp(CmpOp::Lt, 50),
+        &Format::delta_dyn_bp(),
+        &settings,
+    );
     let projected = project(&base, &positions, &Format::StaticBp(9), &settings);
     let total = agg_sum(&projected, &settings);
     let expected: u64 = values.iter().filter(|&&v| v < 50).sum();

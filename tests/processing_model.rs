@@ -45,7 +45,7 @@ proptest! {
                         degree,
                         ..ExecSettings::default()
                     };
-                    let out = select(CmpOp::Le, &input, constant, &Format::DeltaDynBp, &settings);
+                    let out = select(&input, &Predicate::Cmp(CmpOp::Le, constant), &Format::DeltaDynBp, &settings);
                     prop_assert_eq!(out.decompress(), reference.clone(),
                         "format {} degree {:?} style {:?}", format, degree, style);
                 }
@@ -77,7 +77,7 @@ proptest! {
         for format in [Format::Uncompressed, Format::DynBp, Format::Rle] {
             let data = Column::compress(&values, &format);
             let settings = ExecSettings::vectorized_compressed();
-            let all = select(CmpOp::Le, &data, max, &Format::DeltaDynBp, &settings);
+            let all = select(&data, &Predicate::Cmp(CmpOp::Le, max), &Format::DeltaDynBp, &settings);
             prop_assert_eq!(all.logical_len(), values.len());
             let restored = project(&data, &all, &Format::DynBp, &settings);
             prop_assert_eq!(restored.decompress(), values.clone());
@@ -106,10 +106,10 @@ proptest! {
                 "format {}", format
             );
 
-            let serial = select(CmpOp::Le, &input, constant, &Format::DeltaDynBp, &settings);
+            let le = Predicate::Cmp(CmpOp::Le, constant);
+            let serial = select(&input, &le, &Format::DeltaDynBp, &settings);
             let partials: Vec<Column> = ranges.iter()
-                .map(|r| select_part(CmpOp::Le, &input, constant, r.clone(),
-                    &Format::DeltaDynBp, settings.style))
+                .map(|r| select_part(&input, &le, r.clone(), &Format::DeltaDynBp, settings.style))
                 .collect();
             prop_assert_eq!(
                 concat_partials(&Format::DeltaDynBp, &partials), serial,
