@@ -413,6 +413,62 @@ mod tests {
     }
 
     #[test]
+    fn select_between_matches_reference() {
+        let values = sample(4000);
+        let expected: Vec<u64> = values
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| (100..=300).contains(&v))
+            .map(|(i, _)| i as u64)
+            .collect();
+        let between = Predicate::Between(100, 300);
+        for format in [Format::Uncompressed, Format::DynBp, Format::Rle] {
+            let input = Column::compress(&values, &format);
+            let out = select(
+                &input,
+                &between,
+                &Format::DeltaDynBp,
+                &ExecSettings::default(),
+            );
+            assert_eq!(out.decompress(), expected, "format {format}");
+        }
+        let uncompressed_out = select(
+            &Column::from_slice(&values),
+            &between,
+            &Format::DynBp,
+            &ExecSettings::scalar_uncompressed(),
+        );
+        assert_eq!(uncompressed_out.decompress(), expected);
+        assert_eq!(uncompressed_out.format(), &Format::Uncompressed);
+    }
+
+    #[test]
+    fn between_chunk_appends_the_naive_positions() {
+        for len in (0..=9).chain([2048]) {
+            for selectivity in [0u64, 10, 50, 90, 100] {
+                let chunk = bounded_values(len, selectivity);
+                for (low, high) in [(100, 200), (200, 100)] {
+                    let hits =
+                        (0..len as u64).filter(|&i| (low..=high).contains(&chunk[i as usize]));
+                    let expected: Vec<u64> =
+                        [8, 8, 8].into_iter().chain(hits.map(|i| 40 + i)).collect();
+                    for style in [ProcessingStyle::Scalar, ProcessingStyle::Vectorized] {
+                        let mut out = vec![8, 8, 8];
+                        select_chunk(style, &Predicate::Between(low, high), &chunk, 40, &mut out);
+                        assert_eq!(
+                            out, expected,
+                            "len {len}, {selectivity} %, [{low}, {high}], {style:?}"
+                        );
+                        if low > high {
+                            assert_eq!(out.len(), 3, "an inverted range selects nothing");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn select_output_is_sorted_for_delta_friendliness() {
         // The paper notes the select output is always sorted, which is why
         // DELTA + SIMD-BP is the best output format (Section 5.1).
